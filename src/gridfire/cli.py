@@ -22,11 +22,14 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 import time
 import traceback
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from .errors import GridFireError, InvalidInputError
 from .fixtures import (
@@ -40,61 +43,98 @@ from .fixtures import (
 )
 from .landscape import default_catalog, load_catalog, load_landscape, write_catalog, write_landscape
 from .network import ignitable_lines, load_network, write_network
-from .risk import CostParams, LineRisk, rank_lines, seasonal_average
+from .risk import CostParams, rank_lines, seasonal_average
 from .scenarios import StudyConfig, assess_results, build_matrix, read_results, run_batch, write_results
 from .spread import SpreadParams
 from .weather import TIMESTAMP_FORMAT, load_weather, season_starts, write_weather
 
 SECTIONS = ("paths", "study", "spread", "costs")
 
-DEFAULT_INI = """\
-[paths]
-landscape_dir = landscape
-fuel_catalog = fuel_catalog.csv
-network = network.json
-weather = weather.csv
 
-[study]
-ignitions_per_line = 3
-duration_hours = 24.0
-placement = even
-seed = {seed}
-year = {year}
-ignition_hour = 12
-buffer_cells = 0
-
-[spread]
-neighborhood = 16
-humidity_ref_pct = 30.0
-min_ros_m_min = 0.01
-max_eccentricity = 0.95
-
-[costs]
-cbe_per_acre = 20000.0
-cbl_per_mile = 200000.0
-"""
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
-def _read_config(path, overrides, require):
-    """Parse an ini file plus any --set section.key=value overrides."""
-    cp = configparser.ConfigParser()
-    p = Path(path)
-    if p.is_file():
-        cp.read(p)
-    elif require:
-        raise InvalidInputError(f"config file not found: {p}")
-    for s in SECTIONS:
-        if not cp.has_section(s):
-            cp.add_section(s)
-    for item in overrides:
-        key, sep, value = item.partition("=")
-        if not sep or "." not in key:
-            raise InvalidInputError(f"--set expects section.key=value, got {item!r}")
-        section, _, option = key.partition(".")
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section.strip(), option.strip(), value.strip())
-    return cp
+def _utc(text):
+    return datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+
+
+def _listed(parse):
+    """Parser of a comma-separated list; an empty list reads as None."""
+    return lambda text: tuple(parse(t.strip()) for t in text.split(",") if t.strip()) or None
+
+
+@dataclass(frozen=True)
+class Key:
+    """One study.ini key: where it lives, how its text parses, its default.
+
+    A key that fills a dataclass field (`owner`.`field`) takes its default
+    from that field; any other key carries its own. Keys whose default is
+    None are left out of the study.ini that synth writes.
+    """
+
+    section: str
+    name: str
+    parse: Callable[[str], object]
+    owner: type | None = None
+    field: str | None = None
+    default: object = None
+
+    def __post_init__(self):
+        if self.owner is not None:
+            default = next(f.default for f in fields(self.owner) if f.name == self.field)
+            object.__setattr__(self, "default", default)
+
+
+SCHEMA = (
+    Key("paths", "landscape_dir", str, default="landscape"),
+    Key("paths", "fuel_catalog", str, default="fuel_catalog.csv"),
+    Key("paths", "network", str, default="network.json"),
+    Key("paths", "weather", str, default="weather.csv"),
+    Key("study", "ignitions_per_line", int, StudyConfig, "ignitions_per_line"),
+    Key("study", "duration_hours", _finite, StudyConfig, "duration_hours"),
+    Key("study", "placement", str, StudyConfig, "placement"),
+    Key("study", "seed", int, StudyConfig, "seed"),
+    Key("study", "year", int, default=2022),
+    Key("study", "ignition_hour", int, default=12),
+    Key("study", "buffer_cells", int, StudyConfig, "buffer_cells"),
+    Key("study", "line_ids", _listed(int), StudyConfig, "line_ids"),
+    Key("study", "seasons", _listed(_utc)),
+    Key("spread", "neighborhood", int, SpreadParams, "neighborhood"),
+    Key("spread", "humidity_ref_pct", _finite, SpreadParams, "humidity_ref"),
+    Key("spread", "min_ros_m_min", _finite, SpreadParams, "min_ros"),
+    Key("spread", "max_eccentricity", _finite, SpreadParams, "max_eccentricity"),
+    Key("costs", "cbe_per_acre", _finite, CostParams, "cbe"),
+    Key("costs", "cbl_per_mile", _finite, CostParams, "cbl"),
+)
+
+KEYS = {f"{k.section}.{k.name}": k for k in SCHEMA}
+
+
+def study_ini(values):
+    """The study.ini text: every key that has a default, valued from
+    `values` ("section.key" -> value) where given, else the default."""
+    blocks = []
+    for section in SECTIONS:
+        rows = [f"{k.name} = {values.get(name, k.default)}"
+                for name, k in KEYS.items() if k.section == section and k.default is not None]
+        blocks.append("\n".join([f"[{section}]", *rows]))
+    return "\n\n".join(blocks) + "\n"
+
+
+@dataclass(frozen=True)
+class Config:
+    """A loaded study config: parsed values keyed "section.key", input
+    paths resolved against the config file's folder, the validated study,
+    and the sha256 of the effective config."""
+
+    values: dict[str, object]
+    paths: dict[str, Path]
+    study: StudyConfig
+    sha256: str
 
 
 def _config_digest(cp, seed):
@@ -106,75 +146,71 @@ def _config_digest(cp, seed):
     return hashlib.sha256("\n".join(items).encode()).hexdigest()
 
 
-def _seasons_from_config(cp):
-    raw = cp.get("study", "seasons", fallback="").strip()
-    if raw:
-        out = []
-        for tok in raw.split(","):
-            out.append(datetime.strptime(tok.strip(), TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc))
-        return tuple(out)
-    year = cp.getint("study", "year", fallback=2022)
-    hour = cp.getint("study", "ignition_hour", fallback=12)
-    return season_starts(year, hour)
+def load_config(path, overrides, require, seed=None):
+    """Read, check and resolve a study config: the ini file, if present
+    (`require` makes its absence an error), plus --set section.key=value
+    overrides.
 
+    Unknown sections and keys, values that do not parse as their key's
+    type and non-finite numbers raise ValueError naming the key; `seed`,
+    when given, replaces the configured seed.
+    """
+    cp = configparser.ConfigParser()
+    p = Path(path)
+    if p.is_file():
+        cp.read(p)
+    elif require:
+        raise InvalidInputError(f"config file not found: {p}")
+    for item in overrides:
+        key, sep, value = item.partition("=")
+        if not sep or "." not in key:
+            raise InvalidInputError(f"--set expects section.key=value, got {item!r}")
+        section, _, option = (t.strip() for t in key.partition("."))
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, option, value.strip())
 
-def _study_from_config(cp, seed_override):
-    seed = cp.getint("study", "seed", fallback=0)
-    if seed_override is not None:
-        seed = seed_override
-    raw_ids = cp.get("study", "line_ids", fallback="").strip()
-    line_ids = tuple(int(t) for t in raw_ids.split(",") if t.strip()) or None
-    spread = SpreadParams(
-        neighborhood=cp.getint("spread", "neighborhood", fallback=16),
-        humidity_ref=cp.getfloat("spread", "humidity_ref_pct", fallback=30.0),
-        min_ros=cp.getfloat("spread", "min_ros_m_min", fallback=0.01),
-        max_eccentricity=cp.getfloat("spread", "max_eccentricity", fallback=0.95),
-    )
-    costs = CostParams(
-        cbe=cp.getfloat("costs", "cbe_per_acre", fallback=20_000.0),
-        cbl=cp.getfloat("costs", "cbl_per_mile", fallback=200_000.0),
-    )
-    return StudyConfig(
-        ignitions_per_line=cp.getint("study", "ignitions_per_line", fallback=3),
-        seasons=_seasons_from_config(cp),
-        duration_hours=cp.getfloat("study", "duration_hours", fallback=24.0),
-        placement=cp.get("study", "placement", fallback="even"),
-        seed=seed,
-        spread=spread,
-        costs=costs,
-        buffer_cells=cp.getint("study", "buffer_cells", fallback=0),
-        line_ids=line_ids,
-    )
+    values = {name: k.default for name, k in KEYS.items()}
+    for section in cp.sections():
+        for option, raw in cp.items(section):
+            name = f"{section}.{option}"
+            if name not in KEYS:
+                raise ValueError(f"unknown key {name} (known: {', '.join(KEYS)})")
+            try:
+                values[name] = KEYS[name].parse(raw)
+            except ValueError as exc:
+                raise ValueError(f"{name} = {raw!r}: {exc}") from None
+        if section not in SECTIONS:
+            raise ValueError(f"unknown section [{section}]")
+    if seed is not None:
+        values["study.seed"] = seed
+    if values["study.seasons"] is None:
+        try:
+            values["study.seasons"] = season_starts(values["study.year"], values["study.ignition_hour"])
+        except OverflowError as exc:
+            raise ValueError(f"study.year = {values['study.year']}: {exc}") from None
 
+    def fill(owner, **extra):
+        return owner(**{k.field: values[name] for name, k in KEYS.items() if k.owner is owner}, **extra)
 
-def _resolve(base, value):
-    p = Path(value)
-    return p if p.is_absolute() else base / p
-
-
-def _paths_from_config(cp, config_path):
-    base = Path(config_path).resolve().parent
-    return {
-        "landscape_dir": _resolve(base, cp.get("paths", "landscape_dir", fallback="landscape")),
-        "fuel_catalog": _resolve(base, cp.get("paths", "fuel_catalog", fallback="fuel_catalog.csv")),
-        "network": _resolve(base, cp.get("paths", "network", fallback="network.json")),
-        "weather": _resolve(base, cp.get("paths", "weather", fallback="weather.csv")),
-    }
+    study = fill(StudyConfig, seasons=values["study.seasons"],
+                 spread=fill(SpreadParams), costs=fill(CostParams))
+    # An absolute path replaces the config file's folder when joined to it.
+    base = Path(path).resolve().parent
+    paths = {k.name: base / values[name] for name, k in KEYS.items() if k.section == "paths"}
+    return Config(values, paths, study, _config_digest(cp, study.seed))
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_synth(args):
-    cp = _read_config(args.config, args.overrides, require=False)
-    seed = cp.getint("study", "seed", fallback=0)
-    year = cp.getint("study", "year", fallback=2022)
-    if args.seed is not None:
-        seed = args.seed
-    if args.year is not None:
-        year = args.year
+    config = load_config(args.config, args.overrides, require=False, seed=args.seed)
+    seed = config.study.seed
+    year = args.year if args.year is not None else config.values["study.year"]
 
     out = Path(args.out)
+    inputs = {k.name: out / k.default for k in SCHEMA if k.section == "paths"}
     out.mkdir(parents=True, exist_ok=True)
 
     size = args.size if args.size is not None else STUDY_NROWS
@@ -183,12 +219,12 @@ def cmd_synth(args):
     net = ieee30_network(width_m=size * cell, height_m=size * cell)
     wx = study_weather(year=year, seed=seed)
 
-    write_landscape(land, out / "landscape")
-    write_catalog(land.catalog, out / "fuel_catalog.csv")
-    write_network(net, out / "network.json")
-    write_weather(wx, out / "weather.csv")
+    write_landscape(land, inputs["landscape_dir"])
+    write_catalog(land.catalog, inputs["fuel_catalog"])
+    write_network(net, inputs["network"])
+    write_weather(wx, inputs["weather"])
     write_reference_tables(out)
-    (out / "study.ini").write_text(DEFAULT_INI.format(seed=seed, year=year))
+    (out / "study.ini").write_text(study_ini({"study.seed": seed, "study.year": year}))
 
     n_lines = len(ignitable_lines(net))
     print(f"wrote study inputs to {out} ({size}x{size} at {cell:g} m, "
@@ -197,9 +233,8 @@ def cmd_synth(args):
 
 
 def cmd_simulate(args):
-    cp = _read_config(args.config, args.overrides, require=True)
-    paths = _paths_from_config(cp, args.config)
-    cfg = _study_from_config(cp, args.seed)
+    config = load_config(args.config, args.overrides, require=True, seed=args.seed)
+    paths, cfg = config.paths, config.study
 
     catalog = load_catalog(paths["fuel_catalog"]) if paths["fuel_catalog"].is_file() else default_catalog()
     land = load_landscape(paths["landscape_dir"], catalog=catalog)
@@ -217,11 +252,10 @@ def cmd_simulate(args):
 
     warnings = [r.warning for r in results if r.warning]
     meta = {
-        "config_sha256": _config_digest(cp, cfg.seed),
+        "config_sha256": config.sha256,
         "scenarios": len(results),
         "lines": len({r.line_id for r in results}),
         "seasons": [s.strftime(TIMESTAMP_FORMAT) for s in cfg.seasons],
-        "workers": args.workers,
         "warnings": warnings,
     }
     (out / "run_meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
@@ -279,23 +313,15 @@ def cmd_assess(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    config = load_config(args.config, args.overrides, require=not args.from_tables, seed=args.seed)
+    costs = config.study.costs
     if args.from_tables:
         acres_path, miles_path = args.from_tables
-        cp = _read_config(args.config, args.overrides, require=False)
-        costs = CostParams(
-            cbe=cp.getfloat("costs", "cbe_per_acre", fallback=20_000.0),
-            cbl=cp.getfloat("costs", "cbl_per_mile", fallback=200_000.0),
-        )
-        acres = _read_table(acres_path)
-        miles = _read_table(miles_path)
-        records = rank_lines(acres, miles, costs)
+        records = rank_lines(_read_table(acres_path), _read_table(miles_path), costs)
     else:
-        cp = _read_config(args.config, args.overrides, require=True)
-        paths = _paths_from_config(cp, args.config)
-        cfg = _study_from_config(cp, args.seed)
         results = read_results(args.results)
-        net = load_network(paths["network"])
-        records = assess_results(results, net, cfg.costs)
+        net = load_network(config.paths["network"])
+        records = assess_results(results, net, costs)
 
     _write_table(out / "table_acres.csv", records, "season_acres")
     _write_table(out / "table_miles.csv", records, "season_miles")
@@ -369,6 +395,13 @@ def cmd_report(args):
 # ---------------------------------------------------------------- entry
 
 
+def _at_least_one(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="study.ini", metavar="PATH",
@@ -377,8 +410,8 @@ def build_parser():
                         help="output directory (default: current directory)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the scenario batch")
+    common.add_argument("--workers", type=_at_least_one, default=1,
+                        help="worker processes for the scenario batch (at least 1)")
     common.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override a single config value (repeatable)")

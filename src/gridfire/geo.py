@@ -151,12 +151,6 @@ class RasterFrame:
         row = min(int(p.y // self.cell_size), self.nrows - 1)
         return GridIndex(row, col)
 
-    def cell_center(self, cell: GridIndex) -> PlanarPoint:
-        return PlanarPoint(
-            (cell.col + 0.5) * self.cell_size,
-            (cell.row + 0.5) * self.cell_size,
-        )
-
 
 def _snap(t: float) -> float:
     """Pull t onto the nearest integer when it is within GRID_SNAP_REL."""

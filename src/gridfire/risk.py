@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DegenerateNormalizationError, InvalidInputError, TopologyError
-from .geo import GridIndex
-from .network import GridNetwork, ignitable_lines, line_cells
+from .geo import GridIndex, RasterFrame
+from .network import Branch, GridNetwork, ignitable_lines, line_cells
 from .spread import BurnRaster
 
 
@@ -105,32 +107,27 @@ def dilate_cells(
     """Chebyshev dilation of a cell set, clipped to the grid."""
     if buffer_cells < 0:
         raise InvalidInputError(f"buffer_cells must be >= 0, got {buffer_cells}")
-    if buffer_cells == 0:
-        return {(c.row, c.col) for c in cells}
-    span = range(-buffer_cells, buffer_cells + 1)
     out: set[tuple[int, int]] = set()
     for cell in cells:
-        for dr in span:
-            r = cell.row + dr
-            if not 0 <= r < nrows:
-                continue
-            for dc in span:
-                c = cell.col + dc
-                if 0 <= c < ncols:
-                    out.add((r, c))
+        for r in range(max(0, cell.row - buffer_cells), min(nrows, cell.row + buffer_cells + 1)):
+            for c in range(max(0, cell.col - buffer_cells), min(ncols, cell.col + buffer_cells + 1)):
+                out.add((r, c))
     return out
+
+
+def corridor_index(br: Branch, frame: RasterFrame, buffer_cells: int) -> np.ndarray:
+    """Sorted flat indices (row * ncols + col) of a line's dilated corridor."""
+    cells = dilate_cells(line_cells(br, frame), buffer_cells, frame.nrows, frame.ncols)
+    return np.array(sorted(r * frame.ncols + c for r, c in cells), dtype=np.int64)
 
 
 def affected_lines(b: BurnRaster, n: GridNetwork, buffer_cells: int = 0) -> set[int]:
     """Ids of lines whose (dilated) corridor touches any burned cell."""
-    out: set[int] = set()
-    for br in ignitable_lines(n):
-        corridor = dilate_cells(
-            line_cells(br, b.frame), buffer_cells, b.frame.nrows, b.frame.ncols
-        )
-        if any(b.status[r, c] for r, c in corridor):
-            out.add(br.id)
-    return out
+    flat = b.status.ravel()
+    return {
+        br.id for br in ignitable_lines(n)
+        if flat[corridor_index(br, b.frame, buffer_cells)].any()
+    }
 
 
 def rank_lines(

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import GridFireError, InvalidInputError, OutOfBoundsError
 from .geo import GridIndex, PlanarPoint, RasterFrame
 from .landscape import LandscapeRaster, cell_acreage
-from .network import Branch, GridNetwork, ignitable_lines, line_cells
-from .risk import CostParams, LineRisk, dilate_cells, lbl, rank_lines
+from .network import Branch, GridNetwork, ignitable_lines
+from .risk import CostParams, LineRisk, corridor_index, lbl, rank_lines
 from .spread import IgnitionSpec, SpreadEngine, SpreadParams, burned_area_acres
 from .weather import WeatherSeries, season_starts
 
@@ -224,17 +224,9 @@ def run_batch(
         wx.at(start)
         wx.at(start + timedelta(hours=epochs - 1))
 
-    corridor_idx: dict[int, np.ndarray] = {}
-    length_miles: dict[int, float] = {}
-    for br in ignitable_lines(n):
-        cells = dilate_cells(
-            line_cells(br, frame), cfg.buffer_cells, frame.nrows, frame.ncols
-        )
-        flat = np.fromiter(
-            (r * frame.ncols + c for r, c in sorted(cells)), dtype=np.int64, count=len(cells)
-        )
-        corridor_idx[br.id] = flat
-        length_miles[br.id] = br.length_miles
+    lines = ignitable_lines(n)
+    corridor_idx = {br.id: corridor_index(br, frame, cfg.buffer_cells) for br in lines}
+    length_miles = {br.id: br.length_miles for br in lines}
 
     season_index = {start: i for i, start in enumerate(cfg.seasons)}
     for spec in specs:

@@ -27,7 +27,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from .asciigrid import AsciiGrid, write_ascii_grid
 from .errors import InvalidInputError, OutOfBoundsError
 from .geo import GridIndex, RasterFrame
 from .landscape import FuelModel, LandscapeRaster
@@ -114,15 +113,17 @@ def moisture_factor(rel_humidity: float, moisture_exp: float, humidity_ref: floa
     return min(MOISTURE_FACTOR_MAX, max(MOISTURE_FACTOR_MIN, raw))
 
 
-def slope_factor(slope_deg: float, aspect_deg: float, travel_dir_deg: float) -> float:
+def slope_factor(
+    slope_deg: float | np.ndarray, aspect_deg: float | np.ndarray, travel_dir_deg: float
+) -> float | np.ndarray:
     """Upslope acceleration: 1 plus a term for travel aligned with upslope.
 
     aspect is the downslope-facing direction, so upslope is aspect + 180.
     Travel with any downslope component gets factor 1 (no slowdown).
+    Takes scalars or numpy arrays (per-cell slope and aspect layers).
     """
-    upslope = aspect_deg + 180.0
-    align = math.cos(math.radians(travel_dir_deg - upslope))
-    return 1.0 + SLOPE_GAIN * math.tan(math.radians(slope_deg)) * max(0.0, align)
+    align = np.cos(np.radians(travel_dir_deg) - np.radians(aspect_deg + 180.0))
+    return 1.0 + SLOPE_GAIN * np.tan(np.radians(slope_deg)) * np.maximum(0.0, align)
 
 
 def wind_factor(
@@ -141,8 +142,7 @@ def wind_factor(
     """
     head = 1.0 + wind_coeff * wind_speed ** wind_exp
     ecc = min(max_eccentricity, math.sqrt(max(0.0, 1.0 - 1.0 / (head * head))))
-    wind_to = wind_dir_from + 180.0
-    align = math.cos(math.radians(travel_dir_deg - wind_to))
+    align = math.cos(math.radians(travel_dir_deg) - math.radians(wind_dir_from + 180.0))
     return head * (1.0 - ecc) / (1.0 - ecc * align)
 
 
@@ -193,6 +193,7 @@ class SpreadEngine:
         offsets = params.offsets()
         self._theta_deg = [math.degrees(math.atan2(dc, dr)) % 360.0 for dr, dc in offsets]
         self._ndirs = len(offsets)
+        dists = np.array([cs * math.hypot(dr, dc) for dr, dc in offsets])
 
         burn_mask = land.burnable_mask()
         fuel_ids = sorted(int(f) for f in np.unique(land.fuel[burn_mask])) if burn_mask.any() else []
@@ -205,18 +206,14 @@ class SpreadEngine:
         base = np.zeros((nrows, ncols))
         for f in fuel_ids:
             base[land.fuel == f] = land.catalog.lookup(f).base_ros
-        tan_slope = np.tan(np.radians(land.slope))
-        upslope_rad = np.radians(land.aspect + 180.0)
 
         src_parts, dst_parts = [], []
         hsrc_parts, hdst_parts = [], []
         dir_parts = []
         for d, (dr, dc) in enumerate(offsets):
-            theta = math.radians(self._theta_deg[d])
-            dist = cs * math.hypot(dr, dc)
-            phi_s = 1.0 + SLOPE_GAIN * tan_slope * np.maximum(0.0, np.cos(theta - upslope_rad))
+            phi_s = slope_factor(land.slope, land.aspect, self._theta_deg[d])
             with np.errstate(divide="ignore"):
-                half = np.where(burn_mask, dist * 0.5 / (base * phi_s), np.inf)
+                half = np.where(burn_mask, dists[d] * 0.5 / (base * phi_s), np.inf)
 
             r0, r1 = max(0, -dr), nrows - max(0, dr)
             c0, c1 = max(0, -dc), ncols - max(0, dc)
@@ -264,7 +261,6 @@ class SpreadEngine:
 
         counts = np.bincount(src_sorted, minlength=n)
         self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        dists = np.array([cs * math.hypot(dr, dc) for dr, dc in offsets])
         if params.min_ros > 0:
             self._max_minutes = (dists / params.min_ros)[dir_sorted]
         else:
@@ -277,17 +273,25 @@ class SpreadEngine:
     def _epoch_table(self, w: WeatherSample) -> np.ndarray:
         """Inverse weather factor per (fuel, direction), flattened."""
         params = self.params
-        wind_to_rad = math.radians(w.wind_dir_from + 180.0)
         out = np.empty(max(len(self._fuel_models), 1) * self._ndirs)
         for fi, fm in enumerate(self._fuel_models):
             pm = moisture_factor(w.rel_humidity, fm.moisture_exp, params.humidity_ref)
-            head = 1.0 + fm.wind_coeff * w.wind_speed ** fm.wind_exp
-            ecc = min(params.max_eccentricity, math.sqrt(max(0.0, 1.0 - 1.0 / (head * head))))
             for d, theta_deg in enumerate(self._theta_deg):
-                align = math.cos(math.radians(theta_deg) - wind_to_rad)
-                pe = head * (1.0 - ecc) / (1.0 - ecc * align)
+                pe = wind_factor(
+                    w.wind_speed, w.wind_dir_from, theta_deg,
+                    fm.wind_coeff, fm.wind_exp, params.max_eccentricity,
+                )
                 out[fi * self._ndirs + d] = 1.0 / (pm * pe)
         return out
+
+    def _minutes(self, w: WeatherSample) -> np.ndarray:
+        """Traversal minutes of every edge, in CSR order, under one weather
+        sample; edges slower than the min_ros floor are impassable (+inf)."""
+        table = self._epoch_table(w)
+        minutes = self._hsrc * table[self._key_src] + self._hdst * table[self._key_dst]
+        if self._max_minutes is not None:
+            minutes[minutes > self._max_minutes] = np.inf
+        return minutes
 
     def edge_costs(self, w: WeatherSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Edge list (src, dst, minutes) under one fixed weather sample.
@@ -296,12 +300,8 @@ class SpreadEngine:
         uses, including the impassability floor, for independent
         shortest-path checks. Flat cell indexing is row * ncols + col.
         """
-        table = self._epoch_table(w)
-        minutes = self._hsrc * table[self._key_src] + self._hdst * table[self._key_dst]
-        if self._max_minutes is not None:
-            minutes = np.where(minutes <= self._max_minutes, minutes, np.inf)
         src = np.repeat(np.arange(self._n_cells), np.diff(self._indptr))
-        return src, self._indices.astype(np.int64), minutes
+        return src, self._indices.astype(np.int64), self._minutes(w)
 
     def run(self, ig: IgnitionSpec, wx: WeatherSeries) -> BurnRaster:
         """Simulate one ignition and return its burn raster."""
@@ -341,10 +341,7 @@ class SpreadEngine:
                 break
             w = wx.at(ig.start + timedelta(hours=e))
             t_hi = min(60.0 * (e + 1), duration_min)
-            table = self._epoch_table(w)
-            data = self._hsrc * table[self._key_src] + self._hdst * table[self._key_dst]
-            if self._max_minutes is not None:
-                data[data > self._max_minutes] = np.inf
+            data = self._minutes(w)
 
             sources = np.flatnonzero(frozen_mask).astype(np.int32)
             indices = np.concatenate([self._indices, sources])
@@ -379,18 +376,3 @@ def simulate_spread(
 def burned_area_acres(b: BurnRaster, alpha: float) -> float:
     """Burned cell count converted to acres via the per-cell ratio alpha."""
     return b.burned_cell_count() * alpha
-
-
-def dump_arrival_grid(b: BurnRaster, path, nodata: float = -9999.0) -> None:
-    """Write arrival minutes as an ESRI ASCII grid, NODATA where unburned."""
-    data = np.where(b.status, b.arrival, nodata)
-    grid = AsciiGrid(
-        ncols=b.frame.ncols,
-        nrows=b.frame.nrows,
-        xllcorner=b.frame.origin.lon,
-        yllcorner=b.frame.origin.lat,
-        cellsize=b.frame.cell_size,
-        nodata=nodata,
-        data=data,
-    )
-    write_ascii_grid(path, grid)

@@ -6,11 +6,16 @@ session-scoped study_dir fixture.
 """
 
 import json
+import math
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfire import cli
+from gridfire.scenarios import StudyConfig
 
 
 def tree_bytes(root):
@@ -22,6 +27,54 @@ def tree_bytes(root):
 
 def run(argv):
     return cli.main(argv)
+
+
+def exit_code(argv):
+    """cli.main's exit code, including argparse's usage errors."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# one line, two ignitions per season, 1 h fires
+SMALL_STUDY = ["--set", "study.line_ids=6", "--set", "study.ignitions_per_line=2",
+               "--set", "study.duration_hours=1.0"]
+
+STUDY_INI = """\
+[paths]
+landscape_dir = landscape
+fuel_catalog = fuel_catalog.csv
+network = network.json
+weather = weather.csv
+
+[study]
+ignitions_per_line = 3
+duration_hours = 24.0
+placement = even
+seed = 0
+year = 2022
+ignition_hour = 12
+buffer_cells = 0
+
+[spread]
+neighborhood = 16
+humidity_ref_pct = 30.0
+min_ros_m_min = 0.01
+max_eccentricity = 0.95
+
+[costs]
+cbe_per_acre = 20000.0
+cbl_per_mile = 200000.0
+"""
+
+INT_KEYS = {"study.ignitions_per_line", "study.seed", "study.year", "study.ignition_hour",
+            "study.buffer_cells", "spread.neighborhood"}
+FLOAT_KEYS = {"study.duration_hours", "spread.humidity_ref_pct", "spread.min_ros_m_min",
+              "spread.max_eccentricity", "costs.cbe_per_acre", "costs.cbl_per_mile"}
+TEXT_KEYS = {"paths.landscape_dir", "paths.fuel_catalog", "paths.network", "paths.weather",
+             "study.placement", "study.line_ids", "study.seasons"}
+KNOWN_KEYS = INT_KEYS | FLOAT_KEYS | TEXT_KEYS
 
 
 # ------------------------------------------------------------------- synth
@@ -39,6 +92,11 @@ def test_synth_writes_expected_files(study_dir):
         assert f"landscape/{layer}.asc" in names
 
 
+def test_synth_writes_the_default_study_ini(study_dir):
+    assert (study_dir / "study.ini").read_text() == STUDY_INI
+    assert set(cli.KEYS) == KNOWN_KEYS
+
+
 def test_synth_is_idempotent(study_dir, tmp_path, capsys):
     rc = run(["synth", "--out", str(tmp_path), "--seed", "0"])
     assert rc == 0
@@ -53,12 +111,7 @@ def test_synth_is_idempotent(study_dir, tmp_path, capsys):
 def small_run(study_dir, tmp_path_factory):
     """A restricted simulate (one line, two ignitions, 1 h) plus assess."""
     sim = tmp_path_factory.mktemp("sim")
-    rc = run([
-        "simulate", "--config", str(study_dir / "study.ini"), "--out", str(sim),
-        "--set", "study.line_ids=6",
-        "--set", "study.ignitions_per_line=2",
-        "--set", "study.duration_hours=1.0",
-    ])
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(sim), *SMALL_STUDY])
     assert rc == 0
     rep = tmp_path_factory.mktemp("rep")
     rc = run([
@@ -77,8 +130,7 @@ def test_simulate_outputs(small_run):
     assert all(r.startswith("6,") for r in rows[1:])
 
     meta = json.loads((sim / "run_meta.json").read_text())
-    assert set(meta) == {"config_sha256", "scenarios", "lines", "seasons",
-                         "workers", "warnings"}
+    assert set(meta) == {"config_sha256", "scenarios", "lines", "seasons", "warnings"}
     assert meta["scenarios"] == 8
     assert meta["lines"] == 1
     assert len(meta["seasons"]) == 4
@@ -87,12 +139,17 @@ def test_simulate_outputs(small_run):
 
 def test_simulate_reruns_bit_identical(study_dir, small_run, tmp_path):
     sim, _ = small_run
-    rc = run([
-        "simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path),
-        "--set", "study.line_ids=6",
-        "--set", "study.ignitions_per_line=2",
-        "--set", "study.duration_hours=1.0",
-    ])
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path),
+              *SMALL_STUDY])
+    assert rc == 0
+    assert (tmp_path / "results.csv").read_bytes() == (sim / "results.csv").read_bytes()
+    assert (tmp_path / "run_meta.json").read_bytes() == (sim / "run_meta.json").read_bytes()
+
+
+def test_simulate_outputs_do_not_depend_on_worker_count(study_dir, small_run, tmp_path):
+    sim, _ = small_run  # --workers 1
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path),
+              "--workers", "2", *SMALL_STUDY])
     assert rc == 0
     assert (tmp_path / "results.csv").read_bytes() == (sim / "results.csv").read_bytes()
     assert (tmp_path / "run_meta.json").read_bytes() == (sim / "run_meta.json").read_bytes()
@@ -232,3 +289,107 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ----------------------------------------------------------- config schema
+
+
+def test_config_defaults_are_the_dataclass_defaults(tmp_path):
+    config = cli.load_config(tmp_path / "absent.ini", [], require=False)
+    assert config.study == StudyConfig()
+    assert config.paths["network"] == tmp_path / "network.json"
+
+
+def test_config_lists_and_absolute_paths(tmp_path):
+    config = cli.load_config(tmp_path / "absent.ini", [
+        "study.line_ids=6, 10", "study.seasons=2022-02-01T06:00Z,2022-08-01T18:00Z",
+        "paths.weather=/data/wx.csv",
+    ], require=False, seed=7)
+    assert config.study.line_ids == (6, 10)
+    assert config.study.seasons == (datetime(2022, 2, 1, 6, tzinfo=timezone.utc),
+                                    datetime(2022, 8, 1, 18, tzinfo=timezone.utc))
+    assert config.study.seed == 7
+    assert config.paths["weather"] == Path("/data/wx.csv")
+
+
+@pytest.mark.parametrize("bad, named", [
+    (["--set", "study.duraton_hours=1"], "study.duraton_hours"),
+    (["--set", "sprad.min_ros=5"], "sprad.min_ros"),
+    (["--set", "spread.min_ros_m_min=nan"], "spread.min_ros_m_min"),
+    (["--set", "costs.cbe_per_acre=inf"], "costs.cbe_per_acre"),
+    (["--set", "study.duration_hours=inf"], "study.duration_hours"),
+    (["--set", "spread.max_eccentricity=inf"], "spread.max_eccentricity"),
+    (["--workers", "0"], "--workers"),
+    (["--workers", "-3"], "--workers"),
+])
+def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
+    argv = ["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path),
+            *SMALL_STUDY, *bad]
+    assert exit_code(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_unknown_section_in_ini_is_exit_2(tmp_path, capsys):
+    ini = tmp_path / "study.ini"
+    ini.write_text("[study]\nseed = 1\n\n[extra]\n")
+    assert run(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == 2
+    assert "[extra]" in capsys.readouterr().err
+
+
+def _valid(key, text):
+    """Whether `text` is a value the study accepts for `key`, judged
+    from the documented domains alone."""
+    text = text.strip()
+    try:
+        if key in INT_KEYS:
+            v = int(text)
+            return {"study.ignitions_per_line": v >= 1, "study.year": 1 <= v <= 9999,
+                    "study.ignition_hour": 0 <= v <= 23, "study.buffer_cells": v >= 0,
+                    "spread.neighborhood": v in (8, 16)}.get(key, True)
+        if key in FLOAT_KEYS:
+            v = float(text)
+            return math.isfinite(v) and {"spread.min_ros_m_min": v >= 0,
+                                         "spread.max_eccentricity": 0 <= v < 1}.get(key, v > 0)
+        if key == "study.line_ids":
+            [int(t) for t in text.split(",") if t.strip()]
+        if key == "study.seasons":
+            [datetime.strptime(t.strip(), "%Y-%m-%dT%H:%MZ") for t in text.split(",") if t.strip()]
+    except ValueError:
+        return False
+    if key == "study.placement":
+        return text in ("even", "seeded-random")
+    return key in TEXT_KEYS
+
+
+random_name = st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
+config_keys = st.one_of(
+    st.sampled_from(sorted(KNOWN_KEYS)),
+    st.builds("{}.{}".format, st.sampled_from(cli.SECTIONS) | random_name, random_name),
+)
+config_values = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "", "even", "seeded-random", "6,10"]),
+    st.text(max_size=20),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=config_keys, value=config_values)
+def test_config_overrides_fuzz(study_dir, fuzz_out, key, value):
+    """Any --set either loads or exits 2, and loads only a known key
+    with a valid value; numbers in their domain always load."""
+    rc = exit_code(["assess", "--from-tables", str(study_dir / "table1.csv"),
+                    str(study_dir / "table2.csv"), "--config", str(study_dir / "study.ini"),
+                    "--out", str(fuzz_out), "--set", f"{key}={value}"])
+    assert rc in (0, 2)
+    if rc == 0:
+        assert _valid(key, value)
+    elif key in INT_KEYS | FLOAT_KEYS:
+        assert not _valid(key, value)
