@@ -151,11 +151,12 @@ def load_config(path, overrides, require, seed=None):
     (`require` makes its absence an error), plus --set section.key=value
     overrides.
 
-    Unknown sections and keys, values that do not parse as their key's
-    type and non-finite numbers raise ValueError naming the key; `seed`,
-    when given, replaces the configured seed.
+    Values are taken literally (no `%` interpolation). Unknown sections
+    and keys, values that do not parse as their key's type, non-finite
+    numbers and values outside their field's domain raise ValueError
+    naming the key; `seed`, when given, replaces the configured seed.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     p = Path(path)
     if p.is_file():
         cp.read(p)
@@ -184,10 +185,20 @@ def load_config(path, overrides, require, seed=None):
             raise ValueError(f"unknown section [{section}]")
     if seed is not None:
         values["study.seed"] = seed
+    # Every dataclass check reads a single field, so building the owner
+    # with only this key's value pins a domain error on the key.
+    for name, k in KEYS.items():
+        if k.owner is not None:
+            try:
+                k.owner(**{k.field: values[name]})
+            except InvalidInputError as exc:
+                raise ValueError(f"{name} = {values[name]!r}: {exc}") from None
     if values["study.seasons"] is None:
         try:
             values["study.seasons"] = season_starts(values["study.year"], values["study.ignition_hour"])
-        except OverflowError as exc:
+        except InvalidInputError as exc:
+            raise ValueError(f"study.ignition_hour = {values['study.ignition_hour']}: {exc}") from None
+        except (OverflowError, ValueError) as exc:
             raise ValueError(f"study.year = {values['study.year']}: {exc}") from None
 
     def fill(owner, **extra):

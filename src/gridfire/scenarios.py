@@ -3,10 +3,12 @@
 A study enumerates one fire scenario per (ignitable line, ignition point,
 season). Scenarios are independent: the batch runner may execute them in
 process or across a worker pool, but results always come back in spec
-order and are bit-identical regardless of worker count. A scenario that
-fails for a domain reason (say, an ignition point on rock) contributes a
-zeroed result with a warning instead of aborting the batch, so per-line
-averages keep their fixed denominator I.
+order and are bit-identical regardless of worker count. Scenarios that
+share a start time run together, so each weather hour's edge costs are
+computed once per group (once per slice of a group, with a pool). A
+scenario that fails for a domain reason (say, an ignition point on rock)
+contributes a zeroed result with a warning instead of aborting the batch,
+so per-line averages keep their fixed denominator I.
 """
 
 from __future__ import annotations
@@ -15,18 +17,25 @@ import math
 import multiprocessing
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GridFireError, InvalidInputError, OutOfBoundsError
+from .errors import CoverageError, GridFireError, InvalidInputError, OutOfBoundsError
 from .geo import GridIndex, PlanarPoint, RasterFrame
 from .landscape import LandscapeRaster, cell_acreage
 from .network import Branch, GridNetwork, ignitable_lines
 from .risk import CostParams, LineRisk, corridor_index, lbl, rank_lines
-from .spread import IgnitionSpec, SpreadEngine, SpreadParams, burned_area_acres
+from .spread import (
+    BurnRaster,
+    IgnitionSpec,
+    SpreadEngine,
+    SpreadParams,
+    burned_area_acres,
+    check_coverage,
+)
 from .weather import WeatherSeries, season_starts
 
 RESULTS_HEADER = "line_id,season,ignition_idx,burned_cells,burned_acres,affected_line_ids,affected_miles"
@@ -159,11 +168,11 @@ class _BatchContext:
 _CTX: Optional[_BatchContext] = None
 
 
-def _run_one(ctx: _BatchContext, spec: IgnitionSpec) -> ScenarioResult:
+def _result(
+    ctx: _BatchContext, spec: IgnitionSpec, burn: BurnRaster | GridFireError
+) -> ScenarioResult:
     season = ctx.season_index[spec.start]
-    try:
-        burn = ctx.engine.run(spec, ctx.wx)
-    except GridFireError as exc:
+    if isinstance(burn, GridFireError):
         return ScenarioResult(
             line_id=spec.line_id,
             ignition_index=spec.ignition_index,
@@ -172,7 +181,7 @@ def _run_one(ctx: _BatchContext, spec: IgnitionSpec) -> ScenarioResult:
             burned_acres=0.0,
             affected_line_ids=frozenset(),
             affected_miles=0.0,
-            warning=f"scenario failed: {exc}",
+            warning=f"scenario failed: {burn}",
         )
     flat = burn.status.ravel()
     affected = frozenset(
@@ -190,9 +199,25 @@ def _run_one(ctx: _BatchContext, spec: IgnitionSpec) -> ScenarioResult:
     )
 
 
-def _worker(spec: IgnitionSpec) -> ScenarioResult:
+def _run_group(ctx: _BatchContext, specs: Sequence[IgnitionSpec]) -> list[ScenarioResult]:
+    """Results of specs sharing one start time, in their order."""
+    out: list[Optional[ScenarioResult]] = [None] * len(specs)
+    for i, burn in ctx.engine.run_group(specs, ctx.wx):
+        out[i] = _result(ctx, specs[i], burn)
+    return out
+
+
+def _worker(specs: list[IgnitionSpec]) -> list[ScenarioResult]:
     assert _CTX is not None, "batch context missing in worker"
-    return _run_one(_CTX, spec)
+    return _run_group(_CTX, specs)
+
+
+def _slices(items: list[int], parts: int) -> list[list[int]]:
+    """`items` cut into at most `parts` contiguous, near-equal slices."""
+    parts = min(parts, len(items))
+    q, r = divmod(len(items), parts)
+    bounds = [k * q + min(k, r) for k in range(parts + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def run_batch(
@@ -205,9 +230,12 @@ def run_batch(
 ) -> list[ScenarioResult]:
     """Execute every scenario; results in spec order, one per spec.
 
-    Input problems that would poison the whole batch (weather coverage,
-    out-of-raster ignitions or routes) are raised before any simulation.
-    Per-scenario domain failures become zeroed results with warnings.
+    Specs sharing a start time run as one group in hour lockstep; with
+    more than one worker, each group is cut into at most `workers`
+    contiguous slices. Input problems that would poison the whole batch
+    (weather coverage, out-of-raster ignitions or routes) are raised
+    before any simulation. Per-scenario domain failures become zeroed
+    results with warnings.
     """
     global _CTX
     if not specs:
@@ -219,21 +247,25 @@ def run_batch(
             raise OutOfBoundsError(
                 f"ignition cell ({r}, {c}) of line {spec.line_id} outside raster"
             )
-    epochs = math.ceil(cfg.duration_hours)
-    for start in sorted({s.start for s in specs}):
-        wx.at(start)
-        wx.at(start + timedelta(hours=epochs - 1))
-
-    lines = ignitable_lines(n)
-    corridor_idx = {br.id: corridor_index(br, frame, cfg.buffer_cells) for br in lines}
-    length_miles = {br.id: br.length_miles for br in lines}
 
     season_index = {start: i for i, start in enumerate(cfg.seasons)}
-    for spec in specs:
+    groups: dict[datetime, list[int]] = {}
+    for k, spec in enumerate(specs):
         if spec.start not in season_index:
             raise InvalidInputError(
                 f"spec start {spec.start.isoformat()} not among configured seasons"
             )
+        groups.setdefault(spec.start, []).append(k)
+    for start, members in sorted(groups.items()):
+        hours = max(specs[k].duration_hours for k in members)
+        try:
+            check_coverage(wx, start, hours)
+        except CoverageError as exc:
+            raise CoverageError(f"study.duration_hours = {hours:g}: {exc}") from None
+
+    lines = ignitable_lines(n)
+    corridor_idx = {br.id: corridor_index(br, frame, cfg.buffer_cells) for br in lines}
+    length_miles = {br.id: br.length_miles for br in lines}
 
     ctx = _BatchContext(
         engine=SpreadEngine(land, cfg.spread),
@@ -244,21 +276,23 @@ def run_batch(
         season_index=season_index,
     )
 
-    if workers <= 1:
-        return [_run_one(ctx, spec) for spec in specs]
+    tasks = [part for members in groups.values() for part in _slices(members, workers)]
+    task_specs = [[specs[k] for k in part] for part in tasks]
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        _CTX = ctx
+        try:
+            with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+                outs = pool.map(_worker, task_specs, chunksize=1)
+        finally:
+            _CTX = None
+    else:
+        outs = [_run_group(ctx, group) for group in task_specs]
 
-    _CTX = ctx
-    try:
-        mp = multiprocessing.get_context("fork")
-    except ValueError:
-        _CTX = None
-        return [_run_one(ctx, spec) for spec in specs]
-    try:
-        chunk = max(1, len(specs) // (workers * 4))
-        with mp.Pool(processes=workers) as pool:
-            return pool.map(_worker, specs, chunksize=chunk)
-    finally:
-        _CTX = None
+    results: list[Optional[ScenarioResult]] = [None] * len(specs)
+    for part, out in zip(tasks, outs):
+        for k, res in zip(part, out):
+            results[k] = res
+    return results
 
 
 def write_results(results: Sequence[ScenarioResult], path: str | Path) -> None:

@@ -13,7 +13,9 @@ hourly epoch runs a label-setting expansion over the edge costs of that
 hour's weather, arrival labels falling inside the epoch are frozen, and
 the next epoch resumes from every frozen cell under re-costed edges.
 Frozen labels are never revised, so output is deterministic and burn sets
-grow monotonically with duration.
+grow monotonically with duration. Scenarios that share a start time see
+the same weather hours, so they run in hour lockstep and each hour's edge
+costs are computed once for all of them.
 """
 
 from __future__ import annotations
@@ -21,16 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from .errors import InvalidInputError, OutOfBoundsError
+from .errors import CoverageError, GridFireError, InvalidInputError, OutOfBoundsError
 from .geo import GridIndex, RasterFrame
 from .landscape import FuelModel, LandscapeRaster
-from .weather import WeatherSample, WeatherSeries
+from .weather import HOUR, WeatherSample, WeatherSeries
 
 QUEEN_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 KNIGHT_OFFSETS = ((-2, -1), (-2, 1), (-1, -2), (-1, 2), (1, -2), (1, 2), (2, -1), (2, 1))
@@ -176,7 +178,10 @@ class SpreadEngine:
     endpoint). Weather enters as a per-(fuel, direction) scalar each epoch,
     so re-costing the whole edge set for a new hour is two table lookups
     and a fused multiply-add over the edge arrays. One engine serves any
-    number of ignitions; it holds no per-scenario state.
+    number of ignitions and holds no per-scenario state. It does hold a
+    per-landscape reach table: the number of cells a fire lit in each
+    cell can ever burn, filled one connected component at a time the
+    first time an ignition lands in it.
     """
 
     def __init__(self, land: LandscapeRaster, params: SpreadParams | None = None):
@@ -269,6 +274,20 @@ class SpreadEngine:
         self._static = csr_matrix(
             (np.ones(self._indices.size), self._indices, self._indptr), shape=(n, n)
         )
+        self._reach = np.zeros(n, dtype=np.int32)
+
+    def reach(self, idx: int) -> int:
+        """Number of cells a fire lit in burnable cell `idx` (flat index
+        row * ncols + col) can ever burn, itself included.
+
+        The static edge set is symmetric (knight intermediates match in
+        both directions), so every cell of a connected component has the
+        same reach, and one breadth-first search fills the whole component.
+        """
+        if self._reach[idx] == 0:
+            order = breadth_first_order(self._static, idx, directed=True, return_predecessors=False)
+            self._reach[order] = order.size
+        return int(self._reach[idx])
 
     def _epoch_table(self, w: WeatherSample) -> np.ndarray:
         """Inverse weather factor per (fuel, direction), flattened."""
@@ -304,63 +323,160 @@ class SpreadEngine:
         return src, self._indices.astype(np.int64), self._minutes(w)
 
     def run(self, ig: IgnitionSpec, wx: WeatherSeries) -> BurnRaster:
-        """Simulate one ignition and return its burn raster."""
+        """Simulate one ignition and return its burn raster.
+
+        Raises OutOfBoundsError for an ignition outside the raster and
+        CoverageError when the weather does not cover the fire's hours.
+        """
+        ((_, out),) = self.run_group([ig], wx)
+        if isinstance(out, GridFireError):
+            raise out
+        return out
+
+    def run_group(
+        self, specs: Sequence[IgnitionSpec], wx: WeatherSeries
+    ) -> Iterator[tuple[int, BurnRaster | GridFireError]]:
+        """Simulate ignitions that share one start time, in hour lockstep.
+
+        Hour e's edge costs are computed once and advance every scenario
+        still burning by that hour's search. Yields (position in specs,
+        outcome) as soon as a scenario finishes, so only burning scenarios
+        hold state. A scenario that cannot run (ignition outside the
+        raster, weather not covering its hours) yields its error instead
+        of stopping the others; a non-burnable ignition cell yields an
+        empty raster with a warning.
+        """
+        if not specs:
+            return
+        start = specs[0].start
+        if any(ig.start != start for ig in specs):
+            raise InvalidInputError("run_group needs specs that share one start time")
         land = self.land
-        frame = land.frame
-        r, c = ig.cell.row, ig.cell.col
-        if not (0 <= r < land.nrows and 0 <= c < land.ncols):
-            raise OutOfBoundsError(f"ignition cell ({r}, {c}) outside raster {land.nrows}x{land.ncols}")
-        epochs = math.ceil(ig.duration_hours)
-        # The series is gap-free, so checking both ends covers the window.
-        wx.at(ig.start)
-        wx.at(ig.start + timedelta(hours=epochs - 1))
-        duration_min = ig.duration_hours * 60.0
+        burnable = land.burnable_mask()
+        waiting = []
+        for i, ig in enumerate(specs):
+            r, c = ig.cell.row, ig.cell.col
+            try:
+                if not (0 <= r < land.nrows and 0 <= c < land.ncols):
+                    raise OutOfBoundsError(
+                        f"ignition cell ({r}, {c}) outside raster {land.nrows}x{land.ncols}"
+                    )
+                check_coverage(wx, start, ig.duration_hours)
+            except GridFireError as exc:
+                yield i, exc
+                continue
+            if not burnable[r, c]:
+                yield i, self._raster(
+                    np.full(self._n_cells, np.inf),
+                    f"ignition cell ({r}, {c}) for line {ig.line_id} is non-burnable",
+                )
+                continue
+            idx = r * land.ncols + c
+            fire = _Fire(i, ig, idx, self.reach(idx))
+            if fire.done(0):
+                yield i, self._raster(fire.arrival(self._n_cells), None)
+            else:
+                waiting.append(fire)
 
-        if not land.burnable_mask()[r, c]:
-            arrival = np.full((land.nrows, land.ncols), np.inf)
-            return BurnRaster(
-                frame=frame,
-                status=np.zeros((land.nrows, land.ncols), dtype=bool),
-                arrival=arrival,
-                warning=f"ignition cell ({r}, {c}) for line {ig.line_id} is non-burnable",
-            )
+        # Each search runs on the cell graph plus a super-source (node n)
+        # whose out-edges reach the scenario's burned cells at their
+        # arrival times. The group shares one buffer for that graph: the
+        # hour's edge costs first, then one scenario's super-source edges.
+        n, m = self._n_cells, self._indices.size
+        values = np.empty(m + n)
+        indices = np.concatenate([self._indices, np.empty(n, dtype=np.int32)])
+        indptr = np.append(self._indptr, np.int32(m))
+        e = 0
+        while waiting:
+            values[:m] = self._minutes(wx.at(start + timedelta(hours=e)))
+            burning = []
+            for fire in waiting:
+                self._advance(fire, e, values, indices, indptr)
+                if fire.done(e + 1):
+                    yield fire.pos, self._raster(fire.arrival(n), None)
+                else:
+                    burning.append(fire)
+            waiting = burning
+            e += 1
 
-        n = self._n_cells
-        ig_idx = r * land.ncols + c
-        reachable = breadth_first_order(
-            self._static, ig_idx, directed=True, return_predecessors=False
-        ).size
+    def _advance(
+        self, fire: _Fire, e: int, values: np.ndarray, indices: np.ndarray, indptr: np.ndarray
+    ) -> None:
+        """One hourly epoch: a label-setting search from every frozen cell,
+        freezing the labels that fall inside the hour. The graph buffers
+        hold the hour's edges; this fills in the super-source's."""
+        n, m = self._n_cells, self._indices.size
+        if fire.frozen is None:
+            fire.frozen = np.full(n, np.inf)
+            fire.frozen_mask = np.zeros(n, dtype=bool)
+            fire.frozen[fire.ig_idx] = 0.0
+            fire.frozen_mask[fire.ig_idx] = True
+        frozen, frozen_mask = fire.frozen, fire.frozen_mask
+        t_hi = min(60.0 * (e + 1), fire.duration_min)
 
-        frozen = np.full(n, np.inf)
-        frozen_mask = np.zeros(n, dtype=bool)
-        frozen[ig_idx] = 0.0
-        frozen_mask[ig_idx] = True
-        n_frozen = 1
-        for e in range(epochs):
-            if n_frozen >= reachable:
-                break
-            w = wx.at(ig.start + timedelta(hours=e))
-            t_hi = min(60.0 * (e + 1), duration_min)
-            data = self._minutes(w)
+        sources = np.flatnonzero(frozen_mask)
+        size = m + sources.size
+        indices[m:size] = sources
+        values[m:size] = frozen[sources]
+        indptr[n + 1] = size
+        csr = csr_matrix((values[:size], indices[:size], indptr), shape=(n + 1, n + 1))
+        dist = dijkstra(csr, directed=True, indices=n, limit=t_hi)[:n]
 
-            sources = np.flatnonzero(frozen_mask).astype(np.int32)
-            indices = np.concatenate([self._indices, sources])
-            values = np.concatenate([data, frozen[sources]])
-            indptr = np.empty(n + 2, dtype=np.int32)
-            indptr[: n + 1] = self._indptr
-            indptr[n + 1] = values.size
-            graph = csr_matrix((values, indices, indptr), shape=(n + 1, n + 1))
-            dist = dijkstra(graph, directed=True, indices=n, limit=t_hi)[:n]
+        newly = (dist <= t_hi) & ~frozen_mask
+        if newly.any():
+            frozen[newly] = dist[newly]
+            frozen_mask |= newly
+            fire.n_frozen += int(np.count_nonzero(newly))
 
-            newly = (dist <= t_hi) & ~frozen_mask
-            if newly.any():
-                frozen[newly] = dist[newly]
-                frozen_mask |= newly
-                n_frozen += int(np.count_nonzero(newly))
+    def _raster(self, arrival: np.ndarray, warning: Optional[str]) -> BurnRaster:
+        arrival = arrival.reshape(self.land.nrows, self.land.ncols)
+        return BurnRaster(frame=self.land.frame, status=np.isfinite(arrival),
+                          arrival=arrival, warning=warning)
 
-        arrival = np.where(frozen <= duration_min, frozen, np.inf).reshape(land.nrows, land.ncols)
-        status = np.isfinite(arrival)
-        return BurnRaster(frame=frame, status=status, arrival=arrival, warning=None)
+
+class _Fire:
+    """State of one burning scenario inside `SpreadEngine.run_group`."""
+
+    def __init__(self, pos: int, ig: IgnitionSpec, ig_idx: int, reach: int):
+        self.pos = pos
+        self.ig_idx = ig_idx
+        self.reach = reach
+        self.epochs = math.ceil(ig.duration_hours)
+        self.duration_min = ig.duration_hours * 60.0
+        self.frozen: Optional[np.ndarray] = None
+        self.frozen_mask: Optional[np.ndarray] = None
+        self.n_frozen = 1
+
+    def done(self, e: int) -> bool:
+        """Whether the fire stops before hour e: its duration is over, or
+        it has burned every cell it can reach."""
+        return e >= self.epochs or self.n_frozen >= self.reach
+
+    def arrival(self, n: int) -> np.ndarray:
+        """Arrival minutes within the duration, +inf elsewhere (flat).
+        Frees the search state, so a finished fire holds no memory."""
+        if self.frozen is None:
+            out = np.full(n, np.inf)
+            out[self.ig_idx] = 0.0
+            return out
+        out = np.where(self.frozen <= self.duration_min, self.frozen, np.inf)
+        self.frozen = self.frozen_mask = None
+        return out
+
+
+def check_coverage(wx: WeatherSeries, start: datetime, hours: float) -> None:
+    """Raise CoverageError unless `wx` holds a sample for every hourly
+    epoch of a fire burning `hours` from `start`."""
+    # The series is gap-free, so checking both ends covers the window. A
+    # fire longer than the whole series cannot be covered, and bounding
+    # the hours first keeps the end instant representable.
+    wx.at(start)
+    if not hours <= len(wx):
+        raise CoverageError(
+            f"a {hours:g} h fire from {start.isoformat()} outlasts the {len(wx)} h "
+            f"weather series [{wx.start.isoformat()}, {wx.end.isoformat()})"
+        )
+    wx.at(start + (math.ceil(hours) - 1) * HOUR)
 
 
 def simulate_spread(

@@ -321,6 +321,11 @@ def test_config_lists_and_absolute_paths(tmp_path):
     (["--set", "spread.max_eccentricity=inf"], "spread.max_eccentricity"),
     (["--workers", "0"], "--workers"),
     (["--workers", "-3"], "--workers"),
+    (["--set", "study.duration_hours=1e300"], "study.duration_hours"),
+    # domain errors of each dataclass name the ini key, not the field
+    (["--set", "study.ignitions_per_line=0"], "study.ignitions_per_line"),
+    (["--set", "spread.humidity_ref_pct=0"], "spread.humidity_ref_pct"),
+    (["--set", "costs.cbe_per_acre=0"], "costs.cbe_per_acre"),
 ])
 def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     argv = ["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path),
@@ -328,6 +333,14 @@ def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     assert exit_code(argv) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "results.csv").exists()
+
+
+def test_config_values_are_literal(study_dir, tmp_path):
+    """No % interpolation, and the bundled study's digest is unchanged."""
+    config = cli.load_config(tmp_path / "absent.ini", ["paths.network=a%b.json"], require=False)
+    assert config.paths["network"] == tmp_path / "a%b.json"
+    bundled = cli.load_config(study_dir / "study.ini", [], require=True)
+    assert bundled.sha256 == "0fa6c891a0e42f7d68c2d8fd08fdebec403aad60facc8d192dee937c18183ec8"
 
 
 def test_unknown_section_in_ini_is_exit_2(tmp_path, capsys):

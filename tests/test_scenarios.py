@@ -3,14 +3,15 @@
 import math
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from gridfire.errors import CoverageError, InvalidInputError
 from gridfire.fixtures import STUDY_ORIGIN, ieee30_network
-from gridfire.geo import GeoPoint, PlanarPoint, RasterFrame, polyline_length_miles
-from gridfire.landscape import SynthSpec, synth_landscape
+from gridfire.geo import GeoPoint, GridIndex, PlanarPoint, RasterFrame, polyline_length_miles
+from gridfire.landscape import SynthSpec, cell_acreage, synth_landscape
 from gridfire.network import Branch, Bus, GridNetwork, ignitable_lines, line_cells
-from gridfire.risk import CostParams
+from gridfire.risk import CostParams, affected_lines
 from gridfire.scenarios import (
     ScenarioResult,
     StudyConfig,
@@ -22,6 +23,7 @@ from gridfire.scenarios import (
     season_tables,
     write_results,
 )
+from gridfire.spread import IgnitionSpec, SpreadEngine, burned_area_acres
 from gridfire.weather import HOUR, WeatherSample, WeatherSeries
 
 T0 = datetime(2022, 7, 1, 12, 0, tzinfo=timezone.utc)
@@ -200,6 +202,58 @@ def test_run_batch_worker_determinism_small():
     seq = run_batch(specs, land, const_wx(), net, cfg, workers=1)
     par = run_batch(specs, land, const_wx(), net, cfg, workers=2)
     assert seq == par
+
+
+def test_run_batch_groups_match_per_spec_runs():
+    """Shuffled, interleaved starts and mixed durations: at any worker
+    count, the start-time groups give in spec order what one engine.run
+    per spec gives."""
+    n = 48
+    land = synth_landscape(SynthSpec(
+        nrows=n, ncols=n, cell_size=30.0, origin=STUDY_ORIGIN, seed=4,
+        fuel_mix=((1, 0.5), (2, 0.2), (3, 0.15), (0, 0.15)), patch_cells=3.0,
+        elevation_relief=40.0,
+    ))
+    net = ieee30_network(width_m=n * 30.0, height_m=n * 30.0, margin_m=120.0)
+    rng = np.random.default_rng(11)
+    wx = WeatherSeries(tuple(
+        WeatherSample(T0 + h * HOUR, float(rng.uniform(0, 6)), float(rng.uniform(0, 360)),
+                      20.0, float(rng.uniform(15, 70)))
+        for h in range(30)
+    ))
+    starts = (T0 + 3 * HOUR, T0, T0 + 20 * HOUR)
+    cfg = StudyConfig(seasons=starts, duration_hours=3.0)
+    burnable = np.argwhere(land.burnable_mask())
+    rock = np.argwhere(~land.burnable_mask())[0]
+    line_ids = [b.id for b in ignitable_lines(net)]
+    specs = []
+    for k, s in enumerate((1, 0, 2, 0, 1, 2, 2, 0, 1, 0, 2, 1, 0, 1, 2)):
+        r, c = rock if k == 5 else burnable[rng.integers(len(burnable))]
+        specs.append(IgnitionSpec(
+            line_id=line_ids[k % len(line_ids)], ignition_index=k + 1,
+            cell=GridIndex(int(r), int(c)), start=starts[s],
+            duration_hours=(0.4, 3.0, 1.0, 2.5)[k % 4],
+        ))
+
+    eng = SpreadEngine(land, cfg.spread)
+    want = []
+    for spec in specs:
+        burn = eng.run(spec, wx)
+        hit = frozenset(affected_lines(burn, net, cfg.buffer_cells))
+        want.append((spec.line_id, spec.ignition_index, starts.index(spec.start),
+                     burn.burned_cell_count(), burned_area_acres(burn, cell_acreage(land)),
+                     hit, sum(net.branch(j).length_miles for j in sorted(hit)), burn.warning))
+    assert want[5][3] == 0 and "non-burnable" in want[5][7]
+    assert sum(w[3] > 1 for w in want) >= 12
+
+    for workers in (1, 2, 4):
+        got = run_batch(specs, land, wx, net, cfg, workers=workers)
+        assert len(got) == len(specs)
+        for res, w in zip(got, want):
+            assert (res.line_id, res.ignition_index, res.season_index, res.burned_cell_count,
+                    res.burned_acres, res.affected_line_ids) == w[:6], workers
+            assert res.affected_miles == pytest.approx(w[6], rel=1e-12)
+            assert res.warning == w[7]
 
 
 def test_run_batch_checks_coverage_up_front():

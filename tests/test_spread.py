@@ -1,11 +1,14 @@
 """Fire spread engine: directional ROS model, travel-time propagation."""
 
+import heapq
 import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
+from gridfire import spread
 from gridfire.errors import CoverageError, OutOfBoundsError
 from gridfire.geo import GeoPoint, GridIndex, RasterFrame
 from gridfire.landscape import LandscapeRaster, SynthSpec, default_catalog, synth_landscape
@@ -231,6 +234,21 @@ def test_weather_coverage_checked_up_front():
         simulate_spread(ignite(GridIndex(4, 4), 6.0), land, const_wx(hours=3))
 
 
+def test_run_group_yields_per_spec_outcomes():
+    """A failing spec yields its error; the others match run()."""
+    land = flat_land(12)
+    wx = const_wx(hours=4, ws=2.0, wdir=90.0)
+    specs = [ignite(GridIndex(6, 6), 2.0), ignite(GridIndex(20, 0), 1.0),
+             ignite(GridIndex(3, 3), 6.0), ignite(GridIndex(2, 9), 0.5)]
+    eng = SpreadEngine(land)
+    got = dict(eng.run_group(specs, wx))
+    assert sorted(got) == [0, 1, 2, 3]
+    assert isinstance(got[1], OutOfBoundsError)
+    assert isinstance(got[2], CoverageError)
+    for i in (0, 3):
+        np.testing.assert_array_equal(got[i].arrival, eng.run(specs[i], wx).arrival)
+
+
 def test_determinism_same_inputs():
     land = synth_landscape(SynthSpec(
         nrows=32, ncols=32, cell_size=30.0, origin=ORIGIN, seed=5,
@@ -307,6 +325,44 @@ def test_edge_costs_match_scalar_model():
             assert got == pytest.approx(expect, rel=1e-9), (rs, cs, rd, cd)
 
 
+# ------------------------------------------------------------ reachability
+
+
+def mixed_land(seed=2, n=24):
+    """About half the cells burn, in several separate components."""
+    return synth_landscape(SynthSpec(
+        nrows=n, ncols=n, cell_size=30.0, origin=ORIGIN, seed=seed,
+        fuel_mix=((1, 0.3), (2, 0.15), (3, 0.1), (0, 0.45)), patch_cells=2.0,
+        elevation_relief=40.0,
+    ))
+
+
+@pytest.mark.parametrize("neighborhood", [8, 16])
+def test_static_graph_is_symmetric(neighborhood):
+    """The reach table assumes every static edge runs both ways."""
+    eng = SpreadEngine(mixed_land(), SpreadParams(neighborhood=neighborhood))
+    graph = eng._static
+    assert graph.nnz > 0
+    assert (graph != graph.T).nnz == 0
+
+
+def test_reach_table_equals_breadth_first_search(monkeypatch):
+    land = mixed_land()
+    eng = SpreadEngine(land)
+    searches = []
+    monkeypatch.setattr(spread, "breadth_first_order",
+                        lambda *a, **kw: searches.append(a[1]) or breadth_first_order(*a, **kw))
+    cells = np.flatnonzero(land.burnable_mask().ravel())
+    rng = np.random.default_rng(0)
+    reach = {int(i): eng.reach(int(i)) for i in rng.permutation(cells)}
+    for i, got in reach.items():
+        want = breadth_first_order(eng._static, i, directed=True, return_predecessors=False).size
+        assert got == want, i
+    # one search per connected component of burnable cells
+    _, labels = connected_components(eng._static, directed=False)
+    assert len(searches) == len(set(labels[cells].tolist())) > 2
+
+
 # ------------------------------------------------------------ oracle checks
 
 
@@ -360,3 +416,62 @@ def test_arrival_equals_bellman_ford(seed, duration):
     np.testing.assert_array_equal(got.status, within)
     assert np.all(got.arrival[within] == oracle[within])
     assert np.all(np.isinf(got.arrival[~within]))
+
+
+def hourly_reference(eng, wx, ig):
+    """The hour-by-hour arrival the engine documents, rebuilt from its
+    public edge list: each hour, a label-setting search over that hour's
+    costs from every burned cell at its arrival time; labels inside the
+    hour are frozen, earlier labels are never revised."""
+    ncols = eng.land.frame.ncols
+    frozen = {ig.cell.row * ncols + ig.cell.col: 0.0}
+    horizon = ig.duration_hours * 60.0
+    for e in range(math.ceil(ig.duration_hours)):
+        src, dst, minutes = eng.edge_costs(wx.at(ig.start + e * HOUR))
+        out = {}
+        for s, d, m in zip(src.tolist(), dst.tolist(), minutes.tolist()):
+            out.setdefault(s, []).append((d, m))
+        t_hi = min(60.0 * (e + 1), horizon)
+        dist = dict(frozen)
+        heap = [(t, u) for u, t in frozen.items()]
+        heapq.heapify(heap)
+        while heap:
+            t, u = heapq.heappop(heap)
+            if t > dist[u]:
+                continue
+            for v, m in out.get(u, ()):
+                if t + m <= t_hi and t + m < dist.get(v, math.inf):
+                    dist[v] = t + m
+                    heapq.heappush(heap, (t + m, v))
+        frozen.update({v: t for v, t in dist.items() if v not in frozen})
+    arrival = np.full(eng.land.frame.nrows * ncols, np.inf)
+    for v, t in frozen.items():
+        arrival[v] = t
+    return arrival.reshape(eng.land.frame.nrows, ncols)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_group_arrival_equals_hourly_reference(seed):
+    """Scenarios run in one hour-lockstep group each see their own hours'
+    weather, hour by hour, under hourly-varying wind and humidity."""
+    rng = np.random.default_rng(seed)
+    land = synth_landscape(SynthSpec(
+        nrows=16, ncols=16, cell_size=30.0, origin=ORIGIN, seed=seed,
+        fuel_mix=((1, 0.5), (2, 0.25), (3, 0.15), (0, 0.1)), patch_cells=3.0,
+        elevation_relief=30.0,
+    ))
+    wx = WeatherSeries(tuple(
+        WeatherSample(T0 + h * HOUR, float(rng.uniform(0, 8)), float(rng.uniform(0, 360)),
+                      20.0, float(rng.uniform(10, 90)))
+        for h in range(4)
+    ))
+    burnable = np.argwhere(land.burnable_mask())
+    specs = [ignite(GridIndex(*map(int, burnable[rng.integers(len(burnable))])), hours)
+             for hours in (0.7, 2.5, 3.0, 3.0)]
+    eng = SpreadEngine(land)
+    got = dict(eng.run_group(specs, wx))
+    for i, ig in enumerate(specs):
+        want = hourly_reference(eng, wx, ig)
+        np.testing.assert_array_equal(got[i].status, np.isfinite(want))
+        np.testing.assert_allclose(got[i].arrival[got[i].status], want[np.isfinite(want)],
+                                   rtol=1e-12)
