@@ -160,7 +160,11 @@ class _BatchContext:
     engine: SpreadEngine
     wx: WeatherSeries
     alpha: float
-    corridor_idx: dict[int, np.ndarray]
+    # The non-empty line corridors, concatenated: line corridor_ids[j]'s
+    # cells are corridor_cells[corridor_starts[j]:corridor_starts[j + 1]].
+    corridor_ids: np.ndarray
+    corridor_cells: np.ndarray
+    corridor_starts: np.ndarray
     length_miles: dict[int, float]
     season_index: dict[datetime, int]
 
@@ -183,10 +187,8 @@ def _result(
             affected_miles=0.0,
             warning=f"scenario failed: {burn}",
         )
-    flat = burn.status.ravel()
-    affected = frozenset(
-        lid for lid, idx in ctx.corridor_idx.items() if bool(flat[idx].any())
-    )
+    hit = np.logical_or.reduceat(burn.status.ravel()[ctx.corridor_cells], ctx.corridor_starts)
+    affected = frozenset(ctx.corridor_ids[hit].tolist())
     return ScenarioResult(
         line_id=spec.line_id,
         ignition_index=spec.ignition_index,
@@ -264,15 +266,20 @@ def run_batch(
             raise CoverageError(f"study.duration_hours = {hours:g}: {exc}") from None
 
     lines = ignitable_lines(n)
-    corridor_idx = {br.id: corridor_index(br, frame, cfg.buffer_cells) for br in lines}
-    length_miles = {br.id: br.length_miles for br in lines}
+    corridors = [(br.id, corridor_index(br, frame, cfg.buffer_cells)) for br in lines]
+    # An empty corridor is never hit, and reduceat cannot express an empty
+    # segment (it would read the next corridor's first cell).
+    corridors = [(lid, idx) for lid, idx in corridors if idx.size]
+    sizes = [idx.size for _, idx in corridors]
 
     ctx = _BatchContext(
         engine=SpreadEngine(land, cfg.spread),
         wx=wx,
         alpha=cell_acreage(land),
-        corridor_idx=corridor_idx,
-        length_miles=length_miles,
+        corridor_ids=np.array([lid for lid, _ in corridors], dtype=np.int64),
+        corridor_cells=np.concatenate([idx for _, idx in corridors] or [np.empty(0, np.int64)]),
+        corridor_starts=np.cumsum([0] + sizes)[:-1].astype(np.intp),
+        length_miles={br.id: br.length_miles for br in lines},
         season_index=season_index,
     )
 

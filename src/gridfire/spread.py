@@ -8,14 +8,23 @@ edge is the center-to-center distance divided by the harmonic mean of the
 directional rate of spread at its two endpoints, which is the exact travel
 time over two half-cells moving at different speeds.
 
-Weather is piecewise constant per hour, handled quasi-statically: each
-hourly epoch runs a label-setting expansion over the edge costs of that
-hour's weather, arrival labels falling inside the epoch are frozen, and
-the next epoch resumes from every frozen cell under re-costed edges.
-Frozen labels are never revised, so output is deterministic and burn sets
-grow monotonically with duration. Scenarios that share a start time see
-the same weather hours, so they run in hour lockstep and each hour's edge
-costs are computed once for all of them.
+Weather is piecewise constant per hour. A fire crosses an edge at the
+speed of the hour it is in; when the hour ends part-way, the share already
+crossed is kept and the rest is crossed at the next hour's speed (an hour
+in which the edge is impassable makes no progress). Leaving later never
+arrives earlier under these rules (the FIFO property), so hour-by-hour
+label setting gives the exact earliest arrival (Orda & Rom 1990), the
+minimum-travel-time reading of fire growth (Finney 2002). Each hourly
+epoch runs one label-setting search over that hour's edge costs and
+freezes the labels that fall inside the hour. It starts from the fire's
+perimeter only: every unburned cell across an open edge (one leading out
+of the burned set) is seeded at the minute the fire on that edge leaves
+it, and the search never re-enters the burned set. Frozen labels are
+never revised, so output is deterministic, burn sets grow monotonically
+with duration, and weather after minute 60 * k cannot change an arrival
+at or before it. Scenarios that share a start time see the same weather
+hours, so they run in hour lockstep and each hour's edge costs are
+computed once for all of them.
 """
 
 from __future__ import annotations
@@ -177,7 +186,9 @@ class SpreadEngine:
     every edge cost (distance over base_ros times the slope factor at each
     endpoint). Weather enters as a per-(fuel, direction) scalar each epoch,
     so re-costing the whole edge set for a new hour is two table lookups
-    and a fused multiply-add over the edge arrays. One engine serves any
+    and a fused multiply-add over the edge arrays. It also records where
+    each edge's reverse sits, so an hourly search can block the edges back
+    into a fire's burned set. One engine serves any
     number of ignitions and holds no per-scenario state. It does hold a
     per-landscape reach table: the number of cells a fire lit in each
     cell can ever burn, filled one connected component at a time the
@@ -187,9 +198,13 @@ class SpreadEngine:
     def __init__(self, land: LandscapeRaster, params: SpreadParams | None = None):
         self.land = land
         self.params = params or SpreadParams()
-        self._build_structure()
+        # Built once the structure's temporaries are freed, so it does not
+        # add to the construction's peak memory.
+        self._rev = _reverse_edges(self._build_structure(), self.params.offsets())
 
-    def _build_structure(self) -> None:
+    def _build_structure(self) -> np.ndarray:
+        """Build the CSR edge structure; returns each edge's direction
+        index (into `SpreadParams.offsets`), in CSR order."""
         land, params = self.land, self.params
         nrows, ncols = land.nrows, land.ncols
         n = nrows * ncols
@@ -275,6 +290,7 @@ class SpreadEngine:
             (np.ones(self._indices.size), self._indices, self._indptr), shape=(n, n)
         )
         self._reach = np.zeros(n, dtype=np.int32)
+        return dir_sorted
 
     def reach(self, idx: int) -> int:
         """Number of cells a fire lit in burnable cell `idx` (flat index
@@ -379,9 +395,9 @@ class SpreadEngine:
                 waiting.append(fire)
 
         # Each search runs on the cell graph plus a super-source (node n)
-        # whose out-edges reach the scenario's burned cells at their
-        # arrival times. The group shares one buffer for that graph: the
-        # hour's edge costs first, then one scenario's super-source edges.
+        # whose out-edges reach the scenario's seeds at their seed times.
+        # The group shares one buffer for that graph: the hour's edge costs
+        # first, then one scenario's super-source edges.
         n, m = self._n_cells, self._indices.size
         values = np.empty(m + n)
         indices = np.concatenate([self._indices, np.empty(n, dtype=np.int32)])
@@ -395,6 +411,7 @@ class SpreadEngine:
                 if fire.done(e + 1):
                     yield fire.pos, self._raster(fire.arrival(n), None)
                 else:
+                    fire.hand_over(60.0 * (e + 1), values[:m], self._indptr, self._indices)
                     burning.append(fire)
             waiting = burning
             e += 1
@@ -402,31 +419,46 @@ class SpreadEngine:
     def _advance(
         self, fire: _Fire, e: int, values: np.ndarray, indices: np.ndarray, indptr: np.ndarray
     ) -> None:
-        """One hourly epoch: a label-setting search from every frozen cell,
-        freezing the labels that fall inside the hour. The graph buffers
-        hold the hour's edges; this fills in the super-source's."""
+        """One hourly epoch: a label-setting search from the fire's
+        perimeter under the hour's costs, freezing the labels that fall
+        inside the hour. The graph buffers hold the hour's edges; this
+        fills in the super-source's.
+
+        Hour 0 searches from the ignition at minute 0. A later hour seeds
+        each unburned cell across an open edge at the earliest minute the
+        fire already on that edge leaves it (`_Fire.seeds`), and blocks the
+        edges back into the burned set for this one search, so the search
+        settles only cells that are not burned yet.
+        """
         n, m = self._n_cells, self._indices.size
+        t_hi = min(60.0 * (e + 1), fire.duration_min)
         if fire.frozen is None:
             fire.frozen = np.full(n, np.inf)
             fire.frozen_mask = np.zeros(n, dtype=bool)
-            fire.frozen[fire.ig_idx] = 0.0
-            fire.frozen_mask[fire.ig_idx] = True
+            fire.n_frozen = 0  # the search freezes the ignition itself
+            sources, times = np.array([fire.ig_idx]), np.zeros(1)
+        else:
+            sources, times = fire.seeds(values[:m], self._indices, 60.0 * e, t_hi)
         frozen, frozen_mask = fire.frozen, fire.frozen_mask
-        t_hi = min(60.0 * (e + 1), fire.duration_min)
 
-        sources = np.flatnonzero(frozen_mask)
+        # The reverses of the open edges are the in-edges of the burned set
+        # from unburned cells.
+        into_burned = self._rev[fire.edge]
+        blocked = values[into_burned]
+        values[into_burned] = np.inf
         size = m + sources.size
         indices[m:size] = sources
-        values[m:size] = frozen[sources]
+        values[m:size] = times
         indptr[n + 1] = size
         csr = csr_matrix((values[:size], indices[:size], indptr), shape=(n + 1, n + 1))
         dist = dijkstra(csr, directed=True, indices=n, limit=t_hi)[:n]
+        values[into_burned] = blocked
 
-        newly = (dist <= t_hi) & ~frozen_mask
-        if newly.any():
-            frozen[newly] = dist[newly]
-            frozen_mask |= newly
-            fire.n_frozen += int(np.count_nonzero(newly))
+        newly = np.flatnonzero((dist <= t_hi) & ~frozen_mask)
+        frozen[newly] = dist[newly]
+        frozen_mask[newly] = True
+        fire.n_frozen += newly.size
+        fire.newly = newly
 
     def _raster(self, arrival: np.ndarray, warning: Optional[str]) -> BurnRaster:
         arrival = arrival.reshape(self.land.nrows, self.land.ncols)
@@ -435,7 +467,14 @@ class SpreadEngine:
 
 
 class _Fire:
-    """State of one burning scenario inside `SpreadEngine.run_group`."""
+    """State of one burning scenario inside `SpreadEngine.run_group`.
+
+    Besides the frozen arrival labels, a fire keeps its open edges: the
+    CSR positions of the edges from a burned cell to an unburned one, with,
+    per edge, the minute the fire entered it, its cost then (NaN once an
+    hour's cost differs) and the share of it still to cross at the next
+    hour boundary.
+    """
 
     def __init__(self, pos: int, ig: IgnitionSpec, ig_idx: int, reach: int):
         self.pos = pos
@@ -446,11 +485,63 @@ class _Fire:
         self.frozen: Optional[np.ndarray] = None
         self.frozen_mask: Optional[np.ndarray] = None
         self.n_frozen = 1
+        self.newly = np.empty(0, dtype=np.int64)
+        self.edge = np.empty(0, dtype=np.int64)
+        self.entered = np.empty(0)
+        self.cost = np.empty(0)
+        self.left = np.empty(0)
 
     def done(self, e: int) -> bool:
         """Whether the fire stops before hour e: its duration is over, or
         it has burned every cell it can reach."""
         return e >= self.epochs or self.n_frozen >= self.reach
+
+    def seeds(
+        self, minutes: np.ndarray, indices: np.ndarray, t_lo: float, t_hi: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The unburned cells that the fire on an open edge reaches by
+        minute t_hi, under the costs `minutes` of the hour starting at
+        t_lo, each with the earliest such minute.
+
+        An edge whose cost has not changed since it was entered at t_s is
+        left at t_s + c, so constant weather gives one static search bit
+        for bit. Otherwise the share still to cross is crossed at the new
+        speed, t_lo + left * c, which is +inf in an impassable hour.
+        """
+        c = minutes[self.edge]
+        with np.errstate(invalid="ignore"):  # left 0 (rounding) times inf
+            leave = np.where(c == self.cost, self.entered + c, t_lo + self.left * c)
+        soon = np.flatnonzero(leave <= t_hi)
+        cells = indices[self.edge[soon]]
+        order = np.argsort(cells)
+        cells, leave = cells[order], leave[soon[order]]
+        first = np.flatnonzero(np.diff(cells, prepend=-1))
+        return cells[first], np.minimum.reduceat(leave, first)
+
+    def hand_over(
+        self, t_end: float, minutes: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+    ) -> None:
+        """Carry the open edges over the hour boundary at minute t_end,
+        given the costs `minutes` of the hour that ends there: close the
+        edges into cells that burned in the hour, take the hour's progress
+        off the others, and open every edge from a cell that burned in the
+        hour to one that did not."""
+        burned, new = self.frozen_mask, self.newly
+        first = indptr[new]
+        deg = indptr[new + 1] - first
+        edge = np.repeat(first - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        entered = np.repeat(self.frozen[new], deg)
+        opened = ~burned[indices[edge]]
+        edge, entered = edge[opened], entered[opened]
+        c_new = minutes[edge]
+
+        still = ~burned[indices[self.edge]]
+        c = minutes[self.edge[still]]
+        cost = self.cost[still]
+        self.edge = np.concatenate([self.edge[still], edge])
+        self.entered = np.concatenate([self.entered[still], entered])
+        self.cost = np.concatenate([np.where(c == cost, cost, np.nan), c_new])
+        self.left = np.concatenate([self.left[still] - 60.0 / c, 1.0 - (t_end - entered) / c_new])
 
     def arrival(self, n: int) -> np.ndarray:
         """Arrival minutes within the duration, +inf elsewhere (flat).
@@ -460,8 +551,25 @@ class _Fire:
             out[self.ig_idx] = 0.0
             return out
         out = np.where(self.frozen <= self.duration_min, self.frozen, np.inf)
-        self.frozen = self.frozen_mask = None
+        self.frozen = self.frozen_mask = self.newly = None
+        self.edge = self.entered = self.cost = self.left = None
         return out
+
+
+def _reverse_edges(dirs: np.ndarray, offsets: Sequence[tuple[int, int]]) -> np.ndarray:
+    """CSR position of each edge's reverse, given each edge's direction.
+
+    Every static edge runs both ways, and sorting the edges by source
+    keeps each direction's edges in source order, so the i-th edge of a
+    direction is the reverse of the i-th edge of the opposite direction.
+    """
+    rev = np.empty(dirs.size, dtype=np.int32)
+    for d, (dr, dc) in enumerate(offsets):
+        o = offsets.index((-dr, -dc))
+        if d < o:
+            fwd, back = np.flatnonzero(dirs == d), np.flatnonzero(dirs == o)
+            rev[fwd], rev[back] = back, fwd
+    return rev
 
 
 def check_coverage(wx: WeatherSeries, start: datetime, hours: float) -> None:

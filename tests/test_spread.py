@@ -6,6 +6,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from gridfire import spread
@@ -419,59 +421,135 @@ def test_arrival_equals_bellman_ford(seed, duration):
 
 
 def hourly_reference(eng, wx, ig):
-    """The hour-by-hour arrival the engine documents, rebuilt from its
-    public edge list: each hour, a label-setting search over that hour's
-    costs from every burned cell at its arrival time; labels inside the
-    hour are frozen, earlier labels are never revised."""
+    """Exact earliest arrival under hourly piecewise-constant weather,
+    rebuilt from the engine's public edge list (one `edge_costs` per hour).
+
+    A fire entering an edge at minute t crosses it at the speed of the hour
+    it is in; when the hour ends part-way, the share already crossed is
+    kept and the rest is crossed at the next hour's speed, and an hour in
+    which the edge is impassable (+inf) makes no progress. Leaving later
+    never arrives earlier (FIFO), so a plain label-setting search over
+    these exit times is exact."""
     ncols = eng.land.frame.ncols
-    frozen = {ig.cell.row * ncols + ig.cell.col: 0.0}
     horizon = ig.duration_hours * 60.0
-    for e in range(math.ceil(ig.duration_hours)):
-        src, dst, minutes = eng.edge_costs(wx.at(ig.start + e * HOUR))
-        out = {}
-        for s, d, m in zip(src.tolist(), dst.tolist(), minutes.tolist()):
-            out.setdefault(s, []).append((d, m))
-        t_hi = min(60.0 * (e + 1), horizon)
-        dist = dict(frozen)
-        heap = [(t, u) for u, t in frozen.items()]
-        heapq.heapify(heap)
-        while heap:
-            t, u = heapq.heappop(heap)
-            if t > dist[u]:
-                continue
-            for v, m in out.get(u, ()):
-                if t + m <= t_hi and t + m < dist.get(v, math.inf):
-                    dist[v] = t + m
-                    heapq.heappush(heap, (t + m, v))
-        frozen.update({v: t for v, t in dist.items() if v not in frozen})
+    hours = math.ceil(ig.duration_hours)
+    src, dst, _ = eng.edge_costs(wx.at(ig.start))
+    costs = [eng.edge_costs(wx.at(ig.start + h * HOUR))[2].tolist() for h in range(hours)]
+    out = {}
+    for k, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+        out.setdefault(s, []).append((k, d))
+
+    def leave(t, k):
+        h, left = int(t // 60.0), 1.0
+        while h < hours:
+            c, end = costs[h][k], 60.0 * (h + 1)
+            if c != math.inf:
+                if t + left * c <= end:
+                    return t + left * c
+                left -= (end - t) / c
+            t, h = end, h + 1
+        return math.inf
+
+    ig_idx = ig.cell.row * ncols + ig.cell.col
+    dist = {ig_idx: 0.0}
+    done = set()
+    heap = [(0.0, ig_idx)]
+    while heap:
+        t, u = heapq.heappop(heap)
+        if u in done or t > horizon:
+            continue
+        done.add(u)
+        for k, v in out.get(u, ()):
+            a = leave(t, k)
+            if v not in done and a <= horizon and a < dist.get(v, math.inf):
+                dist[v] = a
+                heapq.heappush(heap, (a, v))
     arrival = np.full(eng.land.frame.nrows * ncols, np.inf)
-    for v, t in frozen.items():
-        arrival[v] = t
+    for v in done:
+        arrival[v] = dist[v]
     return arrival.reshape(eng.land.frame.nrows, ncols)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_group_arrival_equals_hourly_reference(seed):
-    """Scenarios run in one hour-lockstep group each see their own hours'
-    weather, hour by hour, under hourly-varying wind and humidity."""
+@pytest.mark.parametrize("seed,n,min_ros,durations", [
+    pytest.param(0, 16, 0.01, (0.7, 2.5, 3.0, 3.0), id="0"),
+    pytest.param(1, 16, 0.01, (0.7, 2.5, 3.0, 3.0), id="1"),
+    pytest.param(2, 20, 6.0, (2.5, 4.0), id="impassable-hour"),
+    pytest.param(3, 28, 0.01, (6.0, 7.5), id="long-fire"),
+])
+def test_group_arrival_equals_hourly_reference(seed, n, min_ros, durations):
+    """Scenarios run in one hour-lockstep group each get the exact
+    time-dependent arrival under hourly-varying wind and humidity."""
     rng = np.random.default_rng(seed)
+    fuel_mix = ((1, 0.5), (2, 0.25), (3, 0.15), (0, 0.1))
+    if min_ros > 1.0:  # fuels slower than min_ros would never burn
+        fuel_mix = ((1, 0.6), (2, 0.3), (0, 0.1))
+    elif max(durations) > 4:  # slow fuels, so the fire outlives the grid
+        fuel_mix = ((3, 0.6), (2, 0.3), (0, 0.1))
     land = synth_landscape(SynthSpec(
-        nrows=16, ncols=16, cell_size=30.0, origin=ORIGIN, seed=seed,
-        fuel_mix=((1, 0.5), (2, 0.25), (3, 0.15), (0, 0.1)), patch_cells=3.0,
-        elevation_relief=30.0,
+        nrows=n, ncols=n, cell_size=30.0, origin=ORIGIN, seed=seed,
+        fuel_mix=fuel_mix, patch_cells=3.0, elevation_relief=30.0,
     ))
-    wx = WeatherSeries(tuple(
+    samples = [
         WeatherSample(T0 + h * HOUR, float(rng.uniform(0, 8)), float(rng.uniform(0, 360)),
                       20.0, float(rng.uniform(10, 90)))
-        for h in range(4)
-    ))
+        for h in range(8)
+    ]
+    params = SpreadParams(min_ros=min_ros)
+    if min_ros > 1.0:
+        # hour 1 is still and damp: every edge is impassable in it, and the
+        # fire must resume in hour 2 from the edge progress of hour 0
+        samples[0] = WeatherSample(T0, 2.0, 90.0, 20.0, 30.0)
+        samples[1] = WeatherSample(T0 + HOUR, 0.0, 0.0, 20.0, 100.0)
+    wx = WeatherSeries(tuple(samples))
     burnable = np.argwhere(land.burnable_mask())
     specs = [ignite(GridIndex(*map(int, burnable[rng.integers(len(burnable))])), hours)
-             for hours in (0.7, 2.5, 3.0, 3.0)]
-    eng = SpreadEngine(land)
+             for hours in durations]
+    eng = SpreadEngine(land, params)
+    if min_ros > 1.0:
+        assert np.isinf(eng.edge_costs(wx.at(T0 + HOUR))[2]).all()
     got = dict(eng.run_group(specs, wx))
     for i, ig in enumerate(specs):
         want = hourly_reference(eng, wx, ig)
         np.testing.assert_array_equal(got[i].status, np.isfinite(want))
         np.testing.assert_allclose(got[i].arrival[got[i].status], want[np.isfinite(want)],
-                                   rtol=1e-12)
+                                   rtol=0, atol=1e-9)
+        if min_ros > 1.0:  # nothing arrives in the impassable hour, and the fire resumes
+            assert not ((want > 60.0) & (want < 120.0)).any() and (want > 120.0).any()
+        elif max(durations) > 4:
+            assert (want > 300.0).any(), "the fire should still spread after hour 5"
+        else:
+            assert np.isfinite(want).sum() > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 3),
+    wind=st.lists(st.floats(0.0, 8.0), min_size=8, max_size=8),
+    wdir=st.lists(st.floats(0.0, 359.0), min_size=8, max_size=8),
+    rh=st.lists(st.floats(5.0, 95.0), min_size=8, max_size=8),
+)
+def test_arrival_is_causal(seed, k, wind, wdir, rh):
+    """Weather after hour k cannot change arrivals at or before minute
+    60 * k: two series that agree on hours < k give the same fire up to
+    there."""
+    land = synth_landscape(SynthSpec(
+        nrows=14, ncols=14, cell_size=30.0, origin=ORIGIN, seed=seed,
+        fuel_mix=((3, 0.5), (2, 0.3), (1, 0.1), (0, 0.1)), patch_cells=3.0,
+        elevation_relief=30.0,
+    ))
+    first = WeatherSeries(tuple(
+        WeatherSample(T0 + h * HOUR, wind[h], wdir[h], 20.0, rh[h]) for h in range(4)
+    ))
+    second = WeatherSeries(tuple(
+        WeatherSample(T0 + h * HOUR, wind[h if h < k else h + 4], wdir[h if h < k else h + 4],
+                      20.0, rh[h if h < k else h + 4])
+        for h in range(4)
+    ))
+    burnable = np.argwhere(land.burnable_mask())
+    cell = GridIndex(*map(int, burnable[seed % len(burnable)]))
+    eng = SpreadEngine(land)
+    a = eng.run(ignite(cell, 4.0), first).arrival
+    b = eng.run(ignite(cell, 4.0), second).arrival
+    early = (a <= 60.0 * k) | (b <= 60.0 * k)
+    np.testing.assert_array_equal(a[early], b[early])
