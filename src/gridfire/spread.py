@@ -24,7 +24,13 @@ never revised, so output is deterministic, burn sets grow monotonically
 with duration, and weather after minute 60 * k cannot change an arrival
 at or before it. Scenarios that share a start time see the same weather
 hours, so they run in hour lockstep and each hour's edge costs are
-computed once for all of them.
+computed once for all of them. Their first hours are also searched
+together: in hour 0 every fire still has one source (its ignition at
+minute 0) and no burned set to block, so all of them search the same
+graph, and one multi-source search per block of fires gives each its own
+row. Later hours cannot be shared this way, because each fire blocks its
+own burned set. Scenarios with the same ignition cell and duration burn
+alike and are simulated once.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ KNIGHT_OFFSETS = ((-2, -1), (-2, 1), (-1, -2), (-1, 2), (1, -2), (1, 2), (2, -1)
 MOISTURE_FACTOR_MIN = 0.1
 MOISTURE_FACTOR_MAX = 3.0
 SLOPE_GAIN = 0.3
+
+# Bytes of distance rows one first-hour block search may hold; sets how
+# many fires of a group share one multi-source search.
+FIRST_HOUR_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -355,12 +365,22 @@ class SpreadEngine:
         """Simulate ignitions that share one start time, in hour lockstep.
 
         Hour e's edge costs are computed once and advance every scenario
-        still burning by that hour's search. Yields (position in specs,
-        outcome) as soon as a scenario finishes, so only burning scenarios
-        hold state. A scenario that cannot run (ignition outside the
-        raster, weather not covering its hours) yields its error instead
-        of stopping the others; a non-burnable ignition cell yields an
-        empty raster with a warning.
+        still burning by that hour's search. Hour 0 is the one hour in
+        which every fire searches the same graph from a single source, so
+        it runs as one multi-source `dijkstra` per block of fires, with
+        FIRST_HOUR_BLOCK_BYTES bounding the block's distance rows; each
+        fire keeps the labels of its row that fall inside its own first
+        hour. Later hours run one search per fire from its perimeter.
+        Specs with the same ignition cell and duration (twins) share one
+        fire, whose raster is yielded at each of their positions.
+
+        Yields (position in specs, outcome) as soon as a scenario
+        finishes, so only burning scenarios hold state: a block's fires
+        that end in hour 0 are yielded before the next block is searched,
+        straight from their rows. A scenario that cannot run (ignition
+        outside the raster, weather not covering its hours) yields its
+        error instead of stopping the others; a non-burnable ignition cell
+        yields an empty raster with a warning.
         """
         if not specs:
             return
@@ -369,7 +389,7 @@ class SpreadEngine:
             raise InvalidInputError("run_group needs specs that share one start time")
         land = self.land
         burnable = land.burnable_mask()
-        waiting = []
+        fires: dict[tuple[int, float], _Fire] = {}
         for i, ig in enumerate(specs):
             r, c = ig.cell.row, ig.cell.col
             try:
@@ -388,28 +408,55 @@ class SpreadEngine:
                 )
                 continue
             idx = r * land.ncols + c
-            fire = _Fire(i, ig, idx, self.reach(idx))
-            if fire.done(0):
-                yield i, self._raster(fire.arrival(self._n_cells), None)
-            else:
-                waiting.append(fire)
+            # Twins (same cell, same duration) burn alike: one fire serves all.
+            fire = fires.get((idx, ig.duration_hours))
+            if fire is None:
+                fire = fires[idx, ig.duration_hours] = _Fire(ig, idx, self.reach(idx))
+            fire.pos.append(i)
+        if not fires:
+            return
 
-        # Each search runs on the cell graph plus a super-source (node n)
-        # whose out-edges reach the scenario's seeds at their seed times.
-        # The group shares one buffer for that graph: the hour's edge costs
-        # first, then one scenario's super-source edges.
+        # Hour 0: one multi-source search per block of fires. The group
+        # holds one block of rows at a time.
         n, m = self._n_cells, self._indices.size
         values = np.empty(m + n)
+        values[:m] = self._minutes(wx.at(start))
+        hour0 = csr_matrix((values[:m], self._indices, self._indptr), shape=(n, n))
+        rows = max(1, FIRST_HOUR_BLOCK_BYTES // (8 * n))
+        waiting = []
+        first = list(fires.values())
+        for b in range(0, len(first), rows):
+            block = first[b:b + rows]
+            t_hi = [min(60.0, fire.duration_min) for fire in block]
+            dist = dijkstra(hour0, directed=True, indices=[fire.ig_idx for fire in block],
+                            limit=max(t_hi))
+            for fire, row, t in zip(block, dist, t_hi):
+                burned = row <= t
+                arrival = np.where(burned, row, np.inf)
+                fire.n_frozen = int(np.count_nonzero(burned))
+                if fire.done(1):
+                    yield from fire.outcomes(self._raster(arrival, None))
+                else:
+                    fire.frozen, fire.frozen_mask = arrival, burned
+                    fire.newly = np.flatnonzero(burned)
+                    fire.hand_over(60.0, values[:m], self._indptr, self._indices)
+                    waiting.append(fire)
+            del dist, row  # free this block's rows before the next search
+
+        # Each later search runs on the cell graph plus a super-source (node
+        # n) whose out-edges reach the scenario's seeds at their seed times.
+        # The group shares one buffer for that graph: the hour's edge costs
+        # first, then one scenario's super-source edges.
         indices = np.concatenate([self._indices, np.empty(n, dtype=np.int32)])
         indptr = np.append(self._indptr, np.int32(m))
-        e = 0
+        e = 1
         while waiting:
             values[:m] = self._minutes(wx.at(start + timedelta(hours=e)))
             burning = []
             for fire in waiting:
                 self._advance(fire, e, values, indices, indptr)
                 if fire.done(e + 1):
-                    yield fire.pos, self._raster(fire.arrival(n), None)
+                    yield from fire.outcomes(self._raster(fire.arrival(), None))
                 else:
                     fire.hand_over(60.0 * (e + 1), values[:m], self._indptr, self._indices)
                     burning.append(fire)
@@ -419,26 +466,19 @@ class SpreadEngine:
     def _advance(
         self, fire: _Fire, e: int, values: np.ndarray, indices: np.ndarray, indptr: np.ndarray
     ) -> None:
-        """One hourly epoch: a label-setting search from the fire's
+        """One hourly epoch e >= 1: a label-setting search from the fire's
         perimeter under the hour's costs, freezing the labels that fall
         inside the hour. The graph buffers hold the hour's edges; this
         fills in the super-source's.
 
-        Hour 0 searches from the ignition at minute 0. A later hour seeds
-        each unburned cell across an open edge at the earliest minute the
-        fire already on that edge leaves it (`_Fire.seeds`), and blocks the
-        edges back into the burned set for this one search, so the search
-        settles only cells that are not burned yet.
+        It seeds each unburned cell across an open edge at the earliest
+        minute the fire already on that edge leaves it (`_Fire.seeds`), and
+        blocks the edges back into the burned set for this one search, so
+        the search settles only cells that are not burned yet.
         """
         n, m = self._n_cells, self._indices.size
         t_hi = min(60.0 * (e + 1), fire.duration_min)
-        if fire.frozen is None:
-            fire.frozen = np.full(n, np.inf)
-            fire.frozen_mask = np.zeros(n, dtype=bool)
-            fire.n_frozen = 0  # the search freezes the ignition itself
-            sources, times = np.array([fire.ig_idx]), np.zeros(1)
-        else:
-            sources, times = fire.seeds(values[:m], self._indices, 60.0 * e, t_hi)
+        sources, times = fire.seeds(values[:m], self._indices, 60.0 * e, t_hi)
         frozen, frozen_mask = fire.frozen, fire.frozen_mask
 
         # The reverses of the open edges are the in-edges of the burned set
@@ -467,7 +507,9 @@ class SpreadEngine:
 
 
 class _Fire:
-    """State of one burning scenario inside `SpreadEngine.run_group`.
+    """State of one fire inside `SpreadEngine.run_group`. It serves every
+    spec of the group with its ignition cell and duration; `pos` holds
+    their positions in the group.
 
     Besides the frozen arrival labels, a fire keeps its open edges: the
     CSR positions of the edges from a burned cell to an unburned one, with,
@@ -476,20 +518,25 @@ class _Fire:
     hour boundary.
     """
 
-    def __init__(self, pos: int, ig: IgnitionSpec, ig_idx: int, reach: int):
-        self.pos = pos
+    def __init__(self, ig: IgnitionSpec, ig_idx: int, reach: int):
+        self.pos: list[int] = []
         self.ig_idx = ig_idx
         self.reach = reach
         self.epochs = math.ceil(ig.duration_hours)
         self.duration_min = ig.duration_hours * 60.0
         self.frozen: Optional[np.ndarray] = None
         self.frozen_mask: Optional[np.ndarray] = None
-        self.n_frozen = 1
+        self.n_frozen = 0
         self.newly = np.empty(0, dtype=np.int64)
         self.edge = np.empty(0, dtype=np.int64)
         self.entered = np.empty(0)
         self.cost = np.empty(0)
         self.left = np.empty(0)
+
+    def outcomes(self, burn: BurnRaster) -> Iterator[tuple[int, BurnRaster]]:
+        """The fire's raster at the position of each spec it serves."""
+        for pos in self.pos:
+            yield pos, burn
 
     def done(self, e: int) -> bool:
         """Whether the fire stops before hour e: its duration is over, or
@@ -543,13 +590,9 @@ class _Fire:
         self.cost = np.concatenate([np.where(c == cost, cost, np.nan), c_new])
         self.left = np.concatenate([self.left[still] - 60.0 / c, 1.0 - (t_end - entered) / c_new])
 
-    def arrival(self, n: int) -> np.ndarray:
+    def arrival(self) -> np.ndarray:
         """Arrival minutes within the duration, +inf elsewhere (flat).
         Frees the search state, so a finished fire holds no memory."""
-        if self.frozen is None:
-            out = np.full(n, np.inf)
-            out[self.ig_idx] = 0.0
-            return out
         out = np.where(self.frozen <= self.duration_min, self.frozen, np.inf)
         self.frozen = self.frozen_mask = self.newly = None
         self.edge = self.entered = self.cost = self.left = None

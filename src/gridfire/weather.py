@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -13,6 +14,8 @@ from .errors import CoverageError, InvalidInputError, InvalidSampleError, Malfor
 HOUR = timedelta(hours=1)
 WEATHER_HEADER = ["timestamp_utc", "wind_speed_ms", "wind_dir_from_deg", "temp_c", "rh_pct"]
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%MZ"
+# The zero-padded form `write_weather` writes, parsed without strptime.
+_CANONICAL_TIMESTAMP = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2})Z")
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,23 @@ def season_starts(year: int, hour: int = 12) -> tuple[datetime, datetime, dateti
     )
 
 
+def _parse_timestamp(text: str) -> datetime:
+    """UTC instant of a TIMESTAMP_FORMAT string.
+
+    The canonical form takes one regex match; anything else, and a
+    canonical string naming no real instant (a February 30th, hour 24),
+    goes to strptime, so the accepted inputs and the error messages are
+    strptime's.
+    """
+    m = _CANONICAL_TIMESTAMP.fullmatch(text)
+    if m is not None:
+        try:
+            return datetime(*map(int, m.groups()), tzinfo=timezone.utc)
+        except ValueError:
+            pass
+    return datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+
+
 def load_weather(path: str | Path) -> WeatherSeries:
     """Read the hourly weather CSV (see WEATHER_HEADER for columns)."""
     path = Path(path)
@@ -141,10 +161,9 @@ def load_weather(path: str | Path) -> WeatherSeries:
     samples = []
     for i, row in enumerate(reader, start=2):
         try:
-            ts = datetime.strptime(row["timestamp_utc"].strip(), TIMESTAMP_FORMAT)
+            ts = _parse_timestamp(row["timestamp_utc"].strip())
         except (ValueError, AttributeError) as exc:
             raise InvalidSampleError(f"{path}: row {i}: bad timestamp: {exc}") from exc
-        ts = ts.replace(tzinfo=timezone.utc)
         try:
             sample = WeatherSample(
                 timestamp=ts,

@@ -1,6 +1,7 @@
 """Scenario matrix construction, ignition placement, batch running, results IO."""
 
 import math
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -207,7 +208,8 @@ def test_run_batch_worker_determinism_small():
 def test_run_batch_groups_match_per_spec_runs():
     """Shuffled, interleaved starts and mixed durations: at any worker
     count, the start-time groups give in spec order what one engine.run
-    per spec gives."""
+    per spec gives. Some ignition cells repeat within a start group, under
+    other lines and ignition indices, with the same or another duration."""
     n = 48
     land = synth_landscape(SynthSpec(
         nrows=n, ncols=n, cell_size=30.0, origin=STUDY_ORIGIN, seed=4,
@@ -234,6 +236,11 @@ def test_run_batch_groups_match_per_spec_runs():
             cell=GridIndex(int(r), int(c)), start=starts[s],
             duration_hours=(0.4, 3.0, 1.0, 2.5)[k % 4],
         ))
+    for k, (twin, hours) in enumerate(((1, 3.0), (3, 2.5), (1, 3.0), (1, 1.0), (2, 1.0))):
+        specs.insert(3 * k + 6, replace(
+            specs[twin], line_id=line_ids[(k + 3) % len(line_ids)], ignition_index=20 + k,
+            duration_hours=hours,
+        ))
 
     eng = SpreadEngine(land, cfg.spread)
     want = []
@@ -244,7 +251,7 @@ def test_run_batch_groups_match_per_spec_runs():
                      burn.burned_cell_count(), burned_area_acres(burn, cell_acreage(land)),
                      hit, sum(net.branch(j).length_miles for j in sorted(hit)), burn.warning))
     assert want[5][3] == 0 and "non-burnable" in want[5][7]
-    assert sum(w[3] > 1 for w in want) >= 12
+    assert sum(w[3] > 1 for w in want) >= 16
 
     for workers in (1, 2, 4):
         got = run_batch(specs, land, wx, net, cfg, workers=workers)

@@ -470,21 +470,30 @@ def hourly_reference(eng, wx, ig):
     return arrival.reshape(eng.land.frame.nrows, ncols)
 
 
-@pytest.mark.parametrize("seed,n,min_ros,durations", [
-    pytest.param(0, 16, 0.01, (0.7, 2.5, 3.0, 3.0), id="0"),
-    pytest.param(1, 16, 0.01, (0.7, 2.5, 3.0, 3.0), id="1"),
-    pytest.param(2, 20, 6.0, (2.5, 4.0), id="impassable-hour"),
-    pytest.param(3, 28, 0.01, (6.0, 7.5), id="long-fire"),
+@pytest.mark.parametrize("seed,n,min_ros,durations,block_rows", [
+    pytest.param(0, 16, 0.01, (0.7, 2.5, 3.0, 3.0), None, id="0"),
+    pytest.param(1, 16, 0.01, (0.7, 2.5, 3.0, 3.0), None, id="1"),
+    pytest.param(2, 20, 6.0, (2.5, 4.0), None, id="impassable-hour"),
+    pytest.param(3, 28, 0.01, (6.0, 7.5), None, id="long-fire"),
+    pytest.param(10, 24, 0.01, (0.7, 2.5, 3.0, 2.0), 2, id="blocks-twins"),
 ])
-def test_group_arrival_equals_hourly_reference(seed, n, min_ros, durations):
+def test_group_arrival_equals_hourly_reference(seed, n, min_ros, durations, block_rows,
+                                                monkeypatch):
     """Scenarios run in one hour-lockstep group each get the exact
-    time-dependent arrival under hourly-varying wind and humidity."""
+    time-dependent arrival under hourly-varying wind and humidity.
+
+    With `block_rows`, the first hour is searched in blocks of that many
+    fires, and the group also holds a twin of the second fire (same cell
+    and duration, another line), a longer fire from the same cell, and a
+    fire that burns its whole island in the first hour."""
     rng = np.random.default_rng(seed)
     fuel_mix = ((1, 0.5), (2, 0.25), (3, 0.15), (0, 0.1))
     if min_ros > 1.0:  # fuels slower than min_ros would never burn
         fuel_mix = ((1, 0.6), (2, 0.3), (0, 0.1))
     elif max(durations) > 4:  # slow fuels, so the fire outlives the grid
         fuel_mix = ((3, 0.6), (2, 0.3), (0, 0.1))
+    elif block_rows:  # more barriers, which cut off small islands
+        fuel_mix = ((1, 0.45), (2, 0.2), (3, 0.1), (0, 0.25))
     land = synth_landscape(SynthSpec(
         nrows=n, ncols=n, cell_size=30.0, origin=ORIGIN, seed=seed,
         fuel_mix=fuel_mix, patch_cells=3.0, elevation_relief=30.0,
@@ -507,6 +516,14 @@ def test_group_arrival_equals_hourly_reference(seed, n, min_ros, durations):
     eng = SpreadEngine(land, params)
     if min_ros > 1.0:
         assert np.isinf(eng.edge_costs(wx.at(T0 + HOUR))[2]).all()
+    if block_rows:
+        monkeypatch.setattr(spread, "FIRST_HOUR_BLOCK_BYTES", block_rows * 8 * n * n)
+        reach = {eng.reach(int(r * n + c)): GridIndex(int(r), int(c)) for r, c in burnable}
+        island = reach[min(k for k in reach if k > 1)]
+        specs += [ignite(specs[1].cell, durations[1], line_id=2),
+                  ignite(specs[1].cell, durations[1] + 1.0),
+                  ignite(island, 3.0)]
+        assert len({(ig.cell, ig.duration_hours) for ig in specs}) == 3 * block_rows
     got = dict(eng.run_group(specs, wx))
     for i, ig in enumerate(specs):
         want = hourly_reference(eng, wx, ig)
@@ -519,6 +536,12 @@ def test_group_arrival_equals_hourly_reference(seed, n, min_ros, durations):
             assert (want > 300.0).any(), "the fire should still spread after hour 5"
         else:
             assert np.isfinite(want).sum() > 1
+    if block_rows:
+        assert got[len(durations)] is got[1]
+        assert (got[len(durations) + 1].arrival > 60.0 * durations[1]).any()
+        whole = got[len(specs) - 1].arrival
+        assert np.isfinite(whole).sum() == eng.reach(island.row * n + island.col)
+        assert whole[np.isfinite(whole)].max() <= 60.0, "the island should burn out in hour 0"
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gridfire.errors import CoverageError, InvalidSampleError, MalformedSeriesError
 from gridfire.weather import (
     HOUR,
+    TIMESTAMP_FORMAT,
     WeatherSample,
     WeatherSeries,
     load_weather,
@@ -120,6 +121,29 @@ def test_load_names_bad_row(tmp_path):
     )
     with pytest.raises(InvalidSampleError, match="row 3"):
         load_weather(path)
+
+
+def write_rows(path, *timestamps):
+    path.write_text("timestamp_utc,wind_speed_ms,wind_dir_from_deg,temp_c,rh_pct\n" + "".join(
+        f"{ts},3.0,225.0,15.0,40.0\n" for ts in timestamps
+    ))
+
+
+def test_load_accepts_unpadded_timestamps(tmp_path):
+    path = tmp_path / "wx.csv"
+    write_rows(path, "2022-1-1T0:0Z", "2022-01-01T01:00Z")
+    assert [s.timestamp for s in load_weather(path).samples] == [T0, T0 + HOUR]
+
+
+@pytest.mark.parametrize("text", ["2022-02-30T00:00Z", "2022-01-01T24:00Z"])
+def test_load_names_impossible_timestamp_as_strptime_does(tmp_path, text):
+    with pytest.raises(ValueError) as want:
+        datetime.strptime(text, TIMESTAMP_FORMAT)
+    path = tmp_path / "wx.csv"
+    write_rows(path, text)
+    with pytest.raises(InvalidSampleError, match="row 2") as got:
+        load_weather(path)
+    assert str(want.value) in str(got.value)
 
 
 @given(
