@@ -406,11 +406,14 @@ def cmd_report(args):
 # ---------------------------------------------------------------- entry
 
 
-def _at_least_one(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _at_least(lo):
+    """An argparse type: an integer no smaller than lo."""
+    def integer(text):
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+    return integer
 
 
 def build_parser():
@@ -421,7 +424,7 @@ def build_parser():
                         help="output directory (default: current directory)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    common.add_argument("--workers", type=_at_least_one, default=1,
+    common.add_argument("--workers", type=_at_least(1), default=1,
                         help="worker processes for the scenario batch (at least 1)")
     common.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
@@ -435,7 +438,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common], help="write study input fixtures")
-    p.add_argument("--size", type=int, default=None, help="grid rows and columns")
+    p.add_argument("--size", type=_at_least(2), default=None,
+                   help="grid rows and columns (at least 2)")
     p.add_argument("--cell-size", type=float, default=None, help="cell size in meters")
     p.add_argument("--year", type=int, default=None, help="weather year")
     p.set_defaults(func=cmd_synth)
@@ -452,7 +456,8 @@ def build_parser():
 
     p = sub.add_parser("report", parents=[common], help="print an assessment summary")
     p.add_argument("report_dir", help="directory written by assess")
-    p.add_argument("--top", type=int, default=10, help="ranking rows to print")
+    p.add_argument("--top", type=_at_least(1), default=10,
+                   help="ranking rows to print (at least 1)")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -196,9 +196,11 @@ class SpreadEngine:
     every edge cost (distance over base_ros times the slope factor at each
     endpoint). Weather enters as a per-(fuel, direction) scalar each epoch,
     so re-costing the whole edge set for a new hour is two table lookups
-    and a fused multiply-add over the edge arrays. It also records where
-    each edge's reverse sits, so an hourly search can block the edges back
-    into a fire's burned set. One engine serves any
+    and a fused multiply-add over the edge arrays. The edges are held in
+    CSR order, by source cell and then by direction, and each edge's
+    reverse is the edge leaving its end cell in the opposite direction;
+    the engine records where that reverse sits, so an hourly search can
+    block the edges back into a fire's burned set. One engine serves any
     number of ignitions and holds no per-scenario state. It does hold a
     per-landscape reach table: the number of cells a fire lit in each
     cell can ever burn, filled one connected component at a time the
@@ -208,99 +210,86 @@ class SpreadEngine:
     def __init__(self, land: LandscapeRaster, params: SpreadParams | None = None):
         self.land = land
         self.params = params or SpreadParams()
-        # Built once the structure's temporaries are freed, so it does not
-        # add to the construction's peak memory.
-        self._rev = _reverse_edges(self._build_structure(), self.params.offsets())
+        self._build_structure()
 
-    def _build_structure(self) -> np.ndarray:
-        """Build the CSR edge structure; returns each edge's direction
-        index (into `SpreadParams.offsets`), in CSR order."""
+    def _build_structure(self) -> None:
+        """Build the CSR edge structure from one (cell, direction) mask.
+
+        mask[i, d] is True where the edge from flat cell i in direction d
+        (an index into `SpreadParams.offsets`) exists. The CSR order is the
+        mask's row-major order of True entries: edges sorted by source
+        cell, then by direction. The edge at (i, d) ends at
+        i + dr * ncols + dc. Every edge runs both ways, so its reverse is
+        the edge at (that end cell, the opposite direction), looked up in a
+        table of each (cell, direction)'s CSR position.
+        """
         land, params = self.land, self.params
         nrows, ncols = land.nrows, land.ncols
         n = nrows * ncols
-        cs = land.cell_size
 
         offsets = params.offsets()
         self._theta_deg = [math.degrees(math.atan2(dc, dr)) % 360.0 for dr, dc in offsets]
-        self._ndirs = len(offsets)
-        dists = np.array([cs * math.hypot(dr, dc) for dr, dc in offsets])
+        ndirs = self._ndirs = len(offsets)
+        dists = np.array([land.cell_size * math.hypot(dr, dc) for dr, dc in offsets])
+        step = np.array([dr * ncols + dc for dr, dc in offsets])
+        opposite = np.array([offsets.index((-dr, -dc)) for dr, dc in offsets])
 
         burn_mask = land.burnable_mask()
-        fuel_ids = sorted(int(f) for f in np.unique(land.fuel[burn_mask])) if burn_mask.any() else []
-        self._fuel_models: list[FuelModel] = [land.catalog.lookup(f) for f in fuel_ids]
-        code_of = {f: i for i, f in enumerate(fuel_ids)}
-        fuel_code = np.zeros((nrows, ncols), dtype=np.int32)
-        for f, i in code_of.items():
-            fuel_code[land.fuel == f] = i
-
+        fuel_ids, inverse = np.unique(land.fuel[burn_mask], return_inverse=True)
+        self._fuel_models: list[FuelModel] = [land.catalog.lookup(int(f)) for f in fuel_ids]
+        fuel_code = np.zeros(n, dtype=np.int32)
+        fuel_code[burn_mask.ravel()] = inverse
         base = np.zeros((nrows, ncols))
-        for f in fuel_ids:
-            base[land.fuel == f] = land.catalog.lookup(f).base_ros
+        base[burn_mask] = np.array([fm.base_ros for fm in self._fuel_models])[inverse]
 
-        src_parts, dst_parts = [], []
-        hsrc_parts, hdst_parts = [], []
-        dir_parts = []
+        mask = np.zeros((nrows, ncols, ndirs), dtype=bool)
+        half = np.empty((ndirs, n))
         for d, (dr, dc) in enumerate(offsets):
             phi_s = slope_factor(land.slope, land.aspect, self._theta_deg[d])
             with np.errstate(divide="ignore"):
-                half = np.where(burn_mask, dists[d] * 0.5 / (base * phi_s), np.inf)
+                half[d] = (dists[d] * 0.5 / (base * phi_s)).ravel()
 
             r0, r1 = max(0, -dr), nrows - max(0, dr)
             c0, c1 = max(0, -dc), ncols - max(0, dc)
             if r0 >= r1 or c0 >= c1:
                 continue
-            pair_ok = burn_mask[r0:r1, c0:c1] & burn_mask[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
+            ok = mask[r0:r1, c0:c1, d]
+            ok[...] = burn_mask[r0:r1, c0:c1] & burn_mask[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
             # A knight edge physically crosses two intermediate cells; the
             # edge exists only if they can carry fire, so a gap-free
             # non-burnable barrier one cell wide cannot be jumped.
             for mr, mc in _knight_intermediates(dr, dc):
-                pair_ok &= burn_mask[r0 + mr:r1 + mr, c0 + mc:c1 + mc]
-            rows, cols = np.nonzero(pair_ok)
-            if rows.size == 0:
-                continue
-            src = (rows + r0) * ncols + (cols + c0)
-            dst = (rows + r0 + dr) * ncols + (cols + c0 + dc)
-            src_parts.append(src.astype(np.int64))
-            dst_parts.append(dst.astype(np.int64))
-            hsrc_parts.append(half.ravel()[src])
-            hdst_parts.append(half.ravel()[dst])
-            dir_parts.append(np.full(src.size, d, dtype=np.int64))
+                ok &= burn_mask[r0 + mr:r1 + mr, c0 + mc:c1 + mc]
+        mask = mask.reshape(n, ndirs)
 
-        if src_parts:
-            src_all = np.concatenate(src_parts)
-            dst_all = np.concatenate(dst_parts)
-            hsrc_all = np.concatenate(hsrc_parts)
-            hdst_all = np.concatenate(hdst_parts)
-            dir_all = np.concatenate(dir_parts)
-        else:
-            src_all = np.empty(0, dtype=np.int64)
-            dst_all = np.empty(0, dtype=np.int64)
-            hsrc_all = hdst_all = np.empty(0)
-            dir_all = np.empty(0, dtype=np.int64)
-
-        order = np.argsort(src_all, kind="stable")
-        src_sorted = src_all[order]
-        self._indices = dst_all[order].astype(np.int32)
-        self._hsrc = hsrc_all[order]
-        self._hdst = hdst_all[order]
-        dir_sorted = dir_all[order]
-        ndirs = self._ndirs
+        # Temporaries go as soon as they are used up, and the reverse table
+        # is built while few per-edge arrays are held, so the construction
+        # peaks little above the memory the engine keeps.
+        src, d = np.divmod(np.flatnonzero(mask), ndirs)
+        dst = src + step[d]
+        pos = np.empty((n, ndirs), dtype=np.int32)
+        pos[mask] = np.arange(src.size, dtype=np.int32)
+        self._rev = pos[dst, opposite[d]]
+        del pos
+        self._indices = dst.astype(np.int32)
+        del dst
+        self._hsrc = half[d, src]
+        self._hdst = half[d, self._indices]
+        del half
         # Per-edge lookup keys into the per-epoch (fuel, direction) table.
-        self._key_src = (fuel_code.ravel()[src_sorted] * ndirs + dir_sorted).astype(np.int32)
-        self._key_dst = (fuel_code.ravel()[self._indices] * ndirs + dir_sorted).astype(np.int32)
+        self._key_src = (fuel_code[src] * ndirs + d).astype(np.int32)
+        del src
+        self._key_dst = (fuel_code[self._indices] * ndirs + d).astype(np.int32)
+        self._max_minutes = (dists / params.min_ros)[d] if params.min_ros > 0 else None
+        del d
 
-        counts = np.bincount(src_sorted, minlength=n)
-        self._indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        if params.min_ros > 0:
-            self._max_minutes = (dists / params.min_ros)[dir_sorted]
-        else:
-            self._max_minutes = None
+        self._indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(mask, axis=1), out=self._indptr[1:])
         self._n_cells = n
         self._static = csr_matrix(
             (np.ones(self._indices.size), self._indices, self._indptr), shape=(n, n)
         )
         self._reach = np.zeros(n, dtype=np.int32)
-        return dir_sorted
 
     def reach(self, idx: int) -> int:
         """Number of cells a fire lit in burnable cell `idx` (flat index
@@ -597,22 +586,6 @@ class _Fire:
         self.frozen = self.frozen_mask = self.newly = None
         self.edge = self.entered = self.cost = self.left = None
         return out
-
-
-def _reverse_edges(dirs: np.ndarray, offsets: Sequence[tuple[int, int]]) -> np.ndarray:
-    """CSR position of each edge's reverse, given each edge's direction.
-
-    Every static edge runs both ways, and sorting the edges by source
-    keeps each direction's edges in source order, so the i-th edge of a
-    direction is the reverse of the i-th edge of the opposite direction.
-    """
-    rev = np.empty(dirs.size, dtype=np.int32)
-    for d, (dr, dc) in enumerate(offsets):
-        o = offsets.index((-dr, -dc))
-        if d < o:
-            fwd, back = np.flatnonzero(dirs == d), np.flatnonzero(dirs == o)
-            rev[fwd], rev[back] = back, fwd
-    return rev
 
 
 def check_coverage(wx: WeatherSeries, start: datetime, hours: float) -> None:

@@ -335,6 +335,21 @@ def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["report", "REP", "--top", "0"], "--top"),
+    (["report", "REP", "--top", "-1"], "--top"),
+    (["synth", "--out", "NEW", "--size", "1"], "--size"),
+    (["synth", "--out", "NEW", "--size", "0"], "--size"),
+])
+def test_bad_flag_is_usage_error(small_run, tmp_path, capsys, flags, named):
+    """Integer flags out of range are usage errors that name the flag."""
+    _, rep = small_run
+    argv = [{"REP": str(rep), "NEW": str(tmp_path / "new")}.get(a, a) for a in flags]
+    assert exit_code(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_config_values_are_literal(study_dir, tmp_path):
     """No % interpolation, and the bundled study's digest is unchanged."""
     config = cli.load_config(tmp_path / "absent.ini", ["paths.network=a%b.json"], require=False)

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from gridfire import spread
 from gridfire.errors import CoverageError, OutOfBoundsError
+from gridfire.fixtures import study_landscape
 from gridfire.geo import GeoPoint, GridIndex, RasterFrame
 from gridfire.landscape import LandscapeRaster, SynthSpec, default_catalog, synth_landscape
 from gridfire.spread import (
@@ -341,11 +343,39 @@ def mixed_land(seed=2, n=24):
 
 @pytest.mark.parametrize("neighborhood", [8, 16])
 def test_static_graph_is_symmetric(neighborhood):
-    """The reach table assumes every static edge runs both ways."""
-    eng = SpreadEngine(mixed_land(), SpreadParams(neighborhood=neighborhood))
+    """The reach table and the reverse-edge table assume every static
+    edge runs both ways."""
+    params = SpreadParams(neighborhood=neighborhood)
+    eng = SpreadEngine(mixed_land(), params)
     graph = eng._static
     assert graph.nnz > 0
     assert (graph != graph.T).nnz == 0
+    src, dst, _ = eng.edge_costs(WeatherSample(T0, 0.0, 0.0, 20.0, 30.0))
+    rev = eng._rev
+    assert np.array_equal(rev[rev], np.arange(src.size))
+    assert np.array_equal(dst[rev], src)
+    assert np.array_equal(src[rev], dst)
+
+    # nothing burnable: no edges at all, and a fire lit there burns nothing
+    bare = SpreadEngine(flat_land(n=9, fuel=0), params)
+    assert bare._static.nnz == 0 and bare._rev.size == 0
+    b = bare.run(ignite(GridIndex(4, 4), 2.0), const_wx())
+    assert b.burned_cell_count() == 0
+    assert "non-burnable" in b.warning
+
+
+def test_engine_construction_peak_is_near_what_it_holds():
+    """Building the edge structure holds few temporaries at once: the
+    constructor's traced peak is at most 1.5x what the engine keeps."""
+    land = study_landscape(seed=0)
+    tracemalloc.start()
+    try:
+        eng = SpreadEngine(land)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert eng._static.shape == (128 * 128, 128 * 128)
+    assert peak <= 1.5 * held, (peak, held)
 
 
 def test_reach_table_equals_breadth_first_search(monkeypatch):
