@@ -85,7 +85,6 @@ from .weather import (
     WeatherSeries,
     load_weather,
     season_starts,
-    window,
 )
 
 __version__ = "0.1.0"

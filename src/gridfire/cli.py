@@ -220,15 +220,18 @@ def cmd_synth(args):
     seed = config.study.seed
     year = args.year if args.year is not None else config.values["study.year"]
 
-    out = Path(args.out)
-    inputs = {k.name: out / k.default for k in SCHEMA if k.section == "paths"}
-    out.mkdir(parents=True, exist_ok=True)
-
     size = args.size if args.size is not None else STUDY_NROWS
     cell = args.cell_size if args.cell_size is not None else STUDY_CELL_M
     land = study_landscape(seed=seed, nrows=size, ncols=size, cell_size=cell)
-    net = ieee30_network(width_m=size * cell, height_m=size * cell)
+    try:
+        net = ieee30_network(width_m=size * cell, height_m=size * cell)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--size {size} at --cell-size {cell:g} m: {exc}") from None
     wx = study_weather(year=year, seed=seed)
+
+    out = Path(args.out)
+    inputs = {k.name: out / k.default for k in SCHEMA if k.section == "paths"}
+    out.mkdir(parents=True, exist_ok=True)
 
     write_landscape(land, inputs["landscape_dir"])
     write_catalog(land.catalog, inputs["fuel_catalog"])

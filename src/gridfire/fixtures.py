@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .geo import GeoPoint, PlanarPoint, unproject, polyline_length_miles
 from .landscape import LandscapeRaster, SynthSpec, synth_landscape
 from .network import Branch, Bus, GridNetwork
@@ -159,8 +160,15 @@ def ieee30_network(
 
     Unit-square layout coordinates are mapped into the extent minus a
     margin, so every route (including waypoints) stays strictly inside
-    the raster.
+    the raster. An extent no wider or taller than two margins leaves no
+    room for the layout and raises InvalidInputError.
     """
+    if not (width_m > 2.0 * margin_m and height_m > 2.0 * margin_m):
+        raise InvalidInputError(
+            f"a {width_m:g} x {height_m:g} m extent leaves no room inside its "
+            f"{margin_m:g} m margins for the network layout"
+        )
+
     def to_geo(ux: float, uy: float) -> GeoPoint:
         x = margin_m + ux * (width_m - 2.0 * margin_m)
         y = margin_m + uy * (height_m - 2.0 * margin_m)
@@ -207,10 +215,6 @@ def study_landscape(
         elevation_relief=90.0,
         patch_cells=9.0,
         fuel_mix=((1, 0.50), (2, 0.28), (3, 0.14), (0, 0.08)),
-        canopy_cover=35.0,
-        canopy_height=14.0,
-        canopy_base=2.5,
-        canopy_density=0.11,
     )
     return synth_landscape(spec)
 

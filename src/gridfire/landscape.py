@@ -1,9 +1,9 @@
-"""Landscape raster: eight terrain/fuel layers plus the fuel catalog.
+"""Landscape raster: four terrain/fuel layers plus the fuel catalog.
 
-The layer set mirrors the common 8-band landscape file (elevation, slope,
-aspect, fuel model, and four canopy descriptors). All layers are loaded and
-validated; the surface spread model consumes fuel, slope, and aspect, while
-the canopy layers ride along so the data path exists for later work.
+The layers are elevation, slope, aspect and fuel model. The surface spread
+model reads fuel, slope and aspect; elevation is the terrain surface that
+synthetic slope and aspect are derived from. Other files in a landscape
+directory are not read.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ LAYER_FILES = {
     "slope": "slope.asc",
     "aspect": "aspect.asc",
     "fuel": "fuel.asc",
-    "canopy_cover": "canopy_cover.asc",
-    "canopy_height": "canopy_height.asc",
-    "canopy_base": "canopy_base.asc",
-    "canopy_density": "canopy_density.asc",
 }
 
 CATALOG_HEADER = ["id", "name", "burnable", "base_ros_m_min", "wind_coeff", "wind_exp", "moisture_exp"]
@@ -171,7 +167,7 @@ def _parse_flag(s: str) -> bool:
 
 @dataclass(frozen=True)
 class LandscapeRaster:
-    """Validated eight-layer study raster. Row 0 is the south edge.
+    """Validated four-layer study raster. Row 0 is the south edge.
 
     Arrays are read-only; the raster is shared across scenario workers
     without copying.
@@ -182,16 +178,11 @@ class LandscapeRaster:
     slope: np.ndarray
     aspect: np.ndarray
     fuel: np.ndarray
-    canopy_cover: np.ndarray
-    canopy_height: np.ndarray
-    canopy_base: np.ndarray
-    canopy_density: np.ndarray
     catalog: FuelCatalog = field(default_factory=default_catalog)
 
     def __post_init__(self) -> None:
         shape = (self.frame.nrows, self.frame.ncols)
-        for name in ("elevation", "slope", "aspect", "fuel", "canopy_cover",
-                     "canopy_height", "canopy_base", "canopy_density"):
+        for name in LAYER_FILES:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise InconsistentRasterError(
@@ -204,8 +195,6 @@ class LandscapeRaster:
             raise InvalidInputError("slope values outside [0, 90)")
         if not np.all((self.aspect >= 0.0) & (self.aspect < 360.0)):
             raise InvalidInputError("aspect values outside [0, 360)")
-        if not np.all((self.canopy_cover >= 0.0) & (self.canopy_cover <= 100.0)):
-            raise InvalidInputError("canopy cover outside [0, 100]")
         present = np.unique(self.fuel)
         for fid in present:
             if int(fid) not in self.catalog:
@@ -235,11 +224,12 @@ def cell_acreage(r: LandscapeRaster) -> float:
 
 
 def load_landscape(directory: str | Path, catalog: FuelCatalog | None = None) -> LandscapeRaster:
-    """Load the eight layer files from a directory into one raster.
+    """Load the four layer files from a directory into one raster.
 
-    All files must agree on grid geometry. Cells flagged NODATA in any
-    layer are forced to the non-burnable fuel with zeroed terrain and
-    canopy, which keeps fire from crossing unknown ground.
+    All four must agree on grid geometry; other files in the directory
+    are ignored. Cells flagged NODATA in any layer are forced to the
+    non-burnable fuel with zeroed terrain, which keeps fire from crossing
+    unknown ground.
     """
     directory = Path(directory)
     if catalog is None:
@@ -275,8 +265,7 @@ def load_landscape(directory: str | Path, catalog: FuelCatalog | None = None) ->
 
     fuel = np.rint(values["fuel"]).astype(np.int64)
     fuel[nodata_mask] = catalog.non_burnable_id
-    for layer in ("elevation", "slope", "aspect",
-                  "canopy_cover", "canopy_height", "canopy_base", "canopy_density"):
+    for layer in ("elevation", "slope", "aspect"):
         values[layer] = np.where(nodata_mask, 0.0, values[layer])
 
     return LandscapeRaster(
@@ -285,20 +274,16 @@ def load_landscape(directory: str | Path, catalog: FuelCatalog | None = None) ->
         slope=values["slope"],
         aspect=values["aspect"],
         fuel=fuel,
-        canopy_cover=values["canopy_cover"],
-        canopy_height=values["canopy_height"],
-        canopy_base=values["canopy_base"],
-        canopy_density=values["canopy_density"],
         catalog=catalog,
     )
 
 
 def write_landscape(r: LandscapeRaster, directory: str | Path, nodata: float = -9999.0) -> None:
-    """Write the eight layer files for a raster (inverse of load_landscape)."""
+    """Write the four layer files for a raster (inverse of load_landscape)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for layer, fname in LAYER_FILES.items():
-        data = getattr(r, "fuel" if layer == "fuel" else layer).astype(np.float64)
+        data = getattr(r, layer).astype(np.float64)
         grid = AsciiGrid(
             ncols=r.ncols,
             nrows=r.nrows,
@@ -334,10 +319,6 @@ class SynthSpec:
     fuel_id: int = 1
     fuel_mix: tuple[tuple[int, float], ...] | None = None
     patch_cells: float = 10.0
-    canopy_cover: float = 35.0
-    canopy_height: float = 12.0
-    canopy_base: float = 2.0
-    canopy_density: float = 0.12
 
 
 def synth_landscape(spec: SynthSpec, catalog: FuelCatalog | None = None) -> LandscapeRaster:
@@ -373,18 +354,8 @@ def synth_landscape(spec: SynthSpec, catalog: FuelCatalog | None = None) -> Land
     else:
         fuel = _patch_mosaic(spec)
 
-    const = lambda v: np.full((spec.nrows, spec.ncols), float(v))
     return LandscapeRaster(
-        frame=frame,
-        elevation=elevation,
-        slope=slope,
-        aspect=aspect,
-        fuel=fuel,
-        canopy_cover=const(spec.canopy_cover),
-        canopy_height=const(spec.canopy_height),
-        canopy_base=const(spec.canopy_base),
-        canopy_density=const(spec.canopy_density),
-        catalog=catalog,
+        frame=frame, elevation=elevation, slope=slope, aspect=aspect, fuel=fuel, catalog=catalog
     )
 
 

@@ -78,12 +78,6 @@ class GridNetwork:
                 if br.route:
                     raise GeometryError(f"link {br.id} must not carry a route")
 
-    def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise TopologyError(f"no bus {bus_id}")
-
     def branch(self, branch_id: int) -> Branch:
         for b in self.branches:
             if b.id == branch_id:

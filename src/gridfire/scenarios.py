@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CoverageError, GridFireError, InvalidInputError, OutOfBoundsError
+from .errors import CoverageError, InvalidInputError, OutOfBoundsError
 from .geo import GridIndex, PlanarPoint, RasterFrame
 from .landscape import LandscapeRaster, cell_acreage
 from .network import Branch, GridNetwork, ignitable_lines
@@ -172,27 +172,13 @@ class _BatchContext:
 _CTX: Optional[_BatchContext] = None
 
 
-def _result(
-    ctx: _BatchContext, spec: IgnitionSpec, burn: BurnRaster | GridFireError
-) -> ScenarioResult:
-    season = ctx.season_index[spec.start]
-    if isinstance(burn, GridFireError):
-        return ScenarioResult(
-            line_id=spec.line_id,
-            ignition_index=spec.ignition_index,
-            season_index=season,
-            burned_cell_count=0,
-            burned_acres=0.0,
-            affected_line_ids=frozenset(),
-            affected_miles=0.0,
-            warning=f"scenario failed: {burn}",
-        )
+def _result(ctx: _BatchContext, spec: IgnitionSpec, burn: BurnRaster) -> ScenarioResult:
     hit = np.logical_or.reduceat(burn.status.ravel()[ctx.corridor_cells], ctx.corridor_starts)
     affected = frozenset(ctx.corridor_ids[hit].tolist())
     return ScenarioResult(
         line_id=spec.line_id,
         ignition_index=spec.ignition_index,
-        season_index=season,
+        season_index=ctx.season_index[spec.start],
         burned_cell_count=burn.burned_cell_count(),
         burned_acres=burned_area_acres(burn, ctx.alpha),
         affected_line_ids=affected,

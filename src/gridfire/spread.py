@@ -41,10 +41,11 @@ from datetime import datetime, timedelta
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+from scipy.ndimage import label
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
-from .errors import CoverageError, GridFireError, InvalidInputError, OutOfBoundsError
+from .errors import CoverageError, InvalidInputError, OutOfBoundsError
 from .geo import GridIndex, RasterFrame
 from .landscape import FuelModel, LandscapeRaster
 from .weather import HOUR, WeatherSample, WeatherSeries
@@ -200,11 +201,10 @@ class SpreadEngine:
     CSR order, by source cell and then by direction, and each edge's
     reverse is the edge leaving its end cell in the opposite direction;
     the engine records where that reverse sits, so an hourly search can
-    block the edges back into a fire's burned set. One engine serves any
-    number of ignitions and holds no per-scenario state. It does hold a
-    per-landscape reach table: the number of cells a fire lit in each
-    cell can ever burn, filled one connected component at a time the
-    first time an ignition lands in it.
+    block the edges back into a fire's burned set. It also holds a reach
+    table: the number of cells a fire lit in each cell can ever burn. One
+    engine serves any number of ignitions, holds no per-scenario state and
+    is not changed after construction.
     """
 
     def __init__(self, land: LandscapeRaster, params: SpreadParams | None = None):
@@ -286,22 +286,20 @@ class SpreadEngine:
         self._indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.count_nonzero(mask, axis=1), out=self._indptr[1:])
         self._n_cells = n
-        self._static = csr_matrix(
-            (np.ones(self._indices.size), self._indices, self._indptr), shape=(n, n)
-        )
-        self._reach = np.zeros(n, dtype=np.int32)
+
+        # Every edge joins two burnable cells by a queen path of burnable
+        # cells (a knight edge's two intermediates), so the edge graph's
+        # components are the 8-connected components of the burnable mask,
+        # for 8 and 16 neighbours alike.
+        labels, _ = label(burn_mask, structure=np.ones((3, 3)))
+        sizes = np.bincount(labels.ravel()).astype(np.int32)
+        sizes[0] = 0  # label 0 marks the non-burnable cells
+        self._reach = sizes[labels.ravel()]
 
     def reach(self, idx: int) -> int:
         """Number of cells a fire lit in burnable cell `idx` (flat index
-        row * ncols + col) can ever burn, itself included.
-
-        The static edge set is symmetric (knight intermediates match in
-        both directions), so every cell of a connected component has the
-        same reach, and one breadth-first search fills the whole component.
-        """
-        if self._reach[idx] == 0:
-            order = breadth_first_order(self._static, idx, directed=True, return_predecessors=False)
-            self._reach[order] = order.size
+        row * ncols + col) can ever burn, itself included: the size of the
+        cell's connected component of burnable cells."""
         return int(self._reach[idx])
 
     def _epoch_table(self, w: WeatherSample) -> np.ndarray:
@@ -344,13 +342,11 @@ class SpreadEngine:
         CoverageError when the weather does not cover the fire's hours.
         """
         ((_, out),) = self.run_group([ig], wx)
-        if isinstance(out, GridFireError):
-            raise out
         return out
 
     def run_group(
         self, specs: Sequence[IgnitionSpec], wx: WeatherSeries
-    ) -> Iterator[tuple[int, BurnRaster | GridFireError]]:
+    ) -> Iterator[tuple[int, BurnRaster]]:
         """Simulate ignitions that share one start time, in hour lockstep.
 
         Hour e's edge costs are computed once and advance every scenario
@@ -366,10 +362,11 @@ class SpreadEngine:
         Yields (position in specs, outcome) as soon as a scenario
         finishes, so only burning scenarios hold state: a block's fires
         that end in hour 0 are yielded before the next block is searched,
-        straight from their rows. A scenario that cannot run (ignition
-        outside the raster, weather not covering its hours) yields its
-        error instead of stopping the others; a non-burnable ignition cell
-        yields an empty raster with a warning.
+        straight from their rows. Every spec is checked before anything is
+        searched or yielded, and the first that cannot run raises:
+        OutOfBoundsError for an ignition outside the raster, CoverageError
+        when the weather does not cover its hours. A non-burnable ignition
+        cell yields an empty raster with a warning.
         """
         if not specs:
             return
@@ -377,19 +374,17 @@ class SpreadEngine:
         if any(ig.start != start for ig in specs):
             raise InvalidInputError("run_group needs specs that share one start time")
         land = self.land
+        for ig in specs:
+            r, c = ig.cell.row, ig.cell.col
+            if not (0 <= r < land.nrows and 0 <= c < land.ncols):
+                raise OutOfBoundsError(
+                    f"ignition cell ({r}, {c}) outside raster {land.nrows}x{land.ncols}"
+                )
+            check_coverage(wx, start, ig.duration_hours)
         burnable = land.burnable_mask()
         fires: dict[tuple[int, float], _Fire] = {}
         for i, ig in enumerate(specs):
             r, c = ig.cell.row, ig.cell.col
-            try:
-                if not (0 <= r < land.nrows and 0 <= c < land.ncols):
-                    raise OutOfBoundsError(
-                        f"ignition cell ({r}, {c}) outside raster {land.nrows}x{land.ncols}"
-                    )
-                check_coverage(wx, start, ig.duration_hours)
-            except GridFireError as exc:
-                yield i, exc
-                continue
             if not burnable[r, c]:
                 yield i, self._raster(
                     np.full(self._n_cells, np.inf),

@@ -1,4 +1,4 @@
-"""Hourly weather series: loading, validation, and seasonal windows."""
+"""Hourly weather series: loading, validation, and season start instants."""
 
 from __future__ import annotations
 
@@ -94,32 +94,6 @@ class WeatherSeries:
                 f"[{self.start.isoformat()}, {self.end.isoformat()})"
             )
         return self.samples[idx]
-
-
-def window(s: WeatherSeries, start: datetime, hours: int) -> WeatherSeries:
-    """Contiguous slice of exactly `hours` samples starting at `start`.
-
-    `start` must coincide with a sample timestamp and the whole window
-    must be covered.
-    """
-    if hours <= 0:
-        raise InvalidInputError(f"window length {hours} must be positive")
-    if start.tzinfo is None:
-        raise InvalidInputError(f"window start {start} is naive, expected UTC")
-    offset = start - s.start
-    steps = offset / HOUR
-    if steps != int(steps):
-        raise CoverageError(
-            f"window start {start.isoformat()} does not align with hourly samples "
-            f"beginning {s.start.isoformat()}"
-        )
-    idx = int(steps)
-    if idx < 0 or idx + hours > len(s.samples):
-        raise CoverageError(
-            f"window [{start.isoformat()}, {(start + hours * HOUR).isoformat()}) not covered by "
-            f"series [{s.start.isoformat()}, {s.end.isoformat()})"
-        )
-    return WeatherSeries(samples=s.samples[idx:idx + hours])
 
 
 def season_starts(year: int, hour: int = 12) -> tuple[datetime, datetime, datetime, datetime]:

@@ -340,9 +340,13 @@ def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     (["report", "REP", "--top", "-1"], "--top"),
     (["synth", "--out", "NEW", "--size", "1"], "--size"),
     (["synth", "--out", "NEW", "--size", "0"], "--size"),
+    # windows too small for the network layout's margins
+    (["synth", "--out", "NEW", "--size", "4"], "--size 4 at --cell-size 30 m"),
+    (["synth", "--out", "NEW", "--size", "8"], "--size 8 at --cell-size 30 m"),
 ])
 def test_bad_flag_is_usage_error(small_run, tmp_path, capsys, flags, named):
-    """Integer flags out of range are usage errors that name the flag."""
+    """Flag values out of range exit 2 with a message that names the
+    flag, and write nothing."""
     _, rep = small_run
     argv = [{"REP": str(rep), "NEW": str(tmp_path / "new")}.get(a, a) for a in flags]
     assert exit_code(argv) == 2

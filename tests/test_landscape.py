@@ -202,13 +202,35 @@ def test_landscape_round_trip(tmp_path):
                                       fuel_mix=((1, 0.7), (0, 0.3))))
     d = tmp_path / "land"
     write_landscape(land, d)
-    assert sorted(p.name for p in d.glob("*.asc")) == sorted(LAYER_FILES.values())
+    assert sorted(p.name for p in d.glob("*.asc")) == [
+        "aspect.asc", "elevation.asc", "fuel.asc", "slope.asc"]
     back = load_landscape(d, catalog=land.catalog)
     assert back.frame == land.frame
-    for name in ("elevation", "slope", "aspect", "fuel", "canopy_cover",
-                 "canopy_height", "canopy_base", "canopy_density"):
+    for name in LAYER_FILES:
         np.testing.assert_array_equal(getattr(back, name), getattr(land, name),
                                       err_msg=name)
+
+
+def test_extra_layer_files_are_ignored(tmp_path):
+    """An eight-file landscape directory (the four layers plus four
+    constant canopy bands) loads as the four files alone do."""
+    land = synth_landscape(_flat_spec(n=8, elevation_relief=40.0, slope_deg=None,
+                                      fuel_mix=((1, 0.7), (0, 0.3))))
+    four, eight = tmp_path / "four", tmp_path / "eight"
+    write_landscape(land, four)
+    write_landscape(land, eight)
+    ref = read_ascii_grid(eight / "elevation.asc")
+    for name, value in (("canopy_cover", 35.0), ("canopy_height", 14.0),
+                        ("canopy_base", 2.5), ("canopy_density", 0.11)):
+        write_ascii_grid(eight / f"{name}.asc", AsciiGrid(
+            ref.ncols, ref.nrows, ref.xllcorner, ref.yllcorner, ref.cellsize, ref.nodata,
+            np.full((ref.nrows, ref.ncols), value)))
+    assert len(list(eight.glob("*.asc"))) == 8
+    a = load_landscape(four, catalog=land.catalog)
+    b = load_landscape(eight, catalog=land.catalog)
+    assert a.frame == b.frame
+    for name in LAYER_FILES:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
 def test_load_missing_layer(tmp_path):
@@ -257,7 +279,6 @@ def test_nodata_cells_become_non_burnable(tmp_path):
     back = load_landscape(d, catalog=land.catalog)
     assert back.fuel[1, 1] == back.catalog.non_burnable_id
     assert back.elevation[1, 1] == 0.0
-    assert back.canopy_cover[1, 1] == 0.0
     # untouched cells keep their values
     assert back.fuel[0, 0] == 1
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gridfire.errors import GeometryError, OutOfBoundsError, TopologyError
+from gridfire.errors import GeometryError, InvalidInputError, OutOfBoundsError, TopologyError
 from gridfire.fixtures import IEEE30_TOTAL_LINE_MILES, STUDY_ORIGIN, ieee30_network
 from gridfire.geo import GeoPoint, PlanarPoint, RasterFrame, unproject
 from gridfire.network import (
@@ -48,6 +48,15 @@ def test_fixture_total_line_miles():
     net = ieee30_network()
     total = sum(b.length_miles for b in ignitable_lines(net))
     assert abs(total - IEEE30_TOTAL_LINE_MILES) < 0.01
+
+
+@pytest.mark.parametrize("width_m, height_m", [(500.0, 3840.0), (3840.0, 500.0), (240.0, 240.0)])
+def test_fixture_needs_room_inside_its_margins(width_m, height_m):
+    """An extent no wider or taller than two margins would mirror or
+    squash the layout, so it is refused."""
+    with pytest.raises(InvalidInputError, match="margins"):
+        ieee30_network(width_m=width_m, height_m=height_m, margin_m=250.0)
+    assert len(ieee30_network(width_m=510.0, height_m=510.0, margin_m=250.0).buses) == 30
 
 
 def test_links_have_no_geography():

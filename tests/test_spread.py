@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from gridfire import spread
@@ -59,10 +60,6 @@ def custom_land(fuel, cell=30.0, slope=None, aspect=None):
         slope=z.copy() if slope is None else np.asarray(slope, dtype=float),
         aspect=z.copy() if aspect is None else np.asarray(aspect, dtype=float),
         fuel=fuel,
-        canopy_cover=z.copy(),
-        canopy_height=z.copy(),
-        canopy_base=z.copy(),
-        canopy_density=z.copy(),
         catalog=default_catalog(),
     )
 
@@ -238,19 +235,28 @@ def test_weather_coverage_checked_up_front():
         simulate_spread(ignite(GridIndex(4, 4), 6.0), land, const_wx(hours=3))
 
 
-def test_run_group_yields_per_spec_outcomes():
-    """A failing spec yields its error; the others match run()."""
-    land = flat_land(12)
+def test_run_group_raises_before_yielding():
+    """A spec that cannot run stops its group before anything is yielded,
+    wherever it sits in the group; the first such spec names the error.
+    A non-burnable ignition, whose empty raster needs no search, comes
+    first and is not yielded either."""
+    fuel = np.ones((12, 12), dtype=int)
+    fuel[0, 0] = 0
+    land = custom_land(fuel)
     wx = const_wx(hours=4, ws=2.0, wdir=90.0)
-    specs = [ignite(GridIndex(6, 6), 2.0), ignite(GridIndex(20, 0), 1.0),
-             ignite(GridIndex(3, 3), 6.0), ignite(GridIndex(2, 9), 0.5)]
+    ok = [ignite(GridIndex(0, 0), 1.0), ignite(GridIndex(6, 6), 2.0),
+          ignite(GridIndex(2, 9), 0.5)]
+    outside, uncovered = ignite(GridIndex(20, 0), 1.0), ignite(GridIndex(3, 3), 6.0)
     eng = SpreadEngine(land)
-    got = dict(eng.run_group(specs, wx))
-    assert sorted(got) == [0, 1, 2, 3]
-    assert isinstance(got[1], OutOfBoundsError)
-    assert isinstance(got[2], CoverageError)
-    for i in (0, 3):
-        np.testing.assert_array_equal(got[i].arrival, eng.run(specs[i], wx).arrival)
+    for specs, error in (([outside] + ok, OutOfBoundsError),
+                         (ok + [outside], OutOfBoundsError),
+                         (ok + [uncovered], CoverageError),
+                         (ok + [uncovered, outside], CoverageError)):
+        with pytest.raises(error):
+            next(eng.run_group(specs, wx))
+    got = dict(eng.run_group(ok, wx))
+    for i, ig in enumerate(ok):
+        np.testing.assert_array_equal(got[i].arrival, eng.run(ig, wx).arrival)
 
 
 def test_determinism_same_inputs():
@@ -343,14 +349,11 @@ def mixed_land(seed=2, n=24):
 
 @pytest.mark.parametrize("neighborhood", [8, 16])
 def test_static_graph_is_symmetric(neighborhood):
-    """The reach table and the reverse-edge table assume every static
-    edge runs both ways."""
+    """The reverse-edge table assumes every edge runs both ways."""
     params = SpreadParams(neighborhood=neighborhood)
     eng = SpreadEngine(mixed_land(), params)
-    graph = eng._static
-    assert graph.nnz > 0
-    assert (graph != graph.T).nnz == 0
     src, dst, _ = eng.edge_costs(WeatherSample(T0, 0.0, 0.0, 20.0, 30.0))
+    assert src.size > 0
     rev = eng._rev
     assert np.array_equal(rev[rev], np.arange(src.size))
     assert np.array_equal(dst[rev], src)
@@ -358,7 +361,7 @@ def test_static_graph_is_symmetric(neighborhood):
 
     # nothing burnable: no edges at all, and a fire lit there burns nothing
     bare = SpreadEngine(flat_land(n=9, fuel=0), params)
-    assert bare._static.nnz == 0 and bare._rev.size == 0
+    assert bare._rev.size == 0
     b = bare.run(ignite(GridIndex(4, 4), 2.0), const_wx())
     assert b.burned_cell_count() == 0
     assert "non-burnable" in b.warning
@@ -374,25 +377,32 @@ def test_engine_construction_peak_is_near_what_it_holds():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert eng._static.shape == (128 * 128, 128 * 128)
+    assert eng._indptr.size == 128 * 128 + 1
     assert peak <= 1.5 * held, (peak, held)
 
 
-def test_reach_table_equals_breadth_first_search(monkeypatch):
-    land = mixed_land()
-    eng = SpreadEngine(land)
-    searches = []
-    monkeypatch.setattr(spread, "breadth_first_order",
-                        lambda *a, **kw: searches.append(a[1]) or breadth_first_order(*a, **kw))
-    cells = np.flatnonzero(land.burnable_mask().ravel())
-    rng = np.random.default_rng(0)
-    reach = {int(i): eng.reach(int(i)) for i in rng.permutation(cells)}
-    for i, got in reach.items():
-        want = breadth_first_order(eng._static, i, directed=True, return_predecessors=False).size
-        assert got == want, i
-    # one search per connected component of burnable cells
-    _, labels = connected_components(eng._static, directed=False)
-    assert len(searches) == len(set(labels[cells].tolist())) > 2
+def test_reach_table_equals_breadth_first_search():
+    """Each burnable cell's reach is the size of its connected component
+    in the engine's own edge list, for 8 and 16 neighbours: the label
+    count from connected_components, and the breadth-first order from
+    the cell."""
+    w = WeatherSample(T0, 0.0, 0.0, 20.0, 30.0)
+    for seed in (2, 3, 4):
+        land = mixed_land(seed=seed)
+        n = land.nrows * land.ncols
+        cells = np.flatnonzero(land.burnable_mask().ravel())
+        for neighborhood in (8, 16):
+            eng = SpreadEngine(land, SpreadParams(neighborhood=neighborhood))
+            src, dst, _ = eng.edge_costs(w)
+            graph = csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+            _, labels = connected_components(graph, directed=False)
+            assert len(set(labels[cells].tolist())) > 2
+            want = np.bincount(labels)[labels[cells]]
+            got = np.array([eng.reach(int(i)) for i in cells])
+            np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}, {neighborhood}")
+            for i in cells[::11]:
+                order = breadth_first_order(graph, i, directed=True, return_predecessors=False)
+                assert eng.reach(int(i)) == order.size, (seed, neighborhood, i)
 
 
 # ------------------------------------------------------------ oracle checks

@@ -1,4 +1,4 @@
-"""Hourly weather series: validation, lookup, windows, file round-trip."""
+"""Hourly weather series: validation, lookup, file round-trip."""
 
 from datetime import datetime, timedelta, timezone
 
@@ -14,7 +14,6 @@ from gridfire.weather import (
     WeatherSeries,
     load_weather,
     season_starts,
-    window,
     write_weather,
 )
 
@@ -62,28 +61,6 @@ def test_at_floor_semantics():
         s.at(T0 + timedelta(hours=4))
     with pytest.raises(CoverageError):
         s.at(T0 - timedelta(minutes=1))
-
-
-def test_window_alignment_and_coverage():
-    s = mk_series(10)
-    w = window(s, T0 + 2 * HOUR, 3)
-    assert len(w) == 3
-    assert w.start == T0 + 2 * HOUR
-    with pytest.raises(CoverageError):
-        window(s, T0 + timedelta(minutes=30), 2)
-    with pytest.raises(CoverageError):
-        window(s, T0 + 8 * HOUR, 3)
-    with pytest.raises(CoverageError):
-        window(s, T0 - HOUR, 2)
-
-
-@given(total=st.integers(2, 48), a=st.integers(1, 47))
-def test_window_concatenation(total, a):
-    a = min(a, total - 1)
-    s = mk_series(total)
-    left = window(s, T0, a)
-    right = window(s, T0 + a * HOUR, total - a)
-    assert left.samples + right.samples == s.samples
 
 
 def test_season_starts():
