@@ -54,8 +54,6 @@ from .risk import (
     CostParams,
     LineRisk,
     affected_lines,
-    lbe,
-    lbl,
     rank_lines,
     risk_metric,
     seasonal_average,

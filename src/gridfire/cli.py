@@ -7,8 +7,9 @@ Four subcommands cover the whole workflow:
               study.ini into --out
     simulate  run the scenario batch described by a config file and write
               results.csv + run_meta.json
-    assess    turn scenario results (or the shipped reference tables, via
-              --from-tables) into loss tables, a ranking, and plot data
+    assess    turn the rows of results.csv (or the shipped reference tables,
+              via --from-tables) and the config's costs into loss tables, a
+              ranking, and plot data
     report    print a human-readable summary of an assess output directory
 
 Exit codes: 0 success, 2 usage or input error, 3 unexpected internal error.
@@ -27,7 +28,6 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
@@ -46,9 +46,10 @@ from .network import ignitable_lines, load_network, write_network
 from .risk import CostParams, rank_lines, seasonal_average
 from .scenarios import StudyConfig, assess_results, build_matrix, read_results, run_batch, write_results
 from .spread import SpreadParams
-from .weather import TIMESTAMP_FORMAT, load_weather, season_starts, write_weather
+from .weather import TIMESTAMP_FORMAT, load_weather, parse_timestamp, season_starts, write_weather
 
 SECTIONS = ("paths", "study", "spread", "costs")
+RISK_HEADER = "line_id,lbe,lbl,wfl,metric,rank"
 
 
 def _finite(text):
@@ -56,10 +57,6 @@ def _finite(text):
     if not math.isfinite(value):
         raise ValueError("not a finite number")
     return value
-
-
-def _utc(text):
-    return datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
 
 
 def _listed(parse):
@@ -102,7 +99,7 @@ SCHEMA = (
     Key("study", "ignition_hour", int, default=12),
     Key("study", "buffer_cells", int, StudyConfig, "buffer_cells"),
     Key("study", "line_ids", _listed(int), StudyConfig, "line_ids"),
-    Key("study", "seasons", _listed(_utc)),
+    Key("study", "seasons", _listed(parse_timestamp)),
     Key("spread", "neighborhood", int, SpreadParams, "neighborhood"),
     Key("spread", "humidity_ref_pct", _finite, SpreadParams, "humidity_ref"),
     Key("spread", "min_ros_m_min", _finite, SpreadParams, "min_ros"),
@@ -218,7 +215,7 @@ def load_config(path, overrides, require, seed=None):
 def cmd_synth(args):
     config = load_config(args.config, args.overrides, require=False, seed=args.seed)
     seed = config.study.seed
-    year = args.year if args.year is not None else config.values["study.year"]
+    year = config.values["study.year"]
 
     size = args.size if args.size is not None else STUDY_NROWS
     cell = args.cell_size if args.cell_size is not None else STUDY_CELL_M
@@ -333,14 +330,12 @@ def cmd_assess(args):
         acres_path, miles_path = args.from_tables
         records = rank_lines(_read_table(acres_path), _read_table(miles_path), costs)
     else:
-        results = read_results(args.results)
-        net = load_network(config.paths["network"])
-        records = assess_results(results, net, costs)
+        records = assess_results(read_results(args.results), costs)
 
     _write_table(out / "table_acres.csv", records, "season_acres")
     _write_table(out / "table_miles.csv", records, "season_miles")
 
-    risk_rows = ["line_id,lbe,lbl,wfl,metric,rank"]
+    risk_rows = [RISK_HEADER]
     plot_rows = ["line_id,metric"]
     for rank, rec in enumerate(records, start=1):
         risk_rows.append(f"{rec.line_id},{rec.lbe!r},{rec.lbl!r},{rec.wfl!r},{rec.metric!r},{rank}")
@@ -365,7 +360,7 @@ def cmd_report(args):
 
     rows = []
     lines = risk_path.read_text().splitlines()
-    if not lines or lines[0] != "line_id,lbe,lbl,wfl,metric,rank":
+    if not lines or lines[0] != RISK_HEADER:
         raise InvalidInputError(f"{risk_path}: unexpected header")
     for lineno, row in enumerate(lines[1:], start=2):
         if not row.strip():
@@ -427,8 +422,6 @@ def build_parser():
                         help="output directory (default: current directory)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    common.add_argument("--workers", type=_at_least(1), default=1,
-                        help="worker processes for the scenario batch (at least 1)")
     common.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override a single config value (repeatable)")
@@ -444,10 +437,11 @@ def build_parser():
     p.add_argument("--size", type=_at_least(2), default=None,
                    help="grid rows and columns (at least 2)")
     p.add_argument("--cell-size", type=float, default=None, help="cell size in meters")
-    p.add_argument("--year", type=int, default=None, help="weather year")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simulate", parents=[common], help="run the scenario batch")
+    p.add_argument("--workers", type=_at_least(1), default=1,
+                   help="worker processes for the scenario batch (at least 1)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("assess", parents=[common], help="compute losses and ranking")
@@ -457,7 +451,7 @@ def build_parser():
                    help="assess published per-season tables directly, skipping simulation")
     p.set_defaults(func=cmd_assess)
 
-    p = sub.add_parser("report", parents=[common], help="print an assessment summary")
+    p = sub.add_parser("report", help="print an assessment summary")
     p.add_argument("report_dir", help="directory written by assess")
     p.add_argument("--top", type=_at_least(1), default=10,
                    help="ranking rows to print (at least 1)")

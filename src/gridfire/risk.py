@@ -1,10 +1,11 @@
 """Financial risk metrics: burned-environment and burned-line losses.
 
-For each line j the engine averages, over its I ignition scenarios, the
-environmental loss (burned acres times cost per acre) and the line
-reconstruction loss (full length of every affected line times cost per
-mile). Season values are averaged, the two components summed, and the
-total normalized by the worst line to give the risk metric M in [0, 1].
+For each line j, `rank_lines` takes the per-season means over its I
+ignition scenarios of burned acres and of damaged line miles (the full
+length of every affected line). It costs them as the environmental loss
+(acres times cost per acre) and the line reconstruction loss (miles times
+cost per mile), averages each over the seasons, sums the two, and
+normalizes the total by the worst line to give the risk metric M in [0, 1].
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateNormalizationError, InvalidInputError, TopologyError
+from .errors import DegenerateNormalizationError, InvalidInputError
 from .geo import GridIndex, RasterFrame
 from .network import Branch, GridNetwork, ignitable_lines, line_cells
 from .spread import BurnRaster
@@ -52,31 +53,6 @@ def seasonal_average(values: Sequence[float]) -> float:
     if len(values) == 0:
         raise InvalidInputError("no seasonal values to average")
     return sum(values) / len(values)
-
-
-def lbe(burned_acres: Sequence[float], costs: CostParams) -> float:
-    """Burned-environment loss: acreage cost averaged over ignitions."""
-    if len(burned_acres) == 0:
-        raise InvalidInputError("lbe needs at least one ignition record")
-    return sum(a * costs.cbe for a in burned_acres) / len(burned_acres)
-
-
-def line_length_miles(n: GridNetwork, line_id: int) -> float:
-    br = n.branch(line_id)
-    if not br.is_line:
-        raise TopologyError(f"branch {line_id} is a {br.kind}, not a line")
-    return br.length_miles
-
-
-def lbl(affected_sets: Sequence[Iterable[int]], n: GridNetwork, costs: CostParams) -> float:
-    """Line reconstruction loss: full length of every affected line,
-    costed per mile, averaged over ignitions."""
-    if len(affected_sets) == 0:
-        raise InvalidInputError("lbl needs at least one ignition record")
-    total = 0.0
-    for ids in affected_sets:
-        total += sum(line_length_miles(n, j) * costs.cbl for j in ids)
-    return total / len(affected_sets)
 
 
 def wfl(lbe_dollars: float, lbl_dollars: float) -> float:

@@ -27,7 +27,7 @@ from .errors import CoverageError, InvalidInputError, OutOfBoundsError
 from .geo import GridIndex, PlanarPoint, RasterFrame
 from .landscape import LandscapeRaster, cell_acreage
 from .network import Branch, GridNetwork, ignitable_lines
-from .risk import CostParams, LineRisk, corridor_index, lbl, rank_lines
+from .risk import CostParams, LineRisk, corridor_index, rank_lines
 from .spread import (
     BurnRaster,
     IgnitionSpec,
@@ -336,40 +336,33 @@ def read_results(path: str | Path) -> list[ScenarioResult]:
 
 def season_tables(
     results: Sequence[ScenarioResult],
-) -> tuple[dict[int, list[float]], dict[int, list[list[frozenset[int]]]]]:
-    """Per-line per-season mean acres, and per-season affected-set lists.
+) -> tuple[dict[int, list[float]], dict[int, list[float]]]:
+    """Per-line per-season means of burned acres and of damaged line miles.
 
-    Returns (acres, sets): acres[j][s] is the mean burned acreage over the
-    ignitions of line j in season s; sets[j][s] is the list of per-ignition
-    affected-line-id sets, for feeding the reconstruction-loss formula.
+    Returns (acres, miles): acres[j][s] and miles[j][s] average the
+    `burned_acres` and the `affected_miles` of line j's ignition rows in
+    season s, summed in row order.
     """
     if not results:
         raise InvalidInputError("no scenario results to aggregate")
-    n_seasons = max(r.season_index for r in results) + 1
-    lines = sorted({r.line_id for r in results})
+    groups: dict[tuple[int, int], list[ScenarioResult]] = {}
+    for r in results:
+        groups.setdefault((r.line_id, r.season_index), []).append(r)
+    n_seasons = max(s for _, s in groups) + 1
     acres: dict[int, list[float]] = {}
-    sets: dict[int, list[list[frozenset[int]]]] = {}
-    for j in lines:
-        acres[j] = []
-        sets[j] = []
+    miles: dict[int, list[float]] = {}
+    for j in sorted({j for j, _ in groups}):
+        acres[j], miles[j] = [], []
         for s in range(n_seasons):
-            rows = [r for r in results if r.line_id == j and r.season_index == s]
+            rows = groups.get((j, s))
             if not rows:
                 raise InvalidInputError(f"line {j} has no scenarios for season {s}")
             acres[j].append(sum(r.burned_acres for r in rows) / len(rows))
-            sets[j].append([r.affected_line_ids for r in rows])
-    return acres, sets
+            miles[j].append(sum(r.affected_miles for r in rows) / len(rows))
+    return acres, miles
 
 
-def assess_results(
-    results: Sequence[ScenarioResult], n: GridNetwork, costs: CostParams
-) -> list[LineRisk]:
-    """LineRisk records computed from raw scenario results via the loss
-    formulas (environment loss from acreage, reconstruction loss from the
-    affected sets and network line lengths)."""
-    acres, sets = season_tables(results)
-    season_miles = {
-        j: [lbl(per_season, n, costs) / costs.cbl for per_season in sets[j]]
-        for j in sets
-    }
-    return rank_lines(acres, season_miles, costs)
+def assess_results(results: Sequence[ScenarioResult], costs: CostParams) -> list[LineRisk]:
+    """LineRisk records of scenario results: `rank_lines` over their
+    season tables, as `assess --from-tables` ranks published ones."""
+    return rank_lines(*season_tables(results), costs)

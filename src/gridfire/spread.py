@@ -381,17 +381,16 @@ class SpreadEngine:
                     f"ignition cell ({r}, {c}) outside raster {land.nrows}x{land.ncols}"
                 )
             check_coverage(wx, start, ig.duration_hours)
-        burnable = land.burnable_mask()
         fires: dict[tuple[int, float], _Fire] = {}
         for i, ig in enumerate(specs):
             r, c = ig.cell.row, ig.cell.col
-            if not burnable[r, c]:
+            idx = r * land.ncols + c
+            if self._reach[idx] == 0:  # only non-burnable cells reach nothing
                 yield i, self._raster(
                     np.full(self._n_cells, np.inf),
                     f"ignition cell ({r}, {c}) for line {ig.line_id} is non-burnable",
                 )
                 continue
-            idx = r * land.ncols + c
             # Twins (same cell, same duration) burn alike: one fire serves all.
             fire = fires.get((idx, ig.duration_hours))
             if fire is None:

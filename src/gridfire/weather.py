@@ -105,7 +105,7 @@ def season_starts(year: int, hour: int = 12) -> tuple[datetime, datetime, dateti
     )
 
 
-def _parse_timestamp(text: str) -> datetime:
+def parse_timestamp(text: str) -> datetime:
     """UTC instant of a TIMESTAMP_FORMAT string.
 
     The canonical form takes one regex match; anything else, and a
@@ -135,7 +135,7 @@ def load_weather(path: str | Path) -> WeatherSeries:
     samples = []
     for i, row in enumerate(reader, start=2):
         try:
-            ts = _parse_timestamp(row["timestamp_utc"].strip())
+            ts = parse_timestamp(row["timestamp_utc"].strip())
         except (ValueError, AttributeError) as exc:
             raise InvalidSampleError(f"{path}: row {i}: bad timestamp: {exc}") from exc
         try:

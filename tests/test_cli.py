@@ -167,6 +167,18 @@ def test_assess_outputs(small_run):
     assert plot[0] == "line_id,metric" and plot[1] == "6,1.0"
 
 
+def test_assess_reads_no_network(study_dir, small_run, tmp_path):
+    """assess ranks from the rows of results.csv and the config's costs
+    alone: a missing network file changes none of its outputs."""
+    sim, rep = small_run
+    out = tmp_path / "rep"
+    rc = run(["assess", "--config", str(study_dir / "study.ini"), "--out", str(out),
+              "--results", str(sim / "results.csv"),
+              "--set", f"paths.network={tmp_path / 'absent.json'}"])
+    assert rc == 0
+    assert tree_bytes(out) == tree_bytes(rep)
+
+
 def test_report_summary(small_run, capsys):
     _, rep = small_run
     assert run(["report", str(rep)]) == 0
@@ -343,10 +355,15 @@ def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     # windows too small for the network layout's margins
     (["synth", "--out", "NEW", "--size", "4"], "--size 4 at --cell-size 30 m"),
     (["synth", "--out", "NEW", "--size", "8"], "--size 8 at --cell-size 30 m"),
+    # flags a command would ignore are not accepted
+    (["report", "REP", "--set", "bogus.key=1"], "--set"),
+    (["report", "REP", "--workers", "2"], "--workers"),
+    (["synth", "--out", "NEW", "--workers", "2"], "--workers"),
+    (["synth", "--out", "NEW", "--year", "2021"], "--year"),
 ])
 def test_bad_flag_is_usage_error(small_run, tmp_path, capsys, flags, named):
-    """Flag values out of range exit 2 with a message that names the
-    flag, and write nothing."""
+    """Flag values out of range, and flags the command does not take,
+    exit 2 with a message that names the flag, and write nothing."""
     _, rep = small_run
     argv = [{"REP": str(rep), "NEW": str(tmp_path / "new")}.get(a, a) for a in flags]
     assert exit_code(argv) == 2

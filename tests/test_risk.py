@@ -1,31 +1,15 @@
 """Loss formulas, affected-line detection, and the normalized risk metric."""
 
-import math
-
 import numpy as np
 import pytest
 
-from gridfire.errors import (
-    DegenerateNormalizationError,
-    InvalidInputError,
-    TopologyError,
-)
-from gridfire.geo import (
-    EARTH_RADIUS_M,
-    METERS_PER_MILE,
-    GeoPoint,
-    GridIndex,
-    RasterFrame,
-    polyline_length_miles,
-)
+from gridfire.errors import DegenerateNormalizationError, InvalidInputError
+from gridfire.geo import GeoPoint, GridIndex, RasterFrame, polyline_length_miles
 from gridfire.network import Branch, Bus, GridNetwork, line_cells
 from gridfire.risk import (
     CostParams,
     affected_lines,
     dilate_cells,
-    lbe,
-    lbl,
-    line_length_miles,
     rank_lines,
     risk_metric,
     seasonal_average,
@@ -34,7 +18,6 @@ from gridfire.risk import (
 from gridfire.spread import BurnRaster
 
 ORIGIN = GeoPoint(37.85, -120.10)
-M_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
 
 
 def straight_line_network(line_id=4, lat0=37.852, lon0=-120.099, dlat=0.003):
@@ -69,55 +52,6 @@ def test_seasonal_average_examples():
     assert seasonal_average([7.5, 7.5]) == 7.5
     with pytest.raises(InvalidInputError):
         seasonal_average([])
-
-
-def test_lbe_hand_examples():
-    costs = CostParams(cbe=20_000.0, cbl=200_000.0)
-    assert lbe([0.0, 0.0, 0.0], costs) == 0.0
-    assert lbe([100.0, 200.0], costs) == pytest.approx(3_000_000.0, rel=1e-12)
-    assert lbe([4236.2], costs) == pytest.approx(84_724_000.0, abs=1e-3)
-    with pytest.raises(InvalidInputError):
-        lbe([], costs)
-
-
-def test_lbl_hand_examples():
-    costs = CostParams(cbe=20_000.0, cbl=200_000.0)
-    # two lines with known planar lengths: 10 mi and 5 mi of latitude run
-    def bus_pair(k, miles):
-        dlat = miles * METERS_PER_MILE / M_PER_DEG
-        a = Bus(10 * k + 1, GeoPoint(36.0 + 0.5 * k, -120.0))
-        b = Bus(10 * k + 2, GeoPoint(36.0 + 0.5 * k + dlat, -120.0))
-        route = (a.location, b.location)
-        return (a, b), Branch(id=k, kind="line", from_bus=a.id, to_bus=b.id,
-                              route=route, length_miles=polyline_length_miles(route))
-    (a1, b1), line_a = bus_pair(1, 10.0)
-    (a2, b2), line_b = bus_pair(2, 5.0)
-    net = GridNetwork(buses=(a1, b1, a2, b2), branches=(line_a, line_b))
-    assert line_length_miles(net, 1) == pytest.approx(10.0, rel=1e-9)
-
-    assert lbl([set(), set()], net, costs) == 0.0
-    got = lbl([{1}, {1, 2}], net, costs)
-    assert got == pytest.approx(2_500_000.0, rel=1e-9)
-
-    # a single affected set totaling 215.36 miles of line
-    (a3, b3), long_line = bus_pair(3, 215.36)
-    net2 = GridNetwork(buses=(a3, b3), branches=(long_line,))
-    assert lbl([{3}], net2, costs) == pytest.approx(43_072_000.0, abs=1.0)
-
-    with pytest.raises(TopologyError):
-        lbl([{77}], net, costs)
-    with pytest.raises(InvalidInputError):
-        lbl([], net, costs)
-
-
-def test_lbl_rejects_links():
-    a = Bus(1, GeoPoint(37.8, -120.0))
-    b = Bus(2, GeoPoint(37.81, -120.0))
-    net = GridNetwork(buses=(a, b), branches=(
-        Branch(id=9, kind="link", from_bus=1, to_bus=2),
-    ))
-    with pytest.raises(TopologyError):
-        line_length_miles(net, 9)
 
 
 def test_wfl_sum():

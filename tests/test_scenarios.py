@@ -9,9 +9,9 @@ import pytest
 
 from gridfire.errors import CoverageError, InvalidInputError
 from gridfire.fixtures import STUDY_ORIGIN, ieee30_network
-from gridfire.geo import GeoPoint, GridIndex, PlanarPoint, RasterFrame, polyline_length_miles
+from gridfire.geo import GridIndex, PlanarPoint, RasterFrame
 from gridfire.landscape import SynthSpec, cell_acreage, synth_landscape
-from gridfire.network import Branch, Bus, GridNetwork, ignitable_lines, line_cells
+from gridfire.network import ignitable_lines, line_cells
 from gridfire.risk import CostParams, affected_lines
 from gridfire.scenarios import (
     ScenarioResult,
@@ -325,10 +325,9 @@ def test_read_results_errors(tmp_path):
 
 
 def test_season_tables():
-    acres, sets = season_tables(sample_results())
+    acres, miles = season_tables(sample_results())
     assert acres[6] == [pytest.approx((26.7 + 0.0) / 2), pytest.approx((8.9 + 9.1) / 2)]
-    assert sets[6][0] == [frozenset({5, 6}), frozenset()]
-    assert sets[6][1] == [frozenset({6}), frozenset({6})]
+    assert miles[6] == [0.625, 0.5]
 
     # a line missing one season's scenarios is rejected
     extra = ScenarioResult(line_id=7, ignition_index=1, season_index=0,
@@ -339,26 +338,12 @@ def test_season_tables():
 
 
 def test_assess_results_matches_hand_aggregation():
-    a1 = Bus(1, GeoPoint(37.80, -120.00))
-    b1 = Bus(2, GeoPoint(37.82, -120.00))
-    a2 = Bus(3, GeoPoint(37.80, -120.01))
-    b2 = Bus(4, GeoPoint(37.83, -120.01))
-    r5 = (a1.location, b1.location)
-    r6 = (a2.location, b2.location)
-    net = GridNetwork(buses=(a1, b1, a2, b2), branches=(
-        Branch(id=5, kind="line", from_bus=1, to_bus=2, route=r5,
-               length_miles=polyline_length_miles(r5)),
-        Branch(id=6, kind="line", from_bus=3, to_bus=4, route=r6,
-               length_miles=polyline_length_miles(r6)),
-    ))
     costs = CostParams(cbe=20_000.0, cbl=200_000.0)
-    recs = assess_results(sample_results(), net, costs)
+    recs = assess_results(sample_results(), costs)
     assert len(recs) == 1 and recs[0].line_id == 6
 
-    x5 = net.branch(5).length_miles
-    x6 = net.branch(6).length_miles
     want_lbe = costs.cbe * ((26.7 + 0.0) / 2 + (8.9 + 9.1) / 2) / 2
-    want_lbl = costs.cbl * ((x5 + x6) / 2 / 2 + (x6 + x6) / 2 / 2)
+    want_lbl = costs.cbl * ((1.25 + 0.0) / 2 + (0.5 + 0.5) / 2) / 2
     assert recs[0].lbe == pytest.approx(want_lbe, rel=1e-12)
     assert recs[0].lbl == pytest.approx(want_lbl, rel=1e-12)
     assert recs[0].wfl == pytest.approx(want_lbe + want_lbl, rel=1e-12)
