@@ -44,6 +44,7 @@ from .landscape import (
 from .network import (
     Branch,
     Bus,
+    Corridors,
     GridNetwork,
     ignitable_lines,
     line_cells,
@@ -53,7 +54,6 @@ from .network import (
 from .risk import (
     CostParams,
     LineRisk,
-    affected_lines,
     rank_lines,
     risk_metric,
     seasonal_average,

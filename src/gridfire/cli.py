@@ -41,7 +41,7 @@ from .fixtures import (
     study_weather,
     write_reference_tables,
 )
-from .landscape import default_catalog, load_catalog, load_landscape, write_catalog, write_landscape
+from .landscape import load_catalog, load_landscape, write_catalog, write_landscape
 from .network import ignitable_lines, load_network, write_network
 from .risk import CostParams, rank_lines, seasonal_average
 from .scenarios import StudyConfig, assess_results, build_matrix, read_results, run_batch, write_results
@@ -212,8 +212,16 @@ def load_config(path, overrides, require, seed=None):
 # ---------------------------------------------------------------- commands
 
 
+def _config(args, require):
+    """A command's config: the --config file, which must exist, or else
+    study.ini in the current directory, read if present (or `require`d)."""
+    if args.config is not None:
+        return load_config(args.config, args.overrides, require=True, seed=args.seed)
+    return load_config("study.ini", args.overrides, require=require, seed=args.seed)
+
+
 def cmd_synth(args):
-    config = load_config(args.config, args.overrides, require=False, seed=args.seed)
+    config = _config(args, require=False)
     seed = config.study.seed
     year = config.values["study.year"]
 
@@ -244,11 +252,10 @@ def cmd_synth(args):
 
 
 def cmd_simulate(args):
-    config = load_config(args.config, args.overrides, require=True, seed=args.seed)
+    config = _config(args, require=True)
     paths, cfg = config.paths, config.study
 
-    catalog = load_catalog(paths["fuel_catalog"]) if paths["fuel_catalog"].is_file() else default_catalog()
-    land = load_landscape(paths["landscape_dir"], catalog=catalog)
+    land = load_landscape(paths["landscape_dir"], catalog=load_catalog(paths["fuel_catalog"]))
     net = load_network(paths["network"])
     wx = load_weather(paths["weather"])
 
@@ -321,10 +328,7 @@ def _read_table(path):
 
 
 def cmd_assess(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    config = load_config(args.config, args.overrides, require=not args.from_tables, seed=args.seed)
+    config = _config(args, require=not args.from_tables)
     costs = config.study.costs
     if args.from_tables:
         acres_path, miles_path = args.from_tables
@@ -332,6 +336,8 @@ def cmd_assess(args):
     else:
         records = assess_results(read_results(args.results), costs)
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_table(out / "table_acres.csv", records, "season_acres")
     _write_table(out / "table_miles.csv", records, "season_miles")
 
@@ -416,8 +422,9 @@ def _at_least(lo):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default="study.ini", metavar="PATH",
-                        help="ini config file (default: study.ini)")
+    common.add_argument("--config", default=None, metavar="PATH",
+                        help="ini config file, which must exist "
+                             "(default: study.ini, if present)")
     common.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current directory)")
     common.add_argument("--seed", type=int, default=None,

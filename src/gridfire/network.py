@@ -1,9 +1,14 @@
-"""Transmission network: buses, branches, routes, and corridor cells.
+"""Transmission network: buses, branches, routes, and line corridors.
 
 Branches come in two kinds. Lines carry a geographic route (a polyline of
 at least two points) and are the only branches that can ignite fires or be
 damaged by them. Links are zero-geography branches (transformers and the
 like) with no route and no spatial footprint.
+
+A line's corridor on a raster is the cells its route crosses
+(`line_cells`), dilated by a Chebyshev buffer. `Corridors` holds every
+line's corridor for one study and is the one corridor-hit test: a fire
+affects a line when it burns any cell of the line's corridor.
 """
 
 from __future__ import annotations
@@ -11,6 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .errors import GeometryError, InvalidInputError, TopologyError
 from .geo import GeoPoint, GridIndex, RasterFrame, polyline_length_miles, traverse_cells
@@ -100,6 +108,36 @@ def line_cells(b: Branch, frame: RasterFrame) -> list[GridIndex]:
         for cell in traverse_cells(p, q, frame):
             seen.setdefault(cell, None)
     return list(seen)
+
+
+class Corridors:
+    """Every line's corridor on one raster, built once per study: the flat
+    indices (row * ncols + col) of the cells within `buffer_cells`
+    (Chebyshev) of its `line_cells`, clipped to the grid, concatenated in
+    `cells`, with `owner` giving each cell's line as a position in `ids`."""
+
+    def __init__(self, lines: Sequence[Branch], frame: RasterFrame, buffer_cells: int = 0) -> None:
+        if buffer_cells < 0:
+            raise InvalidInputError(f"buffer_cells must be >= 0, got {buffer_cells}")
+        self.ids = np.array([b.id for b in lines], dtype=np.int64)
+        self.miles = {b.id: b.length_miles for b in lines}
+        span = np.arange(-buffer_cells, buffer_cells + 1)
+        parts = []
+        for b in lines:
+            rc = np.array([(c.row, c.col) for c in line_cells(b, frame)], dtype=np.int64)
+            # Exact: a shift clipped onto the grid stays within its cell's buffer.
+            rows = np.clip(rc[:, 0, None, None] + span[:, None], 0, frame.nrows - 1)
+            cols = np.clip(rc[:, 1, None, None] + span[None, :], 0, frame.ncols - 1)
+            parts.append(np.unique(rows * frame.ncols + cols))
+        self.cells = np.concatenate(parts or [np.empty(0, np.int64)])
+        self.owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
+
+    def affected(self, burned: np.ndarray) -> tuple[frozenset[int], float]:
+        """Ids of the lines whose corridor holds a burned cell of the
+        boolean raster `burned`, and the sum of their lengths in miles."""
+        hit = np.bincount(self.owner[burned.ravel()[self.cells]], minlength=len(self.ids)) > 0
+        ids = frozenset(self.ids[hit].tolist())
+        return ids, sum(self.miles[j] for j in ids)
 
 
 def load_network(path: str | Path) -> GridNetwork:

@@ -2,23 +2,20 @@
 
 For each line j, `rank_lines` takes the per-season means over its I
 ignition scenarios of burned acres and of damaged line miles (the full
-length of every affected line). It costs them as the environmental loss
-(acres times cost per acre) and the line reconstruction loss (miles times
-cost per mile), averages each over the seasons, sums the two, and
-normalizes the total by the worst line to give the risk metric M in [0, 1].
+length of every line whose corridor the fire reached; `network.Corridors`
+decides which). It costs them as the environmental loss (acres times cost
+per acre) and the line reconstruction loss (miles times cost per mile),
+averages each over the seasons, sums the two, and normalizes the total by
+the worst line to give the risk metric M in [0, 1]. This module holds only
+that loss math: it reads no raster and no network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .errors import DegenerateNormalizationError, InvalidInputError
-from .geo import GridIndex, RasterFrame
-from .network import Branch, GridNetwork, ignitable_lines, line_cells
-from .spread import BurnRaster
 
 
 @dataclass(frozen=True)
@@ -75,35 +72,6 @@ def risk_metric(wfl_by_line: Mapping[int, float]) -> dict[int, float]:
             "every line has zero loss; the risk metric is undefined"
         )
     return {line: v / top for line, v in wfl_by_line.items()}
-
-
-def dilate_cells(
-    cells: Iterable[GridIndex], buffer_cells: int, nrows: int, ncols: int
-) -> set[tuple[int, int]]:
-    """Chebyshev dilation of a cell set, clipped to the grid."""
-    if buffer_cells < 0:
-        raise InvalidInputError(f"buffer_cells must be >= 0, got {buffer_cells}")
-    out: set[tuple[int, int]] = set()
-    for cell in cells:
-        for r in range(max(0, cell.row - buffer_cells), min(nrows, cell.row + buffer_cells + 1)):
-            for c in range(max(0, cell.col - buffer_cells), min(ncols, cell.col + buffer_cells + 1)):
-                out.add((r, c))
-    return out
-
-
-def corridor_index(br: Branch, frame: RasterFrame, buffer_cells: int) -> np.ndarray:
-    """Sorted flat indices (row * ncols + col) of a line's dilated corridor."""
-    cells = dilate_cells(line_cells(br, frame), buffer_cells, frame.nrows, frame.ncols)
-    return np.array(sorted(r * frame.ncols + c for r, c in cells), dtype=np.int64)
-
-
-def affected_lines(b: BurnRaster, n: GridNetwork, buffer_cells: int = 0) -> set[int]:
-    """Ids of lines whose (dilated) corridor touches any burned cell."""
-    flat = b.status.ravel()
-    return {
-        br.id for br in ignitable_lines(n)
-        if flat[corridor_index(br, b.frame, buffer_cells)].any()
-    }
 
 
 def rank_lines(

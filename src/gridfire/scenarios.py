@@ -23,11 +23,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CoverageError, InvalidInputError, OutOfBoundsError
+from .errors import CoverageError, InvalidInputError
 from .geo import GridIndex, PlanarPoint, RasterFrame
 from .landscape import LandscapeRaster, cell_acreage
-from .network import Branch, GridNetwork, ignitable_lines
-from .risk import CostParams, LineRisk, corridor_index, rank_lines
+from .network import Branch, Corridors, GridNetwork, ignitable_lines
+from .risk import CostParams, LineRisk, rank_lines
 from .spread import (
     BurnRaster,
     IgnitionSpec,
@@ -160,12 +160,7 @@ class _BatchContext:
     engine: SpreadEngine
     wx: WeatherSeries
     alpha: float
-    # The non-empty line corridors, concatenated: line corridor_ids[j]'s
-    # cells are corridor_cells[corridor_starts[j]:corridor_starts[j + 1]].
-    corridor_ids: np.ndarray
-    corridor_cells: np.ndarray
-    corridor_starts: np.ndarray
-    length_miles: dict[int, float]
+    corridors: Corridors
     season_index: dict[datetime, int]
 
 
@@ -173,8 +168,7 @@ _CTX: Optional[_BatchContext] = None
 
 
 def _result(ctx: _BatchContext, spec: IgnitionSpec, burn: BurnRaster) -> ScenarioResult:
-    hit = np.logical_or.reduceat(burn.status.ravel()[ctx.corridor_cells], ctx.corridor_starts)
-    affected = frozenset(ctx.corridor_ids[hit].tolist())
+    affected, miles = ctx.corridors.affected(burn.status)
     return ScenarioResult(
         line_id=spec.line_id,
         ignition_index=spec.ignition_index,
@@ -182,7 +176,7 @@ def _result(ctx: _BatchContext, spec: IgnitionSpec, burn: BurnRaster) -> Scenari
         burned_cell_count=burn.burned_cell_count(),
         burned_acres=burned_area_acres(burn, ctx.alpha),
         affected_line_ids=affected,
-        affected_miles=sum(ctx.length_miles[j] for j in affected),
+        affected_miles=miles,
         warning=burn.warning,
     )
 
@@ -220,22 +214,14 @@ def run_batch(
 
     Specs sharing a start time run as one group in hour lockstep; with
     more than one worker, each group is cut into at most `workers`
-    contiguous slices. Input problems that would poison the whole batch
-    (weather coverage, out-of-raster ignitions or routes) are raised
-    before any simulation. Per-scenario domain failures become zeroed
-    results with warnings.
+    contiguous slices. Weather coverage and out-of-raster routes are
+    checked before any simulation; an out-of-raster ignition raises
+    OutOfBoundsError naming its line when its group starts. Per-scenario
+    domain failures become zeroed results with warnings.
     """
     global _CTX
     if not specs:
         return []
-    frame = land.frame
-    for spec in specs:
-        r, c = spec.cell.row, spec.cell.col
-        if not (0 <= r < frame.nrows and 0 <= c < frame.ncols):
-            raise OutOfBoundsError(
-                f"ignition cell ({r}, {c}) of line {spec.line_id} outside raster"
-            )
-
     season_index = {start: i for i, start in enumerate(cfg.seasons)}
     groups: dict[datetime, list[int]] = {}
     for k, spec in enumerate(specs):
@@ -251,21 +237,11 @@ def run_batch(
         except CoverageError as exc:
             raise CoverageError(f"study.duration_hours = {hours:g}: {exc}") from None
 
-    lines = ignitable_lines(n)
-    corridors = [(br.id, corridor_index(br, frame, cfg.buffer_cells)) for br in lines]
-    # An empty corridor is never hit, and reduceat cannot express an empty
-    # segment (it would read the next corridor's first cell).
-    corridors = [(lid, idx) for lid, idx in corridors if idx.size]
-    sizes = [idx.size for _, idx in corridors]
-
     ctx = _BatchContext(
         engine=SpreadEngine(land, cfg.spread),
         wx=wx,
         alpha=cell_acreage(land),
-        corridor_ids=np.array([lid for lid, _ in corridors], dtype=np.int64),
-        corridor_cells=np.concatenate([idx for _, idx in corridors] or [np.empty(0, np.int64)]),
-        corridor_starts=np.cumsum([0] + sizes)[:-1].astype(np.intp),
-        length_miles={br.id: br.length_miles for br in lines},
+        corridors=Corridors(ignitable_lines(n), land.frame, cfg.buffer_cells),
         season_index=season_index,
     )
 
@@ -308,6 +284,7 @@ def read_results(path: str | Path) -> list[ScenarioResult]:
     if not lines or lines[0].strip() != RESULTS_HEADER:
         raise InvalidInputError(f"{path}: expected header {RESULTS_HEADER!r}")
     out = []
+    seen: dict[tuple[int, int, int], int] = {}
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -316,19 +293,24 @@ def read_results(path: str | Path) -> list[ScenarioResult]:
             raise InvalidInputError(f"{path}: row {i}: expected 7 fields, got {len(parts)}")
         try:
             ids = frozenset(int(t) for t in parts[5].split(";") if t)
-            out.append(
-                ScenarioResult(
-                    line_id=int(parts[0]),
-                    season_index=int(parts[1]),
-                    ignition_index=int(parts[2]),
-                    burned_cell_count=int(parts[3]),
-                    burned_acres=float(parts[4]),
-                    affected_line_ids=ids,
-                    affected_miles=float(parts[6]),
-                )
+            r = ScenarioResult(
+                line_id=int(parts[0]),
+                season_index=int(parts[1]),
+                ignition_index=int(parts[2]),
+                burned_cell_count=int(parts[3]),
+                burned_acres=float(parts[4]),
+                affected_line_ids=ids,
+                affected_miles=float(parts[6]),
             )
         except ValueError as exc:
             raise InvalidInputError(f"{path}: row {i}: {exc}") from exc
+        if r.season_index < 0:
+            raise InvalidInputError(f"{path}: row {i}: negative season index {r.season_index}")
+        key = (r.line_id, r.season_index, r.ignition_index)
+        if key in seen:
+            raise InvalidInputError(f"{path}: row {i}: scenario {key} repeats row {seen[key]}")
+        seen[key] = i
+        out.append(r)
     if not out:
         raise InvalidInputError(f"{path}: results file holds no scenario rows")
     return out

@@ -129,7 +129,9 @@ def _knight_intermediates(dr: int, dc: int) -> tuple[tuple[int, int], ...]:
     return ((0, dc // 2), (dr, dc // 2))
 
 
-def moisture_factor(rel_humidity: float, moisture_exp: float, humidity_ref: float = 30.0) -> float:
+def moisture_factor(
+    rel_humidity: float, moisture_exp: float, humidity_ref: float = SpreadParams.humidity_ref
+) -> float:
     """Humidity damping of spread, clamped to [0.1, 3]."""
     raw = (humidity_ref / max(rel_humidity, 1.0)) ** moisture_exp
     return min(MOISTURE_FACTOR_MAX, max(MOISTURE_FACTOR_MIN, raw))
@@ -154,7 +156,7 @@ def wind_factor(
     travel_dir_deg: float,
     wind_coeff: float,
     wind_exp: float,
-    max_eccentricity: float = 0.95,
+    max_eccentricity: float = SpreadParams.max_eccentricity,
 ) -> float:
     """Elliptical wind shaping of spread by travel direction.
 
@@ -378,7 +380,8 @@ class SpreadEngine:
             r, c = ig.cell.row, ig.cell.col
             if not (0 <= r < land.nrows and 0 <= c < land.ncols):
                 raise OutOfBoundsError(
-                    f"ignition cell ({r}, {c}) outside raster {land.nrows}x{land.ncols}"
+                    f"ignition cell ({r}, {c}) of line {ig.line_id} outside raster "
+                    f"{land.nrows}x{land.ncols}"
                 )
             check_coverage(wx, start, ig.duration_hours)
         fires: dict[tuple[int, float], _Fire] = {}

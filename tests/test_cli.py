@@ -280,9 +280,10 @@ def test_bad_seed_type_is_exit_2(tmp_path, capsys):
 
 def test_missing_results_file_is_exit_2(study_dir, tmp_path, capsys):
     rc = run(["assess", "--config", str(study_dir / "study.ini"),
-              "--out", str(tmp_path), "--results", str(tmp_path / "absent.csv")])
+              "--out", str(tmp_path / "rep"), "--results", str(tmp_path / "absent.csv")])
     assert rc == 2
     assert "absent.csv" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_on_empty_dir_is_exit_2(tmp_path, capsys):
@@ -338,6 +339,8 @@ def test_config_lists_and_absolute_paths(tmp_path):
     (["--set", "study.ignitions_per_line=0"], "study.ignitions_per_line"),
     (["--set", "spread.humidity_ref_pct=0"], "spread.humidity_ref_pct"),
     (["--set", "costs.cbe_per_acre=0"], "costs.cbe_per_acre"),
+    # a named fuel catalog must exist: no fallback to the built-in one
+    (["--set", "paths.fuel_catalog=nosuch.csv"], "nosuch.csv"),
 ])
 def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     argv = ["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path),
@@ -360,12 +363,19 @@ def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     (["report", "REP", "--workers", "2"], "--workers"),
     (["synth", "--out", "NEW", "--workers", "2"], "--workers"),
     (["synth", "--out", "NEW", "--year", "2021"], "--year"),
+    # a --config that is named must exist, whether or not the command needs one
+    (["synth", "--out", "NEW", "--config", "TYPO"], "typo.ini"),
+    (["assess", "--from-tables", "TABLE1", "TABLE2", "--config", "TYPO", "--out", "NEW"],
+     "typo.ini"),
 ])
-def test_bad_flag_is_usage_error(small_run, tmp_path, capsys, flags, named):
-    """Flag values out of range, and flags the command does not take,
-    exit 2 with a message that names the flag, and write nothing."""
+def test_bad_flag_is_usage_error(study_dir, small_run, tmp_path, capsys, flags, named):
+    """Flag values out of range, flags the command does not take, and
+    missing files they name exit 2 with a message that names the flag or
+    file, and write nothing."""
     _, rep = small_run
-    argv = [{"REP": str(rep), "NEW": str(tmp_path / "new")}.get(a, a) for a in flags]
+    tokens = {"REP": str(rep), "NEW": str(tmp_path / "new"), "TYPO": str(tmp_path / "typo.ini"),
+              "TABLE1": str(study_dir / "table1.csv"), "TABLE2": str(study_dir / "table2.csv")}
+    argv = [tokens.get(a, a) for a in flags]
     assert exit_code(argv) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "new").exists()

@@ -1,13 +1,16 @@
-"""Network topology, routes, lengths, and corridor rasterization."""
+"""Network topology, routes, lengths, corridor rasterization, and the
+corridor-hit test."""
 
+import numpy as np
 import pytest
 
 from gridfire.errors import GeometryError, InvalidInputError, OutOfBoundsError, TopologyError
 from gridfire.fixtures import IEEE30_TOTAL_LINE_MILES, STUDY_ORIGIN, ieee30_network
-from gridfire.geo import GeoPoint, PlanarPoint, RasterFrame, unproject
+from gridfire.geo import GeoPoint, PlanarPoint, RasterFrame, polyline_length_miles, unproject
 from gridfire.network import (
     Branch,
     Bus,
+    Corridors,
     GridNetwork,
     ignitable_lines,
     line_cells,
@@ -198,3 +201,80 @@ def test_v_shaped_route_equals_union_of_segments():
         for c in traverse_cells(frame.to_planar(a), frame.to_planar(b), frame):
             want.add((c.row, c.col))
     assert got == want
+
+
+# ------------------------------------------------------------- corridors
+
+
+def test_corridor_buffer_semantics():
+    a, b = Bus(1, GeoPoint(37.852, -120.099)), Bus(2, GeoPoint(37.855, -120.099))
+    route = (a.location, b.location)
+    line = Branch(id=4, kind="line", from_bus=1, to_bus=2, route=route,
+                  length_miles=polyline_length_miles(route))
+    frame = RasterFrame(nrows=32, ncols=32, origin=GeoPoint(37.85, -120.10), cell_size=30.0)
+    corridor = {(c.row, c.col) for c in line_cells(line, frame)}
+
+    def affected(cells, buffer_cells=0):
+        burned = np.zeros((32, 32), dtype=bool)
+        for r, c in cells:
+            burned[r, c] = True
+        return Corridors([line], frame, buffer_cells).affected(burned)
+
+    assert affected([]) == (frozenset(), 0)
+
+    one = next(iter(corridor))
+    assert affected([one]) == ({4}, line.length_miles)
+
+    # a burned cell at Chebyshev distance exactly 1 from the corridor
+    r, c = one
+    neighbor = None
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            cand = (r + dr, c + dc)
+            if cand not in corridor and 0 <= cand[0] < 32 and 0 <= cand[1] < 32:
+                neighbor = cand
+    assert neighbor is not None
+    assert affected([neighbor], buffer_cells=0)[0] == set()
+    assert affected([neighbor], buffer_cells=1)[0] == {4}
+    with pytest.raises(InvalidInputError, match="buffer_cells"):
+        Corridors([line], frame, -1)
+
+
+def test_corridor_hits_equal_brute_force():
+    """The corridor table's hits against Python sets: a line is hit when a
+    burned cell lies within `buffer` (Chebyshev) of a cell its route
+    crosses. The 32x32 network runs two cells from the raster edge, so its
+    buffer-3 corridors are clipped there."""
+    studies = [
+        (ieee30_network(), RasterFrame(nrows=128, ncols=128, origin=STUDY_ORIGIN, cell_size=30.0)),
+        (ieee30_network(width_m=960.0, height_m=960.0, margin_m=15.0),
+         RasterFrame(nrows=32, ncols=32, origin=STUDY_ORIGIN, cell_size=30.0)),
+    ]
+    rng = np.random.default_rng(5)
+    clipped = 0
+    for net, frame in studies:
+        lines = ignitable_lines(net)
+        edge_gap = min(min(c.row, c.col, frame.nrows - 1 - c.row, frame.ncols - 1 - c.col)
+                       for b in lines for c in line_cells(b, frame))
+        shape = (frame.nrows, frame.ncols)
+        masks = [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)]
+        masks += [rng.random(shape) < p for p in (0.0005, 0.002, 0.01, 0.1)]
+        for buffer in range(4):
+            table = Corridors(lines, frame, buffer)
+            corridors = {
+                b.id: {(c.row + dr, c.col + dc)
+                       for c in line_cells(b, frame)
+                       for dr in range(-buffer, buffer + 1)
+                       for dc in range(-buffer, buffer + 1)
+                       if 0 <= c.row + dr < frame.nrows and 0 <= c.col + dc < frame.ncols}
+                for b in lines
+            }
+            clipped += edge_gap < buffer
+            for burned in masks:
+                cells = {(int(r), int(c)) for r, c in np.argwhere(burned)}
+                want = {j for j, corridor in corridors.items() if corridor & cells}
+                ids, miles = table.affected(burned)
+                assert ids == want
+                assert miles == pytest.approx(
+                    sum(net.branch(j).length_miles for j in sorted(want)), rel=1e-12, abs=0.0)
+    assert clipped

@@ -1,42 +1,15 @@
-"""Loss formulas, affected-line detection, and the normalized risk metric."""
+"""Loss formulas, seasonal averaging, and the normalized risk metric."""
 
-import numpy as np
 import pytest
 
 from gridfire.errors import DegenerateNormalizationError, InvalidInputError
-from gridfire.geo import GeoPoint, GridIndex, RasterFrame, polyline_length_miles
-from gridfire.network import Branch, Bus, GridNetwork, line_cells
 from gridfire.risk import (
     CostParams,
-    affected_lines,
-    dilate_cells,
     rank_lines,
     risk_metric,
     seasonal_average,
     wfl,
 )
-from gridfire.spread import BurnRaster
-
-ORIGIN = GeoPoint(37.85, -120.10)
-
-
-def straight_line_network(line_id=4, lat0=37.852, lon0=-120.099, dlat=0.003):
-    a = Bus(1, GeoPoint(lat0, lon0))
-    b = Bus(2, GeoPoint(lat0 + dlat, lon0))
-    route = (a.location, b.location)
-    return GridNetwork(buses=(a, b), branches=(
-        Branch(id=line_id, kind="line", from_bus=1, to_bus=2, route=route,
-               length_miles=polyline_length_miles(route)),
-    ))
-
-
-def burn_with(frame, cells):
-    status = np.zeros((frame.nrows, frame.ncols), dtype=bool)
-    arrival = np.full((frame.nrows, frame.ncols), np.inf)
-    for r, c in cells:
-        status[r, c] = True
-        arrival[r, c] = 1.0
-    return BurnRaster(frame=frame, status=status, arrival=arrival)
 
 
 def test_cost_params_positive():
@@ -83,46 +56,6 @@ def test_risk_metric_scale_invariance():
         m = risk_metric({k: lam * v for k, v in base.items()})
         for k in base:
             assert m[k] == pytest.approx(m0[k], rel=1e-12)
-
-
-def test_dilate_cells_matches_brute_force():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        nrows, ncols = 12, 15
-        cells = {(int(r), int(c))
-                 for r, c in zip(rng.integers(0, nrows, 6), rng.integers(0, ncols, 6))}
-        buffer = int(rng.integers(0, 4))
-        got = dilate_cells([GridIndex(r, c) for r, c in cells], buffer, nrows, ncols)
-        want = {(r + dr, c + dc)
-                for r, c in cells
-                for dr in range(-buffer, buffer + 1)
-                for dc in range(-buffer, buffer + 1)
-                if 0 <= r + dr < nrows and 0 <= c + dc < ncols}
-        assert set(got) == want
-
-
-def test_affected_lines_buffer_semantics():
-    net = straight_line_network(line_id=4)
-    frame = RasterFrame(nrows=32, ncols=32, origin=ORIGIN, cell_size=30.0)
-    corridor = {(c.row, c.col) for c in line_cells(net.branch(4), frame)}
-
-    assert affected_lines(burn_with(frame, []), net) == set()
-
-    one = next(iter(corridor))
-    assert affected_lines(burn_with(frame, [one]), net) == {4}
-
-    # a burned cell at Chebyshev distance exactly 1 from the corridor
-    r, c = one
-    neighbor = None
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            cand = (r + dr, c + dc)
-            if cand not in corridor and 0 <= cand[0] < 32 and 0 <= cand[1] < 32:
-                neighbor = cand
-    assert neighbor is not None
-    adjacent_burn = burn_with(frame, [neighbor])
-    assert affected_lines(adjacent_burn, net, buffer_cells=0) == set()
-    assert affected_lines(adjacent_burn, net, buffer_cells=1) == {4}
 
 
 def test_rank_lines_order_and_records():

@@ -7,13 +7,14 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from gridfire.errors import CoverageError, InvalidInputError
+from gridfire.errors import CoverageError, InvalidInputError, OutOfBoundsError
 from gridfire.fixtures import STUDY_ORIGIN, ieee30_network
 from gridfire.geo import GridIndex, PlanarPoint, RasterFrame
 from gridfire.landscape import SynthSpec, cell_acreage, synth_landscape
-from gridfire.network import ignitable_lines, line_cells
-from gridfire.risk import CostParams, affected_lines
+from gridfire.network import Corridors, ignitable_lines, line_cells
+from gridfire.risk import CostParams
 from gridfire.scenarios import (
+    RESULTS_HEADER,
     ScenarioResult,
     StudyConfig,
     assess_results,
@@ -243,10 +244,11 @@ def test_run_batch_groups_match_per_spec_runs():
         ))
 
     eng = SpreadEngine(land, cfg.spread)
+    corridors = Corridors(ignitable_lines(net), land.frame, cfg.buffer_cells)
     want = []
     for spec in specs:
         burn = eng.run(spec, wx)
-        hit = frozenset(affected_lines(burn, net, cfg.buffer_cells))
+        hit, _ = corridors.affected(burn.status)
         want.append((spec.line_id, spec.ignition_index, starts.index(spec.start),
                      burn.burned_cell_count(), burned_area_acres(burn, cell_acreage(land)),
                      hit, sum(net.branch(j).length_miles for j in sorted(hit)), burn.warning))
@@ -269,6 +271,18 @@ def test_run_batch_checks_coverage_up_front():
     specs = build_matrix(net, cfg, land.frame)
     with pytest.raises(CoverageError):
         run_batch(specs, land, const_wx(hours=3), net, cfg, workers=1)
+
+
+def test_run_batch_off_raster_ignition_names_its_line():
+    land, net = batch_fixture()
+    cfg = small_study_cfg(line_ids=(10,))
+    specs = build_matrix(net, cfg, land.frame)
+    specs.append(replace(specs[0], line_id=6, cell=GridIndex(3, land.ncols)))
+    with pytest.raises(OutOfBoundsError, match="of line 6"):
+        SpreadEngine(land, cfg.spread).run(specs[-1], const_wx())
+    for workers in (1, 2):
+        with pytest.raises(OutOfBoundsError, match="of line 6"):
+            run_batch(specs, land, const_wx(), net, cfg, workers=workers)
 
 
 def test_run_batch_empty():
@@ -318,6 +332,16 @@ def test_read_results_errors(tmp_path):
         "6,0,2,oops,0.0,,0.0\n"
     )
     with pytest.raises(InvalidInputError, match="row 3"):
+        read_results(path)
+
+    # rows that season_tables could not place are refused, not dropped
+    # (a negative season) or averaged in twice (a repeated scenario)
+    first = RESULTS_HEADER + "\n6,0,1,120,26.7,5;6,1.25\n"
+    path.write_text(first + "6,-1,1,999999,1e9,,1e9\n")
+    with pytest.raises(InvalidInputError, match="row 3: negative season"):
+        read_results(path)
+    path.write_text(first + "6,1,1,40,8.9,6,0.5\n6,0,1,120,26.7,5;6,1.25\n")
+    with pytest.raises(InvalidInputError, match="row 4: .* repeats row 2"):
         read_results(path)
 
 
