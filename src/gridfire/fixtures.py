@@ -20,7 +20,7 @@ from .errors import InvalidInputError
 from .geo import GeoPoint, PlanarPoint, unproject, polyline_length_miles
 from .landscape import LandscapeRaster, SynthSpec, synth_landscape
 from .network import Branch, Bus, GridNetwork
-from .weather import WeatherSample, WeatherSeries
+from .weather import WeatherSeries
 
 # Per-line seasonal burned acres (winter, spring, summer, fall).
 REFERENCE_BURNED_ACRES = {
@@ -259,17 +259,7 @@ def study_weather(year: int = 2022, seed: int = 0) -> WeatherSeries:
     wdir = np.round(wdir, 2)
     wdir[wdir >= 360.0] = 0.0
 
-    samples = tuple(
-        WeatherSample(
-            timestamp=start + timedelta(hours=int(i)),
-            wind_speed=float(wind[i]),
-            wind_dir_from=float(wdir[i]),
-            temperature=float(temp[i]),
-            rel_humidity=float(rh[i]),
-        )
-        for i in range(n)
-    )
-    return WeatherSeries(samples=samples)
+    return WeatherSeries.from_columns(start, wind, wdir, temp, rh)
 
 
 def write_reference_tables(directory: str | Path) -> tuple[Path, Path]:

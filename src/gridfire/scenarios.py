@@ -306,6 +306,11 @@ def read_results(path: str | Path) -> list[ScenarioResult]:
             raise InvalidInputError(f"{path}: row {i}: {exc}") from exc
         if r.season_index < 0:
             raise InvalidInputError(f"{path}: row {i}: negative season index {r.season_index}")
+        if r.burned_cell_count < 0:
+            raise InvalidInputError(f"{path}: row {i}: negative burned_cells {r.burned_cell_count}")
+        for label, v in (("burned_acres", r.burned_acres), ("affected_miles", r.affected_miles)):
+            if not (math.isfinite(v) and v >= 0.0):
+                raise InvalidInputError(f"{path}: row {i}: {label} {v} must be finite and >= 0")
         key = (r.line_id, r.season_index, r.ignition_index)
         if key in seen:
             raise InvalidInputError(f"{path}: row {i}: scenario {key} repeats row {seen[key]}")

@@ -179,6 +179,24 @@ def test_assess_reads_no_network(study_dir, small_run, tmp_path):
     assert tree_bytes(out) == tree_bytes(rep)
 
 
+def test_assess_refuses_a_nan_result_row(study_dir, small_run, tmp_path, capsys):
+    """A results row the loss math cannot use stops assess with exit 2,
+    instead of a ranking whose every metric is nan."""
+    sim, _ = small_run
+    rows = (sim / "results.csv").read_text().splitlines()
+    parts = rows[1].split(",")
+    parts[4] = "nan"  # burned_acres
+    rows[1] = ",".join(parts)
+    results = tmp_path / "results.csv"
+    results.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "rep"
+    rc = run(["assess", "--config", str(study_dir / "study.ini"), "--out", str(out),
+              "--results", str(results)])
+    assert rc == 2
+    assert "row 2: burned_acres nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_summary(small_run, capsys):
     _, rep = small_run
     assert run(["report", str(rep)]) == 0
@@ -254,6 +272,23 @@ def test_missing_weather_file_is_exit_2(study_dir, tmp_path, capsys):
     rc = run(["simulate", "--config", str(ini), "--out", str(tmp_path)])
     assert rc == 2
     assert "missing.csv" in capsys.readouterr().err
+
+
+def test_bad_weather_row_outside_every_fire_is_exit_2(study_dir, tmp_path, capsys):
+    """The whole year is validated, not just the hours the fires read: a bad
+    value in the last row of the year (December 31st, 23:00) stops the run."""
+    lines = (study_dir / "weather.csv").read_text().splitlines()
+    assert len(lines) == 8761
+    stamp = lines[-1].split(",")[0]
+    lines[-1] = f"{stamp},3.0,225.0,15.0,101.0"
+    weather = tmp_path / "weather.csv"
+    weather.write_text("\n".join(lines) + "\n")
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path / "run"),
+              *SMALL_STUDY, "--set", f"paths.weather={weather}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "row 8761: relative humidity 101.0 outside [0, 100]" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_config_is_exit_2(tmp_path, capsys):

@@ -344,6 +344,20 @@ def test_read_results_errors(tmp_path):
     with pytest.raises(InvalidInputError, match="row 4: .* repeats row 2"):
         read_results(path)
 
+    # a value the loss math cannot use is refused, naming its row
+    for row, want in (
+        ("6,1,1,40,nan,6,0.5", "row 3: burned_acres nan"),
+        ("6,1,1,40,inf,6,0.5", "row 3: burned_acres inf"),
+        ("6,1,1,40,-8.9,6,0.5", "row 3: burned_acres -8.9"),
+        ("6,1,1,40,8.9,6,nan", "row 3: affected_miles nan"),
+        ("6,1,1,40,8.9,6,-inf", "row 3: affected_miles -inf"),
+        ("6,1,1,40,8.9,6,-0.5", "row 3: affected_miles -0.5"),
+        ("6,1,1,-40,8.9,6,0.5", "row 3: negative burned_cells -40"),
+    ):
+        path.write_text(first + row + "\n")
+        with pytest.raises(InvalidInputError, match=want):
+            read_results(path)
+
 
 # ------------------------------------------------------- aggregation layer
 

@@ -1,18 +1,24 @@
 """Hourly weather series: validation, lookup, file round-trip."""
 
+import csv
 from datetime import datetime, timedelta, timezone
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridfire import weather
 from gridfire.errors import CoverageError, InvalidSampleError, MalformedSeriesError
+from gridfire.fixtures import study_weather
 from gridfire.weather import (
     HOUR,
     TIMESTAMP_FORMAT,
+    WEATHER_HEADER,
     WeatherSample,
     WeatherSeries,
     load_weather,
+    parse_timestamp,
     season_starts,
     write_weather,
 )
@@ -135,4 +141,195 @@ def test_round_trip_property(tmp_path_factory, hours, ws, wd, rh):
     ))
     path = tmp_path_factory.mktemp("wx") / "wx.csv"
     write_weather(s, path)
+    assert load_weather(path) == s
+
+
+def test_series_from_columns_equals_series_from_samples():
+    built = WeatherSeries.from_columns(T0, [3.0, 4.0], [225.0, 0.0], [15.0, 14.0], [40.0, 41.0])
+    by_hand = WeatherSeries(samples=(WeatherSample(T0, 3.0, 225.0, 15.0, 40.0),
+                                     WeatherSample(T0 + HOUR, 4.0, 0.0, 14.0, 41.0)))
+    assert built == by_hand and len(built) == 2
+    assert (built.start, built.end) == (T0, T0 + 2 * HOUR)
+    assert built != mk_series(2)
+    assert built.at(T0 + HOUR) == by_hand.samples[1]
+    with pytest.raises(ValueError):
+        built.wind_speed[0] = 1.0  # columns are read-only
+    with pytest.raises(InvalidSampleError, match="wind direction 360.0 outside .* 01:00"):
+        WeatherSeries.from_columns(T0, [3.0, 4.0], [225.0, 360.0], [15.0, 14.0], [40.0, 41.0])
+    with pytest.raises(MalformedSeriesError):
+        WeatherSeries.from_columns(T0, [], [], [], [])
+
+
+def test_samples_are_built_once_per_hour():
+    s = WeatherSeries.from_columns(T0, [3.0] * 5, [225.0] * 5, [15.0] * 5, [40.0] * 5)
+    first = s.at(T0 + timedelta(hours=2, minutes=30))
+    assert s.at(T0 + 2 * HOUR) is first
+    assert s.samples[2] is first
+    assert s.samples is s.samples
+    assert [x.timestamp for x in s.samples] == [T0 + h * HOUR for h in range(5)]
+
+
+# ------------------------------------------------- whole-year validation
+
+
+def stamp(h):
+    return (T0 + h * HOUR).strftime(TIMESTAMP_FORMAT)
+
+
+def row(h, values="3.0,225.0,15.0,40.0", at=None):
+    return f"{stamp(h if at is None else at)},{values}"
+
+
+# fault -> (row text for hour h, error type, message after "row N: ")
+FAULTS = {
+    "non-finite value": (lambda h: row(h, "3.0,225.0,inf,40.0"),
+                         InvalidSampleError, "non-finite temperature inf"),
+    "negative wind": (lambda h: row(h, "-0.5,225.0,15.0,40.0"),
+                      InvalidSampleError, "negative wind speed -0.5"),
+    "direction 360": (lambda h: row(h, "3.0,360,15.0,40.0"),
+                      InvalidSampleError, r"wind direction 360.0 outside \[0, 360\)"),
+    "rh 101": (lambda h: row(h, "3.0,225.0,15.0,101"),
+               InvalidSampleError, r"relative humidity 101.0 outside \[0, 100\]"),
+    "unparseable value": (lambda h: row(h, "3.0,225.0,warm,40.0"),
+                          InvalidSampleError, "could not convert string to float: 'warm'"),
+    "missing field": (lambda h: row(h, "3.0,225.0,15.0"),
+                      InvalidSampleError, "expected 5 fields, got 4"),
+    "bad timestamp": (lambda h: "2022-13-01T00:00Z,3.0,225.0,15.0,40.0",
+                      InvalidSampleError, "bad timestamp"),
+    "gap": (lambda h: row(h, at=h + 1), MalformedSeriesError, "gap of 2:00:00 before"),
+    "repeated hour": (lambda h: row(h, at=h - 1), MalformedSeriesError,
+                      "timestamps not strictly increasing at"),
+    "out-of-order hour": (lambda h: row(h, at=h - 2), MalformedSeriesError,
+                          "timestamps not strictly increasing at"),
+}
+
+
+# Rows converted at a time: the file's default, and one that puts rows 45
+# and 47 at the start and inside the last of several blocks.
+BLOCKS = [weather._BLOCK_ROWS, 5]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("where", [2, 45, 47])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_load_rejects_each_rule_naming_the_row(tmp_path, monkeypatch, fault, where, block):
+    monkeypatch.setattr(weather, "_BLOCK_ROWS", block)
+    make, kind, message = FAULTS[fault]
+    rows = [row(h) for h in range(48)]
+    rows[where] = make(where)
+    path = tmp_path / "wx.csv"
+    path.write_text(",".join(WEATHER_HEADER) + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(kind, match=f"wx.csv: row {where + 2}: {message}"):
+        load_weather(path)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_load_names_the_first_of_several_bad_rows(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(weather, "_BLOCK_ROWS", block)
+    rows = [row(h) for h in range(48)]
+    rows[30] = row(30, "3.0,225.0,15.0")         # missing field
+    rows[20] = row(20, "3.0,225.0,15.0,101.0")   # humidity
+    rows[10] = row(10, "x,225.0,15.0,40.0")      # unparseable
+    rows[5] = row(5, at=7)                       # gap
+    path = tmp_path / "wx.csv"
+    for named in (7, 12, 22, 32):
+        path.write_text(",".join(WEATHER_HEADER) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises((InvalidSampleError, MalformedSeriesError), match=f"row {named}:"):
+            load_weather(path)
+        rows[named - 2] = row(named - 2)
+    path.write_text(",".join(WEATHER_HEADER) + "\n" + "\n".join(rows) + "\n")
+    assert len(load_weather(path)) == 48
+
+
+def test_load_checks_a_bad_rows_timestamp_before_its_values(tmp_path):
+    rows = [row(h) for h in range(4)]
+    rows[2] = row(2, "-1.0,225.0,15.0,40.0", at=5)
+    path = tmp_path / "wx.csv"
+    path.write_text(",".join(WEATHER_HEADER) + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(MalformedSeriesError, match="row 4: gap"):
+        load_weather(path)
+
+
+def test_load_rejects_an_empty_year(tmp_path):
+    path = tmp_path / "wx.csv"
+    path.write_text(",".join(WEATHER_HEADER) + "\n")
+    with pytest.raises(MalformedSeriesError, match="empty"):
+        load_weather(path)
+
+
+def reference_load(path):
+    """Row-by-row reading of a weather file: one WeatherSample per row."""
+    rows = [r for r in csv.reader(path.read_text().splitlines()) if r]
+    return WeatherSeries(tuple(
+        WeatherSample(parse_timestamp(r[0].strip()), *map(float, r[1:])) for r in rows[1:]
+    ))
+
+
+def unpadded(t):
+    return f"{t.year}-{t.month}-{t.day}T{t.hour}:{t.minute}Z"
+
+
+values = st.tuples(
+    st.floats(0.0, 40.0), st.floats(0.0, 359.99),
+    st.floats(-40.0, 50.0), st.floats(0.0, 100.0),
+)
+
+
+@given(
+    start=st.datetimes(datetime(1990, 1, 1), datetime(2040, 12, 31)),
+    rows=st.lists(st.tuples(values, st.booleans(), st.booleans()), min_size=1, max_size=60),
+    block=st.sampled_from([weather._BLOCK_ROWS, 1, 2, 7]),
+    probe=st.data(),
+)
+def test_load_equals_row_by_row_reference(tmp_path_factory, start, rows, block, probe):
+    start = start.replace(second=0, microsecond=0, tzinfo=timezone.utc)
+    lines = [",".join(WEATHER_HEADER)]
+    for h, ((ws, wd, t, rh), short, rounded) in enumerate(rows):
+        instant = start + h * HOUR
+        text = unpadded(instant) if short else instant.strftime(TIMESTAMP_FORMAT)
+        fields = [round(v, 2) if rounded else v for v in (ws, wd, t, rh)]
+        lines.append(text + "".join(f",{v!r}" for v in fields))
+    path = tmp_path_factory.mktemp("wx") / "wx.csv"
+    path.write_text("\n".join(lines) + "\n")
+
+    with patch.object(weather, "_BLOCK_ROWS", block):
+        got = load_weather(path)
+    want = reference_load(path)
+    assert got == want
+    i = probe.draw(st.integers(0, len(rows) - 1))
+    early = got.at(start + i * HOUR + timedelta(minutes=probe.draw(st.integers(0, 59))))
+    assert early == want.samples[i]
+    assert got.samples == want.samples
+    assert got.at(start + i * HOUR) is got.samples[i] is early
+
+
+# ------------------------------------------------------ synth weather file
+
+
+def reference_row(s):
+    ts = s.timestamp.astimezone(timezone.utc).strftime(TIMESTAMP_FORMAT)
+    return f"{ts},{s.wind_speed!r},{s.wind_dir_from!r},{s.temperature!r},{s.rel_humidity!r}"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_synth_weather_file_is_the_row_formatters(tmp_path, seed):
+    wx = study_weather(year=2022, seed=seed)
+    assert len(wx) == 8760 and wx.start == datetime(2022, 1, 1, tzinfo=timezone.utc)
+    path = tmp_path / "weather.csv"
+    write_weather(wx, path)
+    want = "\n".join([",".join(WEATHER_HEADER), *map(reference_row, wx.samples)]) + "\n"
+    assert path.read_bytes() == want.encode()
+    assert load_weather(path) == wx
+
+
+def test_write_weather_formats_a_non_utc_start_in_utc(tmp_path):
+    plus2 = timezone(timedelta(hours=2))
+    s = WeatherSeries(tuple(
+        WeatherSample(datetime(2022, 1, 1, 1, 30, tzinfo=plus2) + h * HOUR, 1.5, 90.0, 3.0, 50.0)
+        for h in range(26)
+    ))
+    path = tmp_path / "wx.csv"
+    write_weather(s, path)
+    want = "\n".join([",".join(WEATHER_HEADER), *map(reference_row, s.samples)]) + "\n"
+    assert path.read_text() == want
     assert load_weather(path) == s
