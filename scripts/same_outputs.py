@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Check that this tree writes the same study outputs as another tree.
+
+    python3 scripts/same_outputs.py PARENT_TREE
+
+PARENT_TREE is another gridfire checkout, for example the parent commit
+unpacked with `git archive`. For each tree, `synth`, `simulate` and
+`assess` run in subprocesses with only that tree's `src` on PYTHONPATH, on:
+
+- every perfbench workload (its size and `--set` values, read from
+  perfbench/run.py's WORKLOADS) at `--seed 7`;
+- the full 408-scenario 128x128 study at `--workers 1` and `--workers 2`.
+
+It compares results.csv, run_meta.json, risk.csv, table_*.csv and
+plot_metric.csv byte for byte, prints one line per file, and exits 1 if
+any file differs or is missing from one tree. Outputs go to a temporary
+directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUTS = ("run/results.csv", "run/run_meta.json", "report/risk.csv", "report/table_*.csv",
+           "report/plot_metric.csv")
+SEED = 7
+
+
+def perfbench():
+    """perfbench/run.py as a module, for its WORKLOADS and input seed."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(bench) -> list[tuple[str, int, list[str], int]]:
+    """(name, synth size, simulate and assess arguments, workers) per run."""
+    out = []
+    for name, w in bench.WORKLOADS.items():
+        sets = [a for s in w.sets for a in ("--set", s)]
+        out.append((name, w.size, ["--seed", str(SEED), *sets], 1))
+    out += [(f"study408-workers{k}", 128, [], k) for k in (1, 2)]
+    return out
+
+
+def gridfire(tree: Path, *args: str) -> None:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    done = subprocess.run([sys.executable, "-m", "gridfire.cli", *args], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{tree}: gridfire {' '.join(args)} exited {done.returncode}\n"
+                         f"{done.stderr}")
+
+
+def run_tree(tree: Path, work: Path, bench) -> None:
+    for size in sorted({size for _, size, _, _ in runs(bench)}):
+        gridfire(tree, "synth", "--out", str(work / f"study{size}"),
+                 "--seed", str(bench.STUDY_INPUT_SEED), "--size", str(size))
+    for name, size, args, workers in runs(bench):
+        ini, out = str(work / f"study{size}" / "study.ini"), work / name
+        gridfire(tree, "simulate", "--config", ini, "--out", str(out / "run"),
+                 "--workers", str(workers), *args)
+        gridfire(tree, "assess", "--config", ini, "--results", str(out / "run" / "results.csv"),
+                 "--out", str(out / "report"), *args)
+
+
+def compare(parent: Path, change: Path, names: list[str]) -> int:
+    """Print one line per output file; return the number that differ."""
+    differ = 0
+    for name in names:
+        found = sorted({p.relative_to(root / name).as_posix()
+                        for root in (parent, change) for pattern in OUTPUTS
+                        for p in (root / name).glob(pattern)})
+        for rel in found:
+            a, b = parent / name / rel, change / name / rel
+            if not (a.is_file() and b.is_file()):
+                status = "missing"
+            else:
+                status = "same" if a.read_bytes() == b.read_bytes() else "DIFFERS"
+            differ += status != "same"
+            print(f"{status:<8} {name}/{rel}")
+    return differ
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", type=Path, help="the other gridfire tree")
+    args = p.parse_args(argv)
+    if not (args.parent / "src" / "gridfire" / "cli.py").is_file():
+        print(f"same_outputs: no gridfire sources under {args.parent / 'src'}", file=sys.stderr)
+        return 2
+    bench = perfbench()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for label, tree in (("parent", args.parent.resolve()), ("change", ROOT)):
+            run_tree(tree, work / label, bench)
+        differ = compare(work / "parent", work / "change", [name for name, *_ in runs(bench)])
+    print(f"{differ} file(s) differ" if differ else "all outputs byte-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -46,7 +46,8 @@ from .network import ignitable_lines, load_network, write_network
 from .risk import CostParams, rank_lines, seasonal_average
 from .scenarios import StudyConfig, assess_results, build_matrix, read_results, run_batch, write_results
 from .spread import SpreadParams
-from .weather import TIMESTAMP_FORMAT, load_weather, parse_timestamp, season_starts, write_weather
+from .weather import (IGNITION_HOUR, STUDY_YEAR, TIMESTAMP_FORMAT, load_weather, parse_timestamp,
+                      season_starts, write_weather)
 
 SECTIONS = ("paths", "study", "spread", "costs")
 RISK_HEADER = "line_id,lbe,lbl,wfl,metric,rank"
@@ -95,8 +96,8 @@ SCHEMA = (
     Key("study", "duration_hours", _finite, StudyConfig, "duration_hours"),
     Key("study", "placement", str, StudyConfig, "placement"),
     Key("study", "seed", int, StudyConfig, "seed"),
-    Key("study", "year", int, default=2022),
-    Key("study", "ignition_hour", int, default=12),
+    Key("study", "year", int, default=STUDY_YEAR),
+    Key("study", "ignition_hour", int, default=IGNITION_HOUR),
     Key("study", "buffer_cells", int, StudyConfig, "buffer_cells"),
     Key("study", "line_ids", _listed(int), StudyConfig, "line_ids"),
     Key("study", "seasons", _listed(parse_timestamp)),
@@ -321,6 +322,10 @@ def _read_table(path):
             raise InvalidInputError(f"{path} row {lineno}: malformed table row {row!r}") from None
         if len(vals) != n_seasons:
             raise InvalidInputError(f"{path} row {lineno}: expected {n_seasons} season values")
+        if not all(0 <= v < math.inf for v in vals):
+            raise InvalidInputError(f"{path} row {lineno}: values {vals} must be finite and >= 0")
+        if j in table:
+            raise InvalidInputError(f"{path} row {lineno}: line {j} repeats an earlier row")
         table[j] = vals
     if not table:
         raise InvalidInputError(f"{path}: no data rows")

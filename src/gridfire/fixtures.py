@@ -20,7 +20,7 @@ from .errors import InvalidInputError
 from .geo import GeoPoint, PlanarPoint, unproject, polyline_length_miles
 from .landscape import LandscapeRaster, SynthSpec, synth_landscape
 from .network import Branch, Bus, GridNetwork
-from .weather import WeatherSeries
+from .weather import STUDY_YEAR, WeatherSeries
 
 # Per-line seasonal burned acres (winter, spring, summer, fall).
 REFERENCE_BURNED_ACRES = {
@@ -228,7 +228,7 @@ def _ar_smooth(rng: np.random.Generator, n: int, span: int) -> np.ndarray:
     return smooth / peak if peak > 0 else smooth
 
 
-def study_weather(year: int = 2022, seed: int = 0) -> WeatherSeries:
+def study_weather(year: int = STUDY_YEAR, seed: int = 0) -> WeatherSeries:
     """Deterministic synthetic hourly weather for a full year.
 
     Seasonal and diurnal temperature cycles with correlated noise; relative

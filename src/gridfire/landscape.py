@@ -323,10 +323,6 @@ class SynthSpec:
 
 def synth_landscape(spec: SynthSpec, catalog: FuelCatalog | None = None) -> LandscapeRaster:
     """Build a LandscapeRaster from a SynthSpec, bit-reproducible per seed."""
-    if spec.nrows <= 0 or spec.ncols <= 0:
-        raise InvalidInputError(f"raster shape {spec.nrows}x{spec.ncols} not positive")
-    if spec.cell_size <= 0:
-        raise InvalidInputError(f"cell size {spec.cell_size} not positive")
     if catalog is None:
         catalog = default_catalog()
     frame = RasterFrame(spec.nrows, spec.ncols, spec.origin, spec.cell_size)

@@ -48,7 +48,7 @@ class StudyConfig:
     """Everything that defines a study besides the input datasets."""
 
     ignitions_per_line: int = 3
-    seasons: tuple[datetime, ...] = field(default_factory=lambda: season_starts(2022))
+    seasons: tuple[datetime, ...] = field(default_factory=season_starts)
     duration_hours: float = 24.0
     placement: str = "even"
     seed: int = 0

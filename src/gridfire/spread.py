@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterator, Optional, Sequence
+from typing import Generator, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.ndimage import label
@@ -355,11 +355,11 @@ class SpreadEngine:
         still burning by that hour's search. Hour 0 is the one hour in
         which every fire searches the same graph from a single source, so
         it runs as one multi-source `dijkstra` per block of fires, with
-        FIRST_HOUR_BLOCK_BYTES bounding the block's distance rows; each
-        fire keeps the labels of its row that fall inside its own first
-        hour. Later hours run one search per fire from its perimeter.
-        Specs with the same ignition cell and duration (twins) share one
-        fire, whose raster is yielded at each of their positions.
+        FIRST_HOUR_BLOCK_BYTES bounding the block's distance rows. Later
+        hours run one search per fire from its perimeter. Each fire's row
+        or search ends its hour in one step (`_step`). Specs with the same
+        ignition cell and duration (twins) share one fire, whose raster is
+        yielded at each of their positions.
 
         Yields (position in specs, outcome) as soon as a scenario
         finishes, so only burning scenarios hold state: a block's fires
@@ -399,8 +399,6 @@ class SpreadEngine:
             if fire is None:
                 fire = fires[idx, ig.duration_hours] = _Fire(ig, idx, self.reach(idx))
             fire.pos.append(i)
-        if not fires:
-            return
 
         # Hour 0: one multi-source search per block of fires. The group
         # holds one block of rows at a time.
@@ -413,19 +411,10 @@ class SpreadEngine:
         first = list(fires.values())
         for b in range(0, len(first), rows):
             block = first[b:b + rows]
-            t_hi = [min(60.0, fire.duration_min) for fire in block]
             dist = dijkstra(hour0, directed=True, indices=[fire.ig_idx for fire in block],
-                            limit=max(t_hi))
-            for fire, row, t in zip(block, dist, t_hi):
-                burned = row <= t
-                arrival = np.where(burned, row, np.inf)
-                fire.n_frozen = int(np.count_nonzero(burned))
-                if fire.done(1):
-                    yield from fire.outcomes(self._raster(arrival, None))
-                else:
-                    fire.frozen, fire.frozen_mask = arrival, burned
-                    fire.newly = np.flatnonzero(burned)
-                    fire.hand_over(60.0, values[:m], self._indptr, self._indices)
+                            limit=max(fire.t_hi(0) for fire in block))
+            for fire, row in zip(block, dist):
+                if (yield from self._step(fire, 0, row, values[:m])):
                     waiting.append(fire)
             del dist, row  # free this block's rows before the next search
 
@@ -440,32 +429,49 @@ class SpreadEngine:
             values[:m] = self._minutes(wx.at(start + timedelta(hours=e)))
             burning = []
             for fire in waiting:
-                self._advance(fire, e, values, indices, indptr)
-                if fire.done(e + 1):
-                    yield from fire.outcomes(self._raster(fire.arrival(), None))
-                else:
-                    fire.hand_over(60.0 * (e + 1), values[:m], self._indptr, self._indices)
+                dist = self._search(fire, e, values, indices, indptr)
+                if (yield from self._step(fire, e, dist, values[:m])):
                     burning.append(fire)
+                del dist  # free the labels before the next search
             waiting = burning
             e += 1
 
-    def _advance(
-        self, fire: _Fire, e: int, values: np.ndarray, indices: np.ndarray, indptr: np.ndarray
-    ) -> None:
-        """One hourly epoch e >= 1: a label-setting search from the fire's
-        perimeter under the hour's costs, freezing the labels that fall
-        inside the hour. The graph buffers hold the hour's edges; this
-        fills in the super-source's.
-
-        It seeds each unburned cell across an open edge at the earliest
-        minute the fire already on that edge leaves it (`_Fire.seeds`), and
-        blocks the edges back into the burned set for this one search, so
-        the search settles only cells that are not burned yet.
+    def _step(
+        self, fire: _Fire, e: int, dist: np.ndarray, minutes: np.ndarray
+    ) -> Generator[tuple[int, BurnRaster], None, bool]:
+        """End a fire's hour e, given its search labels `dist` and the
+        hour's edge costs `minutes`: freeze the labels inside the hour (the
+        search never enters the burned set, so each is a new cell), then
+        either yield the raster at each position the fire serves and drop
+        its arrays, or hand its open edges over. Returns whether it burns on.
         """
+        n = self._n_cells
+        newly = np.flatnonzero(dist[:n] <= fire.t_hi(e))
+        if fire.frozen is None:
+            fire.frozen = np.full(n, np.inf)
+        fire.frozen[newly] = dist[newly]
+        fire.n_frozen += newly.size
+        if fire.done(e + 1):
+            burn = self._raster(fire.frozen, None)
+            fire.frozen = fire.edge = fire.entered = fire.cost = fire.left = None
+            for pos in fire.pos:
+                yield pos, burn
+            return False
+        fire.hand_over(newly, 60.0 * (e + 1), minutes, self._indptr, self._indices)
+        return True
+
+    def _search(
+        self, fire: _Fire, e: int, values: np.ndarray, indices: np.ndarray, indptr: np.ndarray
+    ) -> np.ndarray:
+        """The labels of hour e >= 1: a search from the fire's perimeter
+        under the hour's costs, held in the graph buffers with this filling
+        in the super-source's edges. It seeds each unburned cell across an
+        open edge at the earliest minute the fire on that edge leaves it
+        (`_Fire.seeds`), and blocks the edges back into the burned set, so
+        it settles only cells that are not burned yet."""
         n, m = self._n_cells, self._indices.size
-        t_hi = min(60.0 * (e + 1), fire.duration_min)
+        t_hi = fire.t_hi(e)
         sources, times = fire.seeds(values[:m], self._indices, 60.0 * e, t_hi)
-        frozen, frozen_mask = fire.frozen, fire.frozen_mask
 
         # The reverses of the open edges are the in-edges of the burned set
         # from unburned cells.
@@ -477,14 +483,9 @@ class SpreadEngine:
         values[m:size] = times
         indptr[n + 1] = size
         csr = csr_matrix((values[:size], indices[:size], indptr), shape=(n + 1, n + 1))
-        dist = dijkstra(csr, directed=True, indices=n, limit=t_hi)[:n]
+        dist = dijkstra(csr, directed=True, indices=n, limit=t_hi)
         values[into_burned] = blocked
-
-        newly = np.flatnonzero((dist <= t_hi) & ~frozen_mask)
-        frozen[newly] = dist[newly]
-        frozen_mask[newly] = True
-        fire.n_frozen += newly.size
-        fire.newly = newly
+        return dist
 
     def _raster(self, arrival: np.ndarray, warning: Optional[str]) -> BurnRaster:
         arrival = arrival.reshape(self.land.nrows, self.land.ncols)
@@ -497,11 +498,12 @@ class _Fire:
     spec of the group with its ignition cell and duration; `pos` holds
     their positions in the group.
 
-    Besides the frozen arrival labels, a fire keeps its open edges: the
+    Its arrival labels `frozen` are +inf where a cell has not burned, so
+    its burned set is the finite labels. It also keeps its open edges: the
     CSR positions of the edges from a burned cell to an unburned one, with,
     per edge, the minute the fire entered it, its cost then (NaN once an
     hour's cost differs) and the share of it still to cross at the next
-    hour boundary.
+    hour boundary. A finished fire drops all of these.
     """
 
     def __init__(self, ig: IgnitionSpec, ig_idx: int, reach: int):
@@ -511,18 +513,15 @@ class _Fire:
         self.epochs = math.ceil(ig.duration_hours)
         self.duration_min = ig.duration_hours * 60.0
         self.frozen: Optional[np.ndarray] = None
-        self.frozen_mask: Optional[np.ndarray] = None
         self.n_frozen = 0
-        self.newly = np.empty(0, dtype=np.int64)
         self.edge = np.empty(0, dtype=np.int64)
         self.entered = np.empty(0)
         self.cost = np.empty(0)
         self.left = np.empty(0)
 
-    def outcomes(self, burn: BurnRaster) -> Iterator[tuple[int, BurnRaster]]:
-        """The fire's raster at the position of each spec it serves."""
-        for pos in self.pos:
-            yield pos, burn
+    def t_hi(self, e: int) -> float:
+        """The last minute the fire burns in hour e."""
+        return min(60.0 * (e + 1), self.duration_min)
 
     def done(self, e: int) -> bool:
         """Whether the fire stops before hour e: its duration is over, or
@@ -552,37 +551,30 @@ class _Fire:
         return cells[first], np.minimum.reduceat(leave, first)
 
     def hand_over(
-        self, t_end: float, minutes: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+        self, new: np.ndarray, t_end: float, minutes: np.ndarray, indptr: np.ndarray,
+        indices: np.ndarray,
     ) -> None:
         """Carry the open edges over the hour boundary at minute t_end,
-        given the costs `minutes` of the hour that ends there: close the
-        edges into cells that burned in the hour, take the hour's progress
-        off the others, and open every edge from a cell that burned in the
-        hour to one that did not."""
-        burned, new = self.frozen_mask, self.newly
+        given the cells `new` that burned in the hour that ends there and
+        its costs `minutes`: close the edges into those cells, take the
+        hour's progress off the others, and open every edge from one of
+        them to a cell that has not burned."""
+        frozen = self.frozen
         first = indptr[new]
         deg = indptr[new + 1] - first
         edge = np.repeat(first - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-        entered = np.repeat(self.frozen[new], deg)
-        opened = ~burned[indices[edge]]
+        entered = np.repeat(frozen[new], deg)
+        opened = frozen[indices[edge]] == np.inf
         edge, entered = edge[opened], entered[opened]
         c_new = minutes[edge]
 
-        still = ~burned[indices[self.edge]]
+        still = frozen[indices[self.edge]] == np.inf
         c = minutes[self.edge[still]]
         cost = self.cost[still]
         self.edge = np.concatenate([self.edge[still], edge])
         self.entered = np.concatenate([self.entered[still], entered])
         self.cost = np.concatenate([np.where(c == cost, cost, np.nan), c_new])
         self.left = np.concatenate([self.left[still] - 60.0 / c, 1.0 - (t_end - entered) / c_new])
-
-    def arrival(self) -> np.ndarray:
-        """Arrival minutes within the duration, +inf elsewhere (flat).
-        Frees the search state, so a finished fire holds no memory."""
-        out = np.where(self.frozen <= self.duration_min, self.frozen, np.inf)
-        self.frozen = self.frozen_mask = self.newly = None
-        self.edge = self.entered = self.cost = self.left = None
-        return out
 
 
 def check_coverage(wx: WeatherSeries, start: datetime, hours: float) -> None:

@@ -36,6 +36,9 @@ from .errors import CoverageError, InvalidInputError, InvalidSampleError, Malfor
 HOUR = timedelta(hours=1)
 WEATHER_HEADER = ["timestamp_utc", "wind_speed_ms", "wind_dir_from_deg", "temp_c", "rh_pct"]
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%MZ"
+# The default study's weather year and its seasonal ignition hour (UTC).
+STUDY_YEAR = 2022
+IGNITION_HOUR = 12
 _EPOCH = date(1970, 1, 1)
 # Rows of a weather file converted at a time: a few blocks per year, so
 # the per-field strings of the whole year are never alive together.
@@ -197,7 +200,7 @@ class WeatherSeries:
         return self._sample(idx)
 
 
-def season_starts(year: int, hour: int = 12) -> tuple[datetime, datetime, datetime, datetime]:
+def season_starts(year: int = STUDY_YEAR, hour: int = IGNITION_HOUR) -> tuple[datetime, ...]:
     """Seasonal ignition instants: Jan 1, Apr 1, Jul 1, Oct 1 at the given hour UTC."""
     if not 0 <= hour <= 23:
         raise InvalidInputError(f"ignition hour {hour} outside [0, 23]")
@@ -224,7 +227,10 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def _row_fault(path: Path, i: int, message: object, kind=InvalidSampleError) -> Exception:
-    return kind(f"{path}: row {i + 2}: {message}")
+    """The error for data row i, named by its file line (blank lines count)."""
+    reader = csv.reader(io.StringIO(path.read_text()))
+    line = next(islice((reader.line_num for r in reader if r), i + 1, None))
+    return kind(f"{path}: row {line}: {message}")
 
 
 def _read_block(
@@ -293,7 +299,7 @@ def _read_block(
 def load_weather(path: str | Path) -> WeatherSeries:
     """Read the hourly weather CSV (see WEATHER_HEADER for columns).
 
-    The first bad row in the file is named.
+    The first bad row in the file is named by its line.
     """
     path = Path(path)
     try:

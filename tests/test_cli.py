@@ -297,12 +297,21 @@ def test_missing_config_is_exit_2(tmp_path, capsys):
     assert "nope.ini" in capsys.readouterr().err
 
 
-def test_malformed_table_row_is_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("rows,named", [
+    pytest.param("6,a,b,c,d,e\n", "row 2: malformed", id="text"),
+    pytest.param("6,1,2,nan,4,1.75\n", "row 2: values [1.0, 2.0, nan, 4.0] must be", id="nan"),
+    pytest.param("6,1,2,3,4,2.5\n7,1,inf,3,4,inf\n", "row 3: values [1.0, inf,", id="inf"),
+    pytest.param("6,1,-5000,3,4,-1248\n", "row 2: values [1.0, -5000.0,", id="negative"),
+    pytest.param("6,1,2,3,4,2.5\n7,1,2,3,4,2.5\n6,1e9,1e9,1e9,1e9,1e9\n",
+                 "row 4: line 6 repeats", id="repeated-line"),
+])
+def test_malformed_table_row_is_exit_2(tmp_path, capsys, rows, named):
     bad = tmp_path / "bad.csv"
-    bad.write_text("line_id,winter,spring,summer,fall,avg\n6,a,b,c,d,e\n")
-    rc = run(["assess", "--from-tables", str(bad), str(bad), "--out", str(tmp_path)])
+    bad.write_text("line_id,winter,spring,summer,fall,avg\n" + rows)
+    rc = run(["assess", "--from-tables", str(bad), str(bad), "--out", str(tmp_path / "rep")])
     assert rc == 2
-    assert "row 2" in capsys.readouterr().err
+    assert f"{bad} {named}" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_bad_seed_type_is_exit_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ import heapq
 import math
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -582,6 +583,73 @@ def test_group_arrival_equals_hourly_reference(seed, n, min_ros, durations, bloc
         whole = got[len(specs) - 1].arrival
         assert np.isfinite(whole).sum() == eng.reach(island.row * n + island.col)
         assert whole[np.isfinite(whole)].max() <= 60.0, "the island should burn out in hour 0"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(16, 20),
+    block_rows=st.integers(1, 3),
+    fires=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])),
+                   min_size=1, max_size=6),
+    wind=st.lists(st.floats(0.0, 8.0), min_size=3, max_size=3),
+    wdir=st.lists(st.floats(0.0, 359.0), min_size=3, max_size=3),
+    rh=st.lists(st.floats(10.0, 90.0), min_size=3, max_size=3),
+)
+def test_random_groups_equal_hourly_reference(seed, n, block_rows, fires, wind, wdir, rh):
+    """Every position of a random group gets the exact time-dependent
+    arrival, whatever the hour its fire stops in, the first-hour block it
+    falls in, and the twins it shares a fire with: each fire's hour ends
+    in the same step, from a first-hour row or from a later search."""
+    land = synth_landscape(SynthSpec(
+        nrows=n, ncols=n, cell_size=30.0, origin=ORIGIN, seed=seed,
+        fuel_mix=((1, 0.45), (2, 0.2), (3, 0.1), (0, 0.25)), patch_cells=3.0,
+        elevation_relief=30.0,
+    ))
+    wx = WeatherSeries(tuple(
+        WeatherSample(T0 + h * HOUR, wind[h], wdir[h], 20.0, rh[h]) for h in range(3)
+    ))
+    burnable = np.argwhere(land.burnable_mask())
+    pool = [GridIndex(*map(int, burnable[k]))
+            for k in np.random.default_rng(seed).integers(len(burnable), size=4)]
+    # The last spec is always a twin of the first, from another line.
+    specs = [ignite(pool[k], hours, line_id=i + 1) for i, (k, hours) in enumerate(fires)]
+    specs.append(ignite(specs[0].cell, specs[0].duration_hours, line_id=len(specs) + 1))
+    eng = SpreadEngine(land)
+    with patch.object(spread, "FIRST_HOUR_BLOCK_BYTES", block_rows * 8 * n * n):
+        got = dict(eng.run_group(specs, wx))
+    assert sorted(got) == list(range(len(specs)))
+    for i, ig in enumerate(specs):
+        want = hourly_reference(eng, wx, ig)
+        np.testing.assert_array_equal(got[i].status, np.isfinite(want))
+        np.testing.assert_allclose(got[i].arrival[got[i].status], want[np.isfinite(want)],
+                                   rtol=0, atol=1e-9)
+        for j in range(i):
+            twins = (specs[j].cell, specs[j].duration_hours) == (ig.cell, ig.duration_hours)
+            assert (got[j] is got[i]) == twins, (j, i)
+
+
+def test_finished_fires_hold_no_memory():
+    """A finished fire keeps no arrays: when the consumer drops each
+    raster, a group of 200 one-hour fires at 128x128 peaks below two
+    first-hour blocks of rows. (200 kept arrival arrays would be 26 MB.)"""
+    land = study_landscape(seed=0)
+    eng = SpreadEngine(land)
+    wx = const_wx(hours=2, ws=4.0, wdir=225.0, rh=25.0)
+    cells = np.flatnonzero(land.burnable_mask().ravel())
+    specs = [ignite(GridIndex(*divmod(int(i), land.ncols)), 1.0)
+             for i in cells[::len(cells) // 200][:200]]
+    assert len(specs) == 200
+    burned = 0
+    tracemalloc.start()
+    try:
+        for _, b in eng.run_group(specs, wx):
+            burned += b.burned_cell_count()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert burned > 200
+    assert peak < 2 * spread.FIRST_HOUR_BLOCK_BYTES, peak
 
 
 @settings(max_examples=40, deadline=None)

@@ -241,6 +241,28 @@ def test_load_names_the_first_of_several_bad_rows(tmp_path, monkeypatch, block):
     assert len(load_weather(path)) == 48
 
 
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("where,blanks_before", [(1, {1}), (45, {1, 20, 45})])
+@pytest.mark.parametrize("fault", ["rh 101", "gap", "missing field"])
+def test_load_names_the_file_line_after_blank_lines(tmp_path, monkeypatch, fault, where,
+                                                    blanks_before, block):
+    """Blank lines are skipped but counted: a bad row is named by its line
+    in the file, as an editor shows it."""
+    monkeypatch.setattr(weather, "_BLOCK_ROWS", block)
+    make, kind, message = FAULTS[fault]
+    lines = [",".join(WEATHER_HEADER)]
+    for h in range(48):
+        if h in blanks_before:
+            lines.append("")
+        lines.append(make(h) if h == where else row(h))
+    path = tmp_path / "wx.csv"
+    path.write_text("\n".join(lines) + "\n")
+    line = where + 2 + len(blanks_before)
+    assert lines[line - 1] == make(where)
+    with pytest.raises(kind, match=f"wx.csv: row {line}: {message}"):
+        load_weather(path)
+
+
 def test_load_checks_a_bad_rows_timestamp_before_its_values(tmp_path):
     rows = [row(h) for h in range(4)]
     rows[2] = row(2, "-1.0,225.0,15.0,40.0", at=5)
