@@ -4,17 +4,20 @@
     python3 scripts/same_outputs.py PARENT_TREE
 
 PARENT_TREE is another gridfire checkout, for example the parent commit
-unpacked with `git archive`. For each tree, `synth`, `simulate` and
-`assess` run in subprocesses with only that tree's `src` on PYTHONPATH, on:
+unpacked with `git archive`. For each tree, `synth`, `simulate`, `assess`
+and `report` run in subprocesses with only that tree's `src` on PYTHONPATH:
 
-- every perfbench workload (its size and `--set` values, read from
-  perfbench/run.py's WORKLOADS) at `--seed 7`;
-- the full 408-scenario 128x128 study at `--workers 1` and `--workers 2`.
+- `synth` at every perfbench workload's size;
+- `simulate`, `assess` and `report` on every perfbench workload (its size
+  and `--set` values, read from perfbench/run.py's WORKLOADS) at
+  `--seed 7`, and on the full 408-scenario 128x128 study at `--workers 1`
+  and `--workers 2`;
+- `assess --from-tables` and `report` on the reference tables that
+  `synth` writes.
 
-It compares results.csv, run_meta.json, risk.csv, table_*.csv and
-plot_metric.csv byte for byte, prints one line per file, and exits 1 if
-any file differs or is missing from one tree. Outputs go to a temporary
-directory.
+It compares every file these write, and each `report`'s stdout, byte for
+byte, prints one line per file, and exits 1 if any file differs or is
+missing from one tree. Outputs go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUTPUTS = ("run/results.csv", "run/run_meta.json", "report/risk.csv", "report/table_*.csv",
-           "report/plot_metric.csv")
 SEED = 7
 
 
@@ -52,42 +53,53 @@ def runs(bench) -> list[tuple[str, int, list[str], int]]:
     return out
 
 
-def gridfire(tree: Path, *args: str) -> None:
+def gridfire(tree: Path, *args: str) -> str:
+    """The stdout of one gridfire command run with the tree's sources."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     done = subprocess.run([sys.executable, "-m", "gridfire.cli", *args], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+                          capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{tree}: gridfire {' '.join(args)} exited {done.returncode}\n"
                          f"{done.stderr}")
+    return done.stdout
+
+
+def report(tree: Path, out: Path) -> None:
+    (out / "report.txt").write_text(gridfire(tree, "report", str(out / "report")))
 
 
 def run_tree(tree: Path, work: Path, bench) -> None:
-    for size in sorted({size for _, size, _, _ in runs(bench)}):
-        gridfire(tree, "synth", "--out", str(work / f"study{size}"),
+    sizes = sorted({size for _, size, _, _ in runs(bench)})
+    for size in sizes:
+        gridfire(tree, "synth", "--out", str(work / f"inputs{size}"),
                  "--seed", str(bench.STUDY_INPUT_SEED), "--size", str(size))
     for name, size, args, workers in runs(bench):
-        ini, out = str(work / f"study{size}" / "study.ini"), work / name
+        ini, out = str(work / f"inputs{size}" / "study.ini"), work / name
         gridfire(tree, "simulate", "--config", ini, "--out", str(out / "run"),
                  "--workers", str(workers), *args)
         gridfire(tree, "assess", "--config", ini, "--results", str(out / "run" / "results.csv"),
                  "--out", str(out / "report"), *args)
+        report(tree, out)
+    study, out = work / f"inputs{sizes[0]}", work / "from-tables"
+    gridfire(tree, "assess", "--from-tables", str(study / "table1.csv"),
+             str(study / "table2.csv"), "--out", str(out / "report"))
+    report(tree, out)
 
 
-def compare(parent: Path, change: Path, names: list[str]) -> int:
-    """Print one line per output file; return the number that differ."""
+def compare(parent: Path, change: Path) -> int:
+    """Print one line per file written under either tree's outputs;
+    return the number that differ or exist under one tree only."""
     differ = 0
-    for name in names:
-        found = sorted({p.relative_to(root / name).as_posix()
-                        for root in (parent, change) for pattern in OUTPUTS
-                        for p in (root / name).glob(pattern)})
-        for rel in found:
-            a, b = parent / name / rel, change / name / rel
-            if not (a.is_file() and b.is_file()):
-                status = "missing"
-            else:
-                status = "same" if a.read_bytes() == b.read_bytes() else "DIFFERS"
-            differ += status != "same"
-            print(f"{status:<8} {name}/{rel}")
+    found = sorted({p.relative_to(root).as_posix()
+                    for root in (parent, change) for p in root.rglob("*") if p.is_file()})
+    for rel in found:
+        a, b = parent / rel, change / rel
+        if not (a.is_file() and b.is_file()):
+            status = "missing"
+        else:
+            status = "same" if a.read_bytes() == b.read_bytes() else "DIFFERS"
+        differ += status != "same"
+        print(f"{status:<8} {rel}")
     return differ
 
 
@@ -103,7 +115,7 @@ def main(argv=None) -> int:
         work = Path(tmp)
         for label, tree in (("parent", args.parent.resolve()), ("change", ROOT)):
             run_tree(tree, work / label, bench)
-        differ = compare(work / "parent", work / "change", [name for name, *_ in runs(bench)])
+        differ = compare(work / "parent", work / "change")
     print(f"{differ} file(s) differ" if differ else "all outputs byte-identical")
     return 1 if differ else 0
 

@@ -27,10 +27,11 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
+from .csvfile import read_csv
 from .errors import GridFireError, InvalidInputError
 from .fixtures import (
     SEASON_LABELS,
@@ -70,8 +71,9 @@ class Key:
     """One study.ini key: where it lives, how its text parses, its default.
 
     A key that fills a dataclass field (`owner`.`field`) takes its default
-    from that field; any other key carries its own. Keys whose default is
-    None are left out of the study.ini that synth writes.
+    from that field (None for a field built by a factory); any other key
+    carries its own. Keys whose default is None are left out of the
+    study.ini that synth writes.
     """
 
     section: str
@@ -84,7 +86,7 @@ class Key:
     def __post_init__(self):
         if self.owner is not None:
             default = next(f.default for f in fields(self.owner) if f.name == self.field)
-            object.__setattr__(self, "default", default)
+            object.__setattr__(self, "default", None if default is MISSING else default)
 
 
 SCHEMA = (
@@ -100,7 +102,7 @@ SCHEMA = (
     Key("study", "ignition_hour", int, default=IGNITION_HOUR),
     Key("study", "buffer_cells", int, StudyConfig, "buffer_cells"),
     Key("study", "line_ids", _listed(int), StudyConfig, "line_ids"),
-    Key("study", "seasons", _listed(parse_timestamp)),
+    Key("study", "seasons", _listed(parse_timestamp), StudyConfig, "seasons"),
     Key("spread", "neighborhood", int, SpreadParams, "neighborhood"),
     Key("spread", "humidity_ref_pct", _finite, SpreadParams, "humidity_ref"),
     Key("spread", "min_ros_m_min", _finite, SpreadParams, "min_ros"),
@@ -183,14 +185,6 @@ def load_config(path, overrides, require, seed=None):
             raise ValueError(f"unknown section [{section}]")
     if seed is not None:
         values["study.seed"] = seed
-    # Every dataclass check reads a single field, so building the owner
-    # with only this key's value pins a domain error on the key.
-    for name, k in KEYS.items():
-        if k.owner is not None:
-            try:
-                k.owner(**{k.field: values[name]})
-            except InvalidInputError as exc:
-                raise ValueError(f"{name} = {values[name]!r}: {exc}") from None
     if values["study.seasons"] is None:
         try:
             values["study.seasons"] = season_starts(values["study.year"], values["study.ignition_hour"])
@@ -198,12 +192,19 @@ def load_config(path, overrides, require, seed=None):
             raise ValueError(f"study.ignition_hour = {values['study.ignition_hour']}: {exc}") from None
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"study.year = {values['study.year']}: {exc}") from None
+    # Every dataclass check reads a single field, so building the owner
+    # with only this key's value pins a domain error on the key.
+    for name, k in KEYS.items():
+        if k.owner is not None:
+            try:
+                k.owner(**{k.field: values[name]})
+            except InvalidInputError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
     def fill(owner, **extra):
         return owner(**{k.field: values[name] for name, k in KEYS.items() if k.owner is owner}, **extra)
 
-    study = fill(StudyConfig, seasons=values["study.seasons"],
-                 spread=fill(SpreadParams), costs=fill(CostParams))
+    study = fill(StudyConfig, spread=fill(SpreadParams), costs=fill(CostParams))
     # An absolute path replaces the config file's folder when joined to it.
     base = Path(path).resolve().parent
     paths = {k.name: base / values[name] for name, k in KEYS.items() if k.section == "paths"}
@@ -303,29 +304,24 @@ def _write_table(path, records, attr):
 
 def _read_table(path):
     """Read a line_id,<season...>,avg CSV into {line_id: [season values]}."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("line_id,"):
+    header, rows = read_csv(path, InvalidInputError)
+    if header[:1] != ["line_id"]:
         raise InvalidInputError(f"{path}: expected header starting with line_id,")
-    cols = lines[0].split(",")[1:]
-    n_seasons = len(cols) - 1 if cols and cols[-1] == "avg" else len(cols)
+    n_seasons = len(header) - 1 - (header[-1] == "avg")
     if n_seasons < 1:
         raise InvalidInputError(f"{path}: no season columns in header")
     table = {}
-    for lineno, row in enumerate(lines[1:], start=2):
-        if not row.strip():
-            continue
-        parts = row.split(",")
+    for line, fields in rows:
         try:
-            j = int(parts[0])
-            vals = [float(x) for x in parts[1:1 + n_seasons]]
-        except (ValueError, IndexError):
-            raise InvalidInputError(f"{path} row {lineno}: malformed table row {row!r}") from None
-        if len(vals) != n_seasons:
-            raise InvalidInputError(f"{path} row {lineno}: expected {n_seasons} season values")
+            j = int(fields[0])
+            vals = [float(x) for x in fields[1:1 + n_seasons]]
+        except ValueError:
+            raise InvalidInputError(
+                f"{path}: row {line}: malformed table row {','.join(fields)!r}") from None
         if not all(0 <= v < math.inf for v in vals):
-            raise InvalidInputError(f"{path} row {lineno}: values {vals} must be finite and >= 0")
+            raise InvalidInputError(f"{path}: row {line}: values {vals} must be finite and >= 0")
         if j in table:
-            raise InvalidInputError(f"{path} row {lineno}: line {j} repeats an earlier row")
+            raise InvalidInputError(f"{path}: row {line}: line {j} repeats an earlier row")
         table[j] = vals
     if not table:
         raise InvalidInputError(f"{path}: no data rows")
@@ -337,7 +333,11 @@ def cmd_assess(args):
     costs = config.study.costs
     if args.from_tables:
         acres_path, miles_path = args.from_tables
-        records = rank_lines(_read_table(acres_path), _read_table(miles_path), costs)
+        acres, miles = _read_table(acres_path), _read_table(miles_path)
+        try:
+            records = rank_lines(acres, miles, costs)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{acres_path} and {miles_path}: {exc}") from None
     else:
         records = assess_results(read_results(args.results), costs)
 
@@ -370,18 +370,15 @@ def cmd_report(args):
         raise InvalidInputError(f"missing report file: {acres_path}")
 
     rows = []
-    lines = risk_path.read_text().splitlines()
-    if not lines or lines[0] != RISK_HEADER:
+    header, risk_rows = read_csv(risk_path, InvalidInputError)
+    if header != RISK_HEADER.split(","):
         raise InvalidInputError(f"{risk_path}: unexpected header")
-    for lineno, row in enumerate(lines[1:], start=2):
-        if not row.strip():
-            continue
-        parts = row.split(",")
+    for line, (j, lbe_d, lbl_d, wfl_d, metric, rank) in risk_rows:
         try:
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]),
-                         float(parts[3]), float(parts[4]), int(parts[5])))
-        except (ValueError, IndexError):
-            raise InvalidInputError(f"{risk_path} row {lineno}: malformed row") from None
+            rows.append((int(j), float(lbe_d), float(lbl_d), float(wfl_d), float(metric),
+                         int(rank)))
+        except ValueError:
+            raise InvalidInputError(f"{risk_path}: row {line}: malformed row") from None
     if not rows:
         raise InvalidInputError(f"{risk_path}: no data rows")
     rows.sort(key=lambda r: r[5])

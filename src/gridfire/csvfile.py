@@ -1,0 +1,52 @@
+"""One reader for every CSV table the program reads.
+
+`read_csv` numbers each data row by its line in the file, as an editor
+shows it, and holds each row to the header's field count, so the row
+numbers in every input error and the width rule have one definition.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+from pathlib import Path
+from typing import Iterator
+
+
+Rows = Iterator[tuple[int, list[str]]]
+
+
+def read_csv(path: str | Path, error: type[Exception]) -> tuple[list[str], Rows]:
+    """The stripped header fields of a CSV file and an iterator of
+    (line, fields) over its data rows.
+
+    `line` is the row's 1-based line in the file. Blank lines (empty, or
+    spaces only) are skipped but counted, and the header is the first line
+    that is not blank. A file that cannot be read raises `error` naming the
+    file; a row whose field count differs from the header's raises `error`
+    naming the file and line when the iterator reaches it.
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    rows = _rows(path, text, error)
+    _, header = next(rows, (0, []))
+    return [f.strip() for f in header], rows
+
+
+def _rows(path: str | Path, text: str, error: type[Exception]) -> Rows:
+    reader = csv.reader(io.StringIO(text))
+    width = None
+    try:
+        for fields in reader:
+            if len(fields) < 2 and not "".join(fields).strip():
+                continue
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                raise error(f"{path}: row {reader.line_num}: "
+                            f"expected {width} fields, got {len(fields)}")
+            yield reader.line_num, fields
+    except csv.Error as exc:
+        raise error(f"{path}: row {reader.line_num}: {exc}") from exc

@@ -8,7 +8,6 @@ directory are not read.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from .asciigrid import AsciiGrid, read_ascii_grid, write_ascii_grid
+from .csvfile import read_csv
 from .errors import (
     CatalogError,
     InconsistentRasterError,
@@ -113,32 +113,18 @@ def default_catalog() -> FuelCatalog:
 
 def load_catalog(path: str | Path) -> FuelCatalog:
     """Read a fuel catalog CSV (id,name,burnable,base_ros_m_min,...)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
-    reader = csv.DictReader(text.splitlines())
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != CATALOG_HEADER:
+    header, rows = read_csv(path, CatalogError)
+    if header != CATALOG_HEADER:
         raise CatalogError(f"{path}: expected header {','.join(CATALOG_HEADER)}")
     models: dict[int, FuelModel] = {}
-    for i, row in enumerate(reader, start=2):
+    for line, (fid, name, burnable, *numbers) in rows:
         try:
-            fid = int(row["id"])
-            model = FuelModel(
-                id=fid,
-                name=row["name"].strip(),
-                burnable=_parse_flag(row["burnable"]),
-                base_ros=float(row["base_ros_m_min"]),
-                wind_coeff=float(row["wind_coeff"]),
-                wind_exp=float(row["wind_exp"]),
-                moisture_exp=float(row["moisture_exp"]),
-            )
-        except (ValueError, InvalidInputError, TypeError) as exc:
-            raise CatalogError(f"{path}: bad catalog row {i}: {exc}") from exc
-        if fid in models:
-            raise CatalogError(f"{path}: duplicate fuel id {fid} at row {i}")
-        models[fid] = model
+            model = FuelModel(int(fid), name.strip(), _parse_flag(burnable), *map(float, numbers))
+        except (ValueError, InvalidInputError) as exc:
+            raise CatalogError(f"{path}: row {line}: {exc}") from exc
+        if model.id in models:
+            raise CatalogError(f"{path}: row {line}: duplicate fuel id {model.id}")
+        models[model.id] = model
     non_burnable = [m.id for m in models.values() if not m.burnable]
     if not non_burnable:
         raise CatalogError(f"{path}: catalog has no non-burnable entry")

@@ -83,10 +83,13 @@ def rank_lines(
 
     season_acres[j] and season_miles[j] hold, for line j, the per-season
     mean burned acres and mean affected line miles (already averaged over
-    ignitions). Sorting is by metric descending, then line id.
+    ignitions); both tables cover the same lines, and every row the same
+    number of seasons. Sorting is by metric descending, then line id.
     """
     if set(season_acres) != set(season_miles):
         raise InvalidInputError("acre and mile tables cover different line sets")
+    if len({len(v) for v in (*season_acres.values(), *season_miles.values())}) > 1:
+        raise InvalidInputError("acre and mile tables hold different numbers of seasons")
     lbe_by = {j: costs.cbe * seasonal_average(v) for j, v in season_acres.items()}
     lbl_by = {j: costs.cbl * seasonal_average(v) for j, v in season_miles.items()}
     wfl_by = {j: wfl(lbe_by[j], lbl_by[j]) for j in lbe_by}

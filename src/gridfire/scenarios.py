@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .csvfile import read_csv
 from .errors import CoverageError, InvalidInputError
 from .geo import GridIndex, PlanarPoint, RasterFrame
 from .landscape import LandscapeRaster, cell_acreage
@@ -62,10 +63,15 @@ class StudyConfig:
             raise InvalidInputError(f"ignitions_per_line must be >= 1, got {self.ignitions_per_line}")
         if not self.seasons:
             raise InvalidInputError("seasons must be non-empty")
+        if len(set(self.seasons)) != len(self.seasons):
+            raise InvalidInputError("seasons must be distinct instants, got "
+                                    + ", ".join(s.isoformat() for s in self.seasons))
         if not self.duration_hours > 0:
             raise InvalidInputError(f"duration {self.duration_hours} h must be positive")
         if self.placement not in PLACEMENTS:
             raise InvalidInputError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.buffer_cells < 0:
             raise InvalidInputError(f"buffer_cells must be >= 0, got {self.buffer_cells}")
         object.__setattr__(self, "seasons", tuple(self.seasons))
@@ -276,31 +282,21 @@ def write_results(results: Sequence[ScenarioResult], path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> list[ScenarioResult]:
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read results file {path}: {exc}") from exc
-    if not lines or lines[0].strip() != RESULTS_HEADER:
+    header, rows = read_csv(path, InvalidInputError)
+    if header != RESULTS_HEADER.split(","):
         raise InvalidInputError(f"{path}: expected header {RESULTS_HEADER!r}")
     out = []
     seen: dict[tuple[int, int, int], int] = {}
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise InvalidInputError(f"{path}: row {i}: expected 7 fields, got {len(parts)}")
+    for i, (line_id, season, ignition, cells, acres, ids, miles) in rows:
         try:
-            ids = frozenset(int(t) for t in parts[5].split(";") if t)
             r = ScenarioResult(
-                line_id=int(parts[0]),
-                season_index=int(parts[1]),
-                ignition_index=int(parts[2]),
-                burned_cell_count=int(parts[3]),
-                burned_acres=float(parts[4]),
-                affected_line_ids=ids,
-                affected_miles=float(parts[6]),
+                line_id=int(line_id),
+                season_index=int(season),
+                ignition_index=int(ignition),
+                burned_cell_count=int(cells),
+                burned_acres=float(acres),
+                affected_line_ids=frozenset(int(t) for t in ids.split(";") if t),
+                affected_miles=float(miles),
             )
         except ValueError as exc:
             raise InvalidInputError(f"{path}: row {i}: {exc}") from exc

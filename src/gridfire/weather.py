@@ -7,13 +7,14 @@ series builds the `WeatherSample` of an hour only when `at` first asks for
 it, and hands back that same object on every later call; `samples` is the
 tuple of all of them, built on first use.
 
-`load_weather` validates the whole file in column passes over blocks of
-rows: per block, one numpy float conversion of the four value columns,
-vectorised range masks, and one comparison of the timestamp column against
-the hourly sequence that starts at row 0. Only the rows whose text differs
-from that sequence (unpadded forms, impossible dates, gaps, repeats) go
-through `parse_timestamp`. A bad row anywhere in the file is rejected with
-its row number.
+`load_weather` checks a file in column passes over blocks of rows: per
+block, one numpy float conversion of the four value columns, vectorised
+range masks, and one comparison of the timestamp column against the hourly
+sequence that starts at row 0 (only rows whose text differs from it, such
+as unpadded forms, are parsed). These passes only decide whether the whole
+file is good. A file they reject is read again row by row, one
+`WeatherSample` per row, and that reading alone decides which row is
+named, by its line in the file, and why.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from itertools import islice
@@ -31,6 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .csvfile import read_csv
 from .errors import CoverageError, InvalidInputError, InvalidSampleError, MalformedSeriesError
 
 HOUR = timedelta(hours=1)
@@ -43,8 +44,6 @@ _EPOCH = date(1970, 1, 1)
 # Rows of a weather file converted at a time: a few blocks per year, so
 # the per-field strings of the whole year are never alive together.
 _BLOCK_ROWS = 2048
-# The zero-padded form `write_weather` writes, parsed without strptime.
-_CANONICAL_TIMESTAMP = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2})Z")
 
 
 @dataclass(frozen=True)
@@ -210,114 +209,87 @@ def season_starts(year: int = STUDY_YEAR, hour: int = IGNITION_HOUR) -> tuple[da
 
 
 def parse_timestamp(text: str) -> datetime:
-    """UTC instant of a TIMESTAMP_FORMAT string.
-
-    The canonical form takes one regex match; anything else, and a
-    canonical string naming no real instant (a February 30th, hour 24),
-    goes to strptime, so the accepted inputs and the error messages are
-    strptime's.
-    """
-    m = _CANONICAL_TIMESTAMP.fullmatch(text)
-    if m is not None:
-        try:
-            return datetime(*map(int, m.groups()), tzinfo=timezone.utc)
-        except ValueError:
-            pass
+    """UTC instant of a TIMESTAMP_FORMAT string; the accepted inputs and
+    the error messages are strptime's."""
     return datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
 
 
-def _row_fault(path: Path, i: int, message: object, kind=InvalidSampleError) -> Exception:
-    """The error for data row i, named by its file line (blank lines count)."""
-    reader = csv.reader(io.StringIO(path.read_text()))
-    line = next(islice((reader.line_num for r in reader if r), i + 1, None))
-    return kind(f"{path}: row {line}: {message}")
-
-
-def _read_block(
-    path: Path, block: list[list[str]], first: int, start: datetime | None
-) -> tuple[datetime, np.ndarray]:
-    """The series start and the (4, len(block)) values of the data rows
-    first, first + 1, ... of a weather file, validated; raises for the first
-    bad row, checking a row's timestamp before its values. `start` is None
-    for the block that holds row 0."""
-    # `stop` is the first row whose fields cannot all be read as numbers;
-    # the rows before it become the four value columns.
-    width = len(WEATHER_HEADER)
-    n = len(block)
-    wrong = np.flatnonzero(np.fromiter(map(len, block), np.int64, n) != width)
-    stop = int(wrong[0]) if wrong.size else n
-    stop_fault = None
-    if stop < n:
-        stop_fault = _row_fault(path, first + stop,
-                                f"expected {width} fields, got {len(block[stop])}")
-    columns = list(zip(*block[:stop]))[1:] if stop else [()] * (width - 1)
-    try:
-        values = np.array(columns, dtype=np.float64)
-    except ValueError:  # numpy names no row: find the first one float() refuses
-        for i, r in enumerate(block[:stop]):
-            try:
-                for v in r[1:]:
-                    float(v)
-            except ValueError as exc:
-                stop, stop_fault = i, _row_fault(path, first + i, exc)
-                break
-        values = np.array([c[:stop] for c in columns], dtype=np.float64)
-    bad = _first_invalid(values)
-
-    # Timestamps of every row up to the first faulty one, that row included:
-    # text equal to the hourly sequence from row 0 is that hour; any other
-    # text is parsed and must still be one hour after the row before it.
-    if start is None:
-        try:
+def _check_columns(text: str) -> tuple[datetime, np.ndarray]:
+    """The series start and the (4, hours) values of a weather file's text,
+    checked in column passes over blocks of rows; raises a bare ValueError,
+    naming no row, if the file breaks any rule."""
+    rows = filter(None, csv.reader(io.StringIO(text)))
+    if [f.strip() for f in next(rows, ())] != WEATHER_HEADER:
+        raise ValueError("bad header")
+    start, parts, done = None, [], 0
+    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
+        n = len(block)
+        if any(len(r) != len(WEATHER_HEADER) for r in block):
+            raise ValueError("ragged row")
+        values = np.array(list(zip(*block))[1:], dtype=np.float64)
+        if _first_invalid(values) < n:
+            raise ValueError("invalid value")
+        if start is None:
             start = parse_timestamp(block[0][0].strip())
-        except ValueError as exc:
-            raise _row_fault(path, 0, f"bad timestamp: {exc}") from exc
-    checked = min(bad + 1, n)
-    stamps = map(itemgetter(0), block[:checked])
-    expected = _hour_stamps(start + first * HOUR, checked)
-    differ = np.fromiter(map(str.__ne__, stamps, expected), bool, checked)
-    for i in (first + np.flatnonzero(differ)).tolist():
-        if i == 0:
-            continue  # parsed above
+        # Text equal to the hourly sequence from row 0 is that hour; any
+        # other text (an unpadded form, say) must still parse to it.
+        expected = _hour_stamps(start + done * HOUR, n)
+        differ = np.fromiter(map(str.__ne__, map(itemgetter(0), block), expected), bool, n)
+        for i in np.flatnonzero(differ).tolist():
+            if parse_timestamp(block[i][0].strip()) - start != (done + i) * HOUR:
+                raise ValueError("not hourly")
+        parts.append(values)
+        done += n
+    if not parts:
+        raise ValueError("no rows")
+    return start, np.concatenate(parts, axis=1)
+
+
+def _load_rows(path: Path) -> WeatherSeries:
+    """The series of a weather file read row by row, one `WeatherSample`
+    per row; raises for the first bad row, named by its line in the file.
+
+    A row is checked for its field count, then its timestamp, then its
+    one-hour step from the row before, then its values: a row that breaks
+    several rules is named for the first of them.
+    """
+    header, rows = read_csv(path, InvalidSampleError)
+    if header != WEATHER_HEADER:
+        raise InvalidSampleError(f"{path}: expected header {','.join(WEATHER_HEADER)}")
+    samples: list[WeatherSample] = []
+    for line, fields in rows:
         try:
-            ts = parse_timestamp(block[i - first][0].strip())
+            ts = parse_timestamp(fields[0].strip())
         except ValueError as exc:
-            raise _row_fault(path, i, f"bad timestamp: {exc}") from exc
-        prev = start + (i - 1) * HOUR
-        if ts - prev != HOUR:
-            raise _row_fault(path, i, _step_fault(prev, ts), MalformedSeriesError)
-    if bad < stop:
+            raise InvalidSampleError(f"{path}: row {line}: bad timestamp: {exc}") from exc
+        if samples and ts - samples[-1].timestamp != HOUR:
+            fault = _step_fault(samples[-1].timestamp, ts)
+            raise MalformedSeriesError(f"{path}: row {line}: {fault}")
         try:
-            WeatherSample(start + (first + bad) * HOUR, *values[:, bad].tolist())
-        except InvalidSampleError as exc:
-            raise _row_fault(path, first + bad, exc) from exc
-    if stop_fault is not None:
-        raise stop_fault
-    return start, values
+            samples.append(WeatherSample(ts, *map(float, fields[1:])))
+        except (ValueError, InvalidSampleError) as exc:
+            raise InvalidSampleError(f"{path}: row {line}: {exc}") from exc
+    if not samples:
+        raise MalformedSeriesError(f"{path}: weather series is empty")
+    return WeatherSeries(samples)
 
 
 def load_weather(path: str | Path) -> WeatherSeries:
     """Read the hourly weather CSV (see WEATHER_HEADER for columns).
 
-    The first bad row in the file is named by its line.
+    The column passes of `_check_columns` accept a good file; a file they
+    reject is read again by `_load_rows`, which names its first bad row.
     """
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read weather file {path}: {exc}") from exc
-    rows = filter(None, csv.reader(io.StringIO(text)))
-    header = next(rows, None)
-    if header is None or [f.strip() for f in header] != WEATHER_HEADER:
-        raise InvalidSampleError(f"{path}: expected header {','.join(WEATHER_HEADER)}")
-    start, parts, done = None, [], 0
-    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
-        start, values = _read_block(path, block, done, start)
-        parts.append(values)
-        done += len(block)
-    if not parts:
-        raise MalformedSeriesError(f"{path}: weather series is empty")
-    return WeatherSeries.from_columns(start, *np.concatenate(parts, axis=1))
+    try:
+        start, values = _check_columns(text)
+    except (ValueError, OverflowError):
+        return _load_rows(path)
+    return WeatherSeries.from_columns(start, *values)
 
 
 def write_weather(s: WeatherSeries, path: str | Path) -> None:

@@ -7,6 +7,7 @@ session-scoped study_dir fixture.
 
 import json
 import math
+import shutil
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -197,6 +198,17 @@ def test_assess_refuses_a_nan_result_row(study_dir, small_run, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_report_refuses_a_risk_row_with_an_extra_field(small_run, tmp_path, capsys):
+    _, rep = small_run
+    bad = tmp_path / "rep"
+    shutil.copytree(rep, bad)
+    rows = (bad / "risk.csv").read_text().splitlines()
+    rows[1] += ",9"
+    (bad / "risk.csv").write_text("\n".join(rows) + "\n")
+    assert run(["report", str(bad)]) == 2
+    assert f"{bad / 'risk.csv'}: row 2: expected 6 fields, got 7" in capsys.readouterr().err
+
+
 def test_report_summary(small_run, capsys):
     _, rep = small_run
     assert run(["report", str(rep)]) == 0
@@ -304,14 +316,48 @@ def test_missing_config_is_exit_2(tmp_path, capsys):
     pytest.param("6,1,-5000,3,4,-1248\n", "row 2: values [1.0, -5000.0,", id="negative"),
     pytest.param("6,1,2,3,4,2.5\n7,1,2,3,4,2.5\n6,1e9,1e9,1e9,1e9,1e9\n",
                  "row 4: line 6 repeats", id="repeated-line"),
+    pytest.param("6,1,2,3,4,2.5,99,junk\n", "row 2: expected 6 fields, got 8", id="extra-field"),
+    pytest.param("6,1,2,3,4,2.5\n\n7,1,2,3,4\n", "row 4: expected 6 fields, got 5", id="no-avg"),
 ])
 def test_malformed_table_row_is_exit_2(tmp_path, capsys, rows, named):
     bad = tmp_path / "bad.csv"
     bad.write_text("line_id,winter,spring,summer,fall,avg\n" + rows)
     rc = run(["assess", "--from-tables", str(bad), str(bad), "--out", str(tmp_path / "rep")])
     assert rc == 2
-    assert f"{bad} {named}" in capsys.readouterr().err
+    assert f"{bad}: {named}" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("miles, named", [
+    ("line_id,season0,season1,avg\n6,1,2,1.5\n", "different numbers of seasons"),
+    ("line_id,winter,spring,summer,fall,avg\n7,1,2,3,4,2.5\n", "different line sets"),
+])
+def test_from_tables_that_disagree_are_exit_2(tmp_path, capsys, miles, named):
+    """An acre and a mile table that cover different lines or seasons stop
+    assess, naming both files."""
+    acres_path, miles_path = tmp_path / "acres.csv", tmp_path / "miles.csv"
+    acres_path.write_text("line_id,winter,spring,summer,fall,avg\n6,1,2,3,4,2.5\n")
+    miles_path.write_text(miles)
+    rc = run(["assess", "--from-tables", str(acres_path), str(miles_path),
+              "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    assert f"{acres_path} and {miles_path}: acre and mile tables" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("row", ["1,grass,1,15.0,0.4,1.0", "1,grass,1,15.0,0.4,1.0,1.0,9"])
+def test_ragged_catalog_row_is_exit_2(study_dir, tmp_path, capsys, row):
+    """A fuel catalog row with a field too few or too many stops simulate,
+    named by its line in the file: the blank line before it counts."""
+    lines = (study_dir / "fuel_catalog.csv").read_text().splitlines()
+    catalog = tmp_path / "fuel_catalog.csv"
+    catalog.write_text("\n".join([*lines[:2], "", row, *lines[3:]]) + "\n")
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path / "run"),
+              *SMALL_STUDY, "--set", f"paths.fuel_catalog={catalog}"])
+    assert rc == 2
+    width = len(row.split(","))
+    assert f"{catalog}: row 4: expected 7 fields, got {width}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_bad_seed_type_is_exit_2(tmp_path, capsys):
@@ -385,6 +431,9 @@ def test_config_lists_and_absolute_paths(tmp_path):
     (["--set", "costs.cbe_per_acre=0"], "costs.cbe_per_acre"),
     # a named fuel catalog must exist: no fallback to the built-in one
     (["--set", "paths.fuel_catalog=nosuch.csv"], "nosuch.csv"),
+    # a repeated season instant would write every row under one season
+    (["--set", "study.seasons=2022-01-01T12:00Z,2022-01-01T12:00Z"], "study.seasons"),
+    (["--seed", "-1"], "study.seed"),
 ])
 def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     argv = ["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path),
@@ -411,6 +460,7 @@ def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     (["synth", "--out", "NEW", "--config", "TYPO"], "typo.ini"),
     (["assess", "--from-tables", "TABLE1", "TABLE2", "--config", "TYPO", "--out", "NEW"],
      "typo.ini"),
+    (["synth", "--out", "NEW", "--seed", "-1"], "study.seed"),
 ])
 def test_bad_flag_is_usage_error(study_dir, small_run, tmp_path, capsys, flags, named):
     """Flag values out of range, flags the command does not take, and
@@ -449,6 +499,7 @@ def _valid(key, text):
             v = int(text)
             return {"study.ignitions_per_line": v >= 1, "study.year": 1 <= v <= 9999,
                     "study.ignition_hour": 0 <= v <= 23, "study.buffer_cells": v >= 0,
+                    "study.seed": v >= 0,
                     "spread.neighborhood": v in (8, 16)}.get(key, True)
         if key in FLOAT_KEYS:
             v = float(text)

@@ -122,6 +122,19 @@ def test_catalog_row_error_names_row(tmp_path):
         load_catalog(path)
 
 
+def test_catalog_row_error_names_the_file_line(tmp_path):
+    """Blank lines are skipped but counted."""
+    path = tmp_path / "fuels.csv"
+    path.write_text(
+        "id,name,burnable,base_ros_m_min,wind_coeff,wind_exp,moisture_exp\n"
+        "0,rock,0,0,0,0,0\n"
+        "\n"
+        "1,grass,1,-15.0,0.4,1.0,1.0\n"
+    )
+    with pytest.raises(CatalogError, match=r"fuels.csv: row 4: fuel 1: negative base_ros"):
+        load_catalog(path)
+
+
 def test_fuel_model_burnable_consistency():
     with pytest.raises(InvalidInputError):
         FuelModel(id=4, name="odd", burnable=True, base_ros=0.0,

@@ -59,6 +59,10 @@ def test_study_config_validation():
         StudyConfig(placement="everywhere")
     with pytest.raises(InvalidInputError):
         StudyConfig(buffer_cells=-1)
+    with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+        StudyConfig(seed=-1)
+    with pytest.raises(InvalidInputError, match="seasons must be distinct"):
+        StudyConfig(seasons=(T0, T0 + HOUR, T0))
 
 
 # ------------------------------------------------------------ build_matrix

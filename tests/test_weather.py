@@ -272,11 +272,24 @@ def test_load_checks_a_bad_rows_timestamp_before_its_values(tmp_path):
         load_weather(path)
 
 
+def test_load_names_a_rows_field_count_before_its_timestamp(tmp_path):
+    rows = [row(h) for h in range(4)]
+    rows[2] = "2022-13-01T00:00Z,3.0,225.0,15.0"
+    path = tmp_path / "wx.csv"
+    path.write_text(",".join(WEATHER_HEADER) + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(InvalidSampleError, match="row 4: expected 5 fields, got 4"):
+        load_weather(path)
+
+
 def test_load_rejects_an_empty_year(tmp_path):
     path = tmp_path / "wx.csv"
     path.write_text(",".join(WEATHER_HEADER) + "\n")
     with pytest.raises(MalformedSeriesError, match="empty"):
         load_weather(path)
+
+
+def never(path):
+    raise AssertionError(f"the column passes rejected {path}")
 
 
 def reference_load(path):
@@ -314,10 +327,11 @@ def test_load_equals_row_by_row_reference(tmp_path_factory, start, rows, block, 
     path = tmp_path_factory.mktemp("wx") / "wx.csv"
     path.write_text("\n".join(lines) + "\n")
 
-    with patch.object(weather, "_BLOCK_ROWS", block):
+    with patch.object(weather, "_BLOCK_ROWS", block), patch.object(weather, "_load_rows", never):
         got = load_weather(path)
     want = reference_load(path)
     assert got == want
+    assert weather._load_rows(path) == got
     i = probe.draw(st.integers(0, len(rows) - 1))
     early = got.at(start + i * HOUR + timedelta(minutes=probe.draw(st.integers(0, 59))))
     assert early == want.samples[i]
@@ -341,7 +355,9 @@ def test_synth_weather_file_is_the_row_formatters(tmp_path, seed):
     write_weather(wx, path)
     want = "\n".join([",".join(WEATHER_HEADER), *map(reference_row, wx.samples)]) + "\n"
     assert path.read_bytes() == want.encode()
-    assert load_weather(path) == wx
+    with patch.object(weather, "_load_rows", never):
+        assert load_weather(path) == wx
+    assert weather._load_rows(path) == wx
 
 
 def test_write_weather_formats_a_non_utc_start_in_utc(tmp_path):
