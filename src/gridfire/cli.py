@@ -28,6 +28,7 @@ import sys
 import time
 import traceback
 from dataclasses import MISSING, dataclass, fields
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable
 
@@ -302,12 +303,33 @@ def _write_table(path, records, attr):
     Path(path).write_text("\n".join(rows) + "\n")
 
 
+def _check_avg(path, line, text, vals):
+    """Raise unless `text`, a table row's avg, is the mean of its season
+    values `vals` to within half a unit of its last printed decimal (0.05
+    for "2.5", 0.5 for "3"), so a rounded mean passes and a wrong one does
+    not. The bound also allows n * eps of the mean, what summing the
+    seasons in another order can change it by."""
+    try:
+        avg = Decimal(text)
+    except InvalidOperation:
+        avg = None
+    if avg is None or not avg.is_finite():
+        raise InvalidInputError(f"{path}: row {line}: avg {text!r} is not a finite number")
+    mean = seasonal_average(vals)
+    half = Decimal(5).scaleb(avg.as_tuple().exponent - 1)
+    if abs(avg - Decimal(mean)) > half + Decimal(len(vals) * sys.float_info.epsilon * mean):
+        raise InvalidInputError(
+            f"{path}: row {line}: avg {text.strip()} is not the mean {mean!r} of the seasons")
+
+
 def _read_table(path):
-    """Read a line_id,<season...>,avg CSV into {line_id: [season values]}."""
+    """Read a line_id,<season...>,avg CSV into {line_id: [season values]};
+    when the header ends in avg, each row's avg must be its seasons' mean."""
     header, rows = read_csv(path, InvalidInputError)
     if header[:1] != ["line_id"]:
         raise InvalidInputError(f"{path}: expected header starting with line_id,")
-    n_seasons = len(header) - 1 - (header[-1] == "avg")
+    has_avg = header[-1] == "avg"
+    n_seasons = len(header) - 1 - has_avg
     if n_seasons < 1:
         raise InvalidInputError(f"{path}: no season columns in header")
     table = {}
@@ -320,6 +342,8 @@ def _read_table(path):
                 f"{path}: row {line}: malformed table row {','.join(fields)!r}") from None
         if not all(0 <= v < math.inf for v in vals):
             raise InvalidInputError(f"{path}: row {line}: values {vals} must be finite and >= 0")
+        if has_avg:
+            _check_avg(path, line, fields[-1], vals)
         if j in table:
             raise InvalidInputError(f"{path}: row {line}: line {j} repeats an earlier row")
         table[j] = vals

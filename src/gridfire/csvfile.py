@@ -35,12 +35,17 @@ def read_csv(path: str | Path, error: type[Exception]) -> tuple[list[str], Rows]
     return [f.strip() for f in header], rows
 
 
+def blank(fields: list[str]) -> bool:
+    """Whether a parsed CSV row is a blank line: empty, or spaces only."""
+    return len(fields) < 2 and not "".join(fields).strip()
+
+
 def _rows(path: str | Path, text: str, error: type[Exception]) -> Rows:
     reader = csv.reader(io.StringIO(text))
     width = None
     try:
         for fields in reader:
-            if len(fields) < 2 and not "".join(fields).strip():
+            if blank(fields):
                 continue
             if width is None:
                 width = len(fields)

@@ -61,6 +61,10 @@ SLOPE_GAIN = 0.3
 # many fires of a group share one multi-source search.
 FIRST_HOUR_BLOCK_BYTES = 4 << 20
 
+# Edges re-costed per pass of `SpreadEngine._minutes`. Its two scratch
+# arrays are this long, so they stay cache-sized however large the window.
+RECOST_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class SpreadParams:
@@ -198,8 +202,10 @@ class SpreadEngine:
     Construction precomputes, per travel direction, the landscape half of
     every edge cost (distance over base_ros times the slope factor at each
     endpoint). Weather enters as a per-(fuel, direction) scalar each epoch,
-    so re-costing the whole edge set for a new hour is two table lookups
-    and a fused multiply-add over the edge arrays. The edges are held in
+    so re-costing the whole edge set for a new hour is two table lookups,
+    two products and a sum per edge. It runs in place, over chunks of
+    RECOST_CHUNK edges, straight into the buffer the hour's searches read,
+    so an hour holds no edge-length temporaries. The edges are held in
     CSR order, by source cell and then by direction, and each edge's
     reverse is the edge leaving its end cell in the opposite direction;
     the engine records where that reverse sits, so an hourly search can
@@ -282,6 +288,11 @@ class SpreadEngine:
         self._key_src = (fuel_code[src] * ndirs + d).astype(np.int32)
         del src
         self._key_dst = (fuel_code[self._indices] * ndirs + d).astype(np.int32)
+        # `_minutes` looks the keys up without numpy's per-lookup bounds
+        # check (mode="clip"), so check them once here.
+        self._table_size = max(len(self._fuel_models), 1) * ndirs
+        if d.size and max(self._key_src.max(), self._key_dst.max()) >= self._table_size:
+            raise RuntimeError("edge keys beyond the (fuel, direction) table")
         self._max_minutes = (dists / params.min_ros)[d] if params.min_ros > 0 else None
         del d
 
@@ -307,7 +318,7 @@ class SpreadEngine:
     def _epoch_table(self, w: WeatherSample) -> np.ndarray:
         """Inverse weather factor per (fuel, direction), flattened."""
         params = self.params
-        out = np.empty(max(len(self._fuel_models), 1) * self._ndirs)
+        out = np.empty(self._table_size)
         for fi, fm in enumerate(self._fuel_models):
             pm = moisture_factor(w.rel_humidity, fm.moisture_exp, params.humidity_ref)
             for d, theta_deg in enumerate(self._theta_deg):
@@ -318,14 +329,32 @@ class SpreadEngine:
                 out[fi * self._ndirs + d] = 1.0 / (pm * pe)
         return out
 
-    def _minutes(self, w: WeatherSample) -> np.ndarray:
-        """Traversal minutes of every edge, in CSR order, under one weather
-        sample; edges slower than the min_ros floor are impassable (+inf)."""
+    def _minutes(self, w: WeatherSample, out: np.ndarray) -> np.ndarray:
+        """Write the traversal minutes of every edge, in CSR order, under one
+        weather sample into `out` and return it; edges slower than the
+        min_ros floor are impassable (+inf).
+
+        Each cost is hsrc * table[key_src] + hdst * table[key_dst], the
+        same operands in the same order whatever the chunking, so every
+        cost is bit-identical to that expression's.
+        """
         table = self._epoch_table(w)
-        minutes = self._hsrc * table[self._key_src] + self._hdst * table[self._key_dst]
-        if self._max_minutes is not None:
-            minutes[minutes > self._max_minutes] = np.inf
-        return minutes
+        m = out.size
+        half = np.empty(min(RECOST_CHUNK, m))
+        slow = np.empty(half.size, dtype=bool)
+        for a in range(0, m, RECOST_CHUNK):
+            b = min(a + RECOST_CHUNK, m)
+            o, h = out[a:b], half[:b - a]
+            np.take(table, self._key_src[a:b], out=o, mode="clip")
+            o *= self._hsrc[a:b]
+            np.take(table, self._key_dst[a:b], out=h, mode="clip")
+            h *= self._hdst[a:b]
+            o += h
+            if self._max_minutes is not None:
+                s = slow[:b - a]
+                np.greater(o, self._max_minutes[a:b], out=s)
+                o[s] = np.inf
+        return out
 
     def edge_costs(self, w: WeatherSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Edge list (src, dst, minutes) under one fixed weather sample.
@@ -335,7 +364,7 @@ class SpreadEngine:
         shortest-path checks. Flat cell indexing is row * ncols + col.
         """
         src = np.repeat(np.arange(self._n_cells), np.diff(self._indptr))
-        return src, self._indices.astype(np.int64), self._minutes(w)
+        return src, self._indices.astype(np.int64), self._minutes(w, np.empty(src.size))
 
     def run(self, ig: IgnitionSpec, wx: WeatherSeries) -> BurnRaster:
         """Simulate one ignition and return its burn raster.
@@ -404,7 +433,7 @@ class SpreadEngine:
         # holds one block of rows at a time.
         n, m = self._n_cells, self._indices.size
         values = np.empty(m + n)
-        values[:m] = self._minutes(wx.at(start))
+        self._minutes(wx.at(start), values[:m])
         hour0 = csr_matrix((values[:m], self._indices, self._indptr), shape=(n, n))
         rows = max(1, FIRST_HOUR_BLOCK_BYTES // (8 * n))
         waiting = []
@@ -426,7 +455,7 @@ class SpreadEngine:
         indptr = np.append(self._indptr, np.int32(m))
         e = 1
         while waiting:
-            values[:m] = self._minutes(wx.at(start + timedelta(hours=e)))
+            self._minutes(wx.at(start + timedelta(hours=e)), values[:m])
             burning = []
             for fire in waiting:
                 dist = self._search(fire, e, values, indices, indptr)

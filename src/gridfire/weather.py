@@ -24,14 +24,14 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from itertools import islice
+from itertools import filterfalse, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .csvfile import read_csv
+from .csvfile import blank, read_csv
 from .errors import CoverageError, InvalidInputError, InvalidSampleError, MalformedSeriesError
 
 HOUR = timedelta(hours=1)
@@ -218,7 +218,7 @@ def _check_columns(text: str) -> tuple[datetime, np.ndarray]:
     """The series start and the (4, hours) values of a weather file's text,
     checked in column passes over blocks of rows; raises a bare ValueError,
     naming no row, if the file breaks any rule."""
-    rows = filter(None, csv.reader(io.StringIO(text)))
+    rows = filterfalse(blank, csv.reader(io.StringIO(text)))
     if [f.strip() for f in next(rows, ())] != WEATHER_HEADER:
         raise ValueError("bad header")
     start, parts, done = None, [], 0

@@ -318,6 +318,12 @@ def test_missing_config_is_exit_2(tmp_path, capsys):
                  "row 4: line 6 repeats", id="repeated-line"),
     pytest.param("6,1,2,3,4,2.5,99,junk\n", "row 2: expected 6 fields, got 8", id="extra-field"),
     pytest.param("6,1,2,3,4,2.5\n\n7,1,2,3,4\n", "row 4: expected 6 fields, got 5", id="no-avg"),
+    pytest.param("6,1,2,3,4,junk\n", "row 2: avg 'junk' is not a finite number", id="avg-junk"),
+    pytest.param("6,1,2,3,4,2.5\n7,1,2,3,4,inf\n", "row 3: avg 'inf' is not a finite",
+                 id="avg-inf"),
+    pytest.param("6,1,2,3,4,2.5\n7,1,2,3,4,2.6\n", "row 3: avg 2.6 is not the mean 2.5 of",
+                 id="avg-wrong"),
+    pytest.param("6,1,2,3,4,2.55\n", "row 2: avg 2.55 is not the mean 2.5 of", id="avg-digits"),
 ])
 def test_malformed_table_row_is_exit_2(tmp_path, capsys, rows, named):
     bad = tmp_path / "bad.csv"
@@ -326,6 +332,26 @@ def test_malformed_table_row_is_exit_2(tmp_path, capsys, rows, named):
     assert rc == 2
     assert f"{bad}: {named}" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+def test_table_avg_may_be_rounded_to_its_printed_decimals(study_dir, tmp_path):
+    """An avg within half a unit of its last printed decimal of the seasons'
+    mean passes: rounded by hand, the bundled tables' own rounding, and the
+    exact means that assess writes, which read back to the same ranking."""
+    table = tmp_path / "t.csv"
+    table.write_text("line_id,winter,spring,summer,fall,avg\n"
+                     "6,1,2,3,4,3\n7,1,2,3,4,2\n8,1,1,1,2,1.2\n9,1,1,1,2,1.3\n"
+                     "10,1e9,1e9,1e9,3e9,1.5e9\n11,1e9,1e9,1e9,3e9,2e9\n")
+    assert run(["assess", "--from-tables", str(table), str(table),
+                "--out", str(tmp_path / "hand")]) == 0
+
+    rep, back = tmp_path / "rep", tmp_path / "back"
+    assert run(["assess", "--from-tables", str(study_dir / "table1.csv"),
+                str(study_dir / "table2.csv"), "--out", str(rep)]) == 0
+    assert run(["assess", "--from-tables", str(rep / "table_acres.csv"),
+                str(rep / "table_miles.csv"), "--out", str(back)]) == 0
+    for name in ("risk.csv", "table_acres.csv", "table_miles.csv"):
+        assert (back / name).read_bytes() == (rep / name).read_bytes()
 
 
 @pytest.mark.parametrize("miles, named", [

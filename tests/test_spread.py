@@ -336,6 +336,55 @@ def test_edge_costs_match_scalar_model():
             assert got == pytest.approx(expect, rel=1e-9), (rs, cs, rd, cd)
 
 
+@pytest.mark.parametrize("n, min_ros", [(64, 5.0), (64, 0.0), (9, 5.0)])
+def test_chunked_recost_equals_whole_edge_expression(n, min_ros):
+    """`_minutes(w, out)` re-costs in chunks of RECOST_CHUNK edges, in
+    place; each cost must equal, bit for bit, the whole-array expression
+    hsrc * table[key_src] + hdst * table[key_dst], with edges slower than
+    the floor (edge length / min_ros) made impassable. 64x64 spans several
+    chunks and ends part-way through one; 9x9 of fuel 0 has no edges."""
+    land = synth_landscape(SynthSpec(
+        nrows=n, ncols=n, cell_size=30.0, origin=ORIGIN, seed=9,
+        fuel_mix=((1, 0.4), (2, 0.3), (3, 0.2), (0, 0.1)), patch_cells=3.0,
+        elevation_relief=60.0,
+    )) if n == 64 else flat_land(n=n, fuel=0)
+    eng = SpreadEngine(land, SpreadParams(min_ros=min_ros))
+    m = eng._indices.size
+    if n == 64:
+        assert m > 2 * spread.RECOST_CHUNK and m % spread.RECOST_CHUNK
+    else:
+        assert m == 0
+    src, dst, _ = eng.edge_costs(WeatherSample(T0, 0.0, 0.0, 20.0, 30.0))
+    (rs, cs), (rd, cd) = np.divmod(src, land.ncols), np.divmod(dst, land.ncols)
+    length = land.cell_size * np.array([math.hypot(r, c) for r, c in zip(rd - rs, cd - cs)])
+    for w in (WeatherSample(T0, 7.5, 200.0, 30.0, 90.0), WeatherSample(T0, 1.0, 20.0, 20.0, 15.0)):
+        table = eng._epoch_table(w)
+        want = eng._hsrc * table[eng._key_src] + eng._hdst * table[eng._key_dst]
+        if min_ros > 0:
+            want[want > length / min_ros] = np.inf
+        out = np.full(m, np.nan)
+        assert eng._minutes(w, out) is out
+        assert out.tobytes() == want.tobytes()
+        if m and min_ros > 0:
+            assert 0 < np.isinf(out).sum() < m  # the floor bites on some edges only
+
+
+def test_recost_holds_no_edge_length_temporaries():
+    """Re-costing one hour in place on the 128x128 study landscape (about
+    226k edges, 1.8 MB of costs) peaks below 1 MB of traced memory."""
+    eng = SpreadEngine(study_landscape(seed=0))
+    out = np.empty(eng._indices.size)
+    w = WeatherSample(T0, 3.5, 240.0, 18.0, 45.0)
+    tracemalloc.start()
+    try:
+        eng._minutes(w, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.size > 200_000 and np.isfinite(out).any()
+    assert peak < 1 << 20, peak
+
+
 # ------------------------------------------------------------ reachability
 
 

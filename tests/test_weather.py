@@ -263,6 +263,24 @@ def test_load_names_the_file_line_after_blank_lines(tmp_path, monkeypatch, fault
         load_weather(path)
 
 
+def never(path):
+    raise AssertionError(f"the column passes rejected {path}")
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_column_passes_skip_blank_lines_as_read_csv_does(tmp_path, monkeypatch, block):
+    """A line that is empty or spaces only is blank to the column passes, as
+    to `read_csv`, so a good file with such lines passes them."""
+    monkeypatch.setattr(weather, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(weather, "_load_rows", never)
+    lines = ["  ", ",".join(WEATHER_HEADER)]
+    for h in range(48):
+        lines += [row(h)] + {3: [""], 20: ["   "], 47: ["", "  "]}.get(h, [])
+    path = tmp_path / "wx.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_weather(path) == mk_series(48)
+
+
 def test_load_checks_a_bad_rows_timestamp_before_its_values(tmp_path):
     rows = [row(h) for h in range(4)]
     rows[2] = row(2, "-1.0,225.0,15.0,40.0", at=5)
@@ -286,10 +304,6 @@ def test_load_rejects_an_empty_year(tmp_path):
     path.write_text(",".join(WEATHER_HEADER) + "\n")
     with pytest.raises(MalformedSeriesError, match="empty"):
         load_weather(path)
-
-
-def never(path):
-    raise AssertionError(f"the column passes rejected {path}")
 
 
 def reference_load(path):
