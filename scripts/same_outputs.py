@@ -10,8 +10,9 @@ and `report` run in subprocesses with only that tree's `src` on PYTHONPATH:
 - `synth` at every perfbench workload's size;
 - `simulate`, `assess` and `report` on every perfbench workload (its size
   and `--set` values, read from perfbench/run.py's WORKLOADS) at
-  `--seed 7`, and on the full 408-scenario 128x128 study at `--workers 1`
-  and `--workers 2`;
+  `--seed 7`, on the study128 workload again with 3-cell corridor buffers
+  (`--set study.buffer_cells=3`), and on the full 408-scenario 128x128
+  study at `--workers 1` and `--workers 2`;
 - `assess --from-tables` and `report` on the reference tables that
   `synth` writes.
 
@@ -49,6 +50,9 @@ def runs(bench) -> list[tuple[str, int, list[str], int]]:
     for name, w in bench.WORKLOADS.items():
         sets = [a for s in w.sets for a in ("--set", s)]
         out.append((name, w.size, ["--seed", str(SEED), *sets], 1))
+        if name == "study128":
+            out.append(("study128-buffer3", w.size,
+                        ["--seed", str(SEED), *sets, "--set", "study.buffer_cells=3"], 1))
     out += [(f"study408-workers{k}", 128, [], k) for k in (1, 2)]
     return out
 

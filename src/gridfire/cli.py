@@ -403,6 +403,8 @@ def cmd_report(args):
                          int(rank)))
         except ValueError:
             raise InvalidInputError(f"{risk_path}: row {line}: malformed row") from None
+        if not all(map(math.isfinite, rows[-1][1:5])):
+            raise InvalidInputError(f"{risk_path}: row {line}: non-finite loss or metric")
     if not rows:
         raise InvalidInputError(f"{risk_path}: no data rows")
     rows.sort(key=lambda r: r[5])

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.ndimage import maximum_filter
 
 from .errors import GeometryError, InvalidInputError, TopologyError
 from .geo import GeoPoint, GridIndex, RasterFrame, polyline_length_miles, traverse_cells
@@ -121,14 +122,15 @@ class Corridors:
             raise InvalidInputError(f"buffer_cells must be >= 0, got {buffer_cells}")
         self.ids = np.array([b.id for b in lines], dtype=np.int64)
         self.miles = {b.id: b.length_miles for b in lines}
-        span = np.arange(-buffer_cells, buffer_cells + 1)
+        # A wider buffer holds no more of the grid, so the dilation's window
+        # stays at most about twice the grid's side.
+        size = 2 * min(buffer_cells, max(frame.nrows, frame.ncols)) + 1
         parts = []
         for b in lines:
-            rc = np.array([(c.row, c.col) for c in line_cells(b, frame)], dtype=np.int64)
-            # Exact: a shift clipped onto the grid stays within its cell's buffer.
-            rows = np.clip(rc[:, 0, None, None] + span[:, None], 0, frame.nrows - 1)
-            cols = np.clip(rc[:, 1, None, None] + span[None, :], 0, frame.ncols - 1)
-            parts.append(np.unique(rows * frame.ncols + cols))
+            mask = np.zeros((frame.nrows, frame.ncols), dtype=bool)
+            for c in line_cells(b, frame):
+                mask[c.row, c.col] = True
+            parts.append(np.flatnonzero(maximum_filter(mask, size=size, mode="constant")))
         self.cells = np.concatenate(parts or [np.empty(0, np.int64)])
         self.owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
 

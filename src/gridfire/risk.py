@@ -12,6 +12,7 @@ that loss math: it reads no raster and no network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -93,6 +94,12 @@ def rank_lines(
     lbe_by = {j: costs.cbe * seasonal_average(v) for j, v in season_acres.items()}
     lbl_by = {j: costs.cbl * seasonal_average(v) for j, v in season_miles.items()}
     wfl_by = {j: wfl(lbe_by[j], lbl_by[j]) for j in lbe_by}
+    for j, total in wfl_by.items():
+        if not math.isfinite(total):
+            raise InvalidInputError(
+                f"line {j}: loss lbe {lbe_by[j]:g} + lbl {lbl_by[j]:g} is not finite; "
+                "costs.cbe_per_acre and costs.cbl_per_mile are too large for its acres and miles"
+            )
     metric = risk_metric(wfl_by)
     records = [
         LineRisk(

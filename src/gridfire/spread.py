@@ -24,13 +24,14 @@ never revised, so output is deterministic, burn sets grow monotonically
 with duration, and weather after minute 60 * k cannot change an arrival
 at or before it. Scenarios that share a start time see the same weather
 hours, so they run in hour lockstep and each hour's edge costs are
-computed once for all of them. Their first hours are also searched
-together: in hour 0 every fire still has one source (its ignition at
-minute 0) and no burned set to block, so all of them search the same
-graph, and one multi-source search per block of fires gives each its own
-row. Later hours cannot be shared this way, because each fire blocks its
-own burned set. Scenarios with the same ignition cell and duration burn
-alike and are simulated once.
+computed once for all of them. Every hourly search starts from a
+super-source per fire, whose out-edges reach the fire's seeds at their
+seed minutes; a fresh fire's one seed is its ignition at minute 0. In
+hour 0 no fire has a burned set to block, so a block of fires shares one
+search, each from its own super-source. A fire stops when its duration
+is over or when no edge leads out of its burned set, which is then its
+whole connected component. Scenarios with the same ignition cell and
+duration burn alike and are simulated once.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from datetime import datetime, timedelta
 from typing import Generator, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.ndimage import label
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -58,7 +58,7 @@ MOISTURE_FACTOR_MAX = 3.0
 SLOPE_GAIN = 0.3
 
 # Bytes of distance rows one first-hour block search may hold; sets how
-# many fires of a group share one multi-source search.
+# many fires of a group share one search in hour 0.
 FIRST_HOUR_BLOCK_BYTES = 4 << 20
 
 # Edges re-costed per pass of `SpreadEngine._minutes`. Its two scratch
@@ -209,10 +209,9 @@ class SpreadEngine:
     CSR order, by source cell and then by direction, and each edge's
     reverse is the edge leaving its end cell in the opposite direction;
     the engine records where that reverse sits, so an hourly search can
-    block the edges back into a fire's burned set. It also holds a reach
-    table: the number of cells a fire lit in each cell can ever burn. One
-    engine serves any number of ignitions, holds no per-scenario state and
-    is not changed after construction.
+    block the edges back into a fire's burned set. One engine serves any
+    number of ignitions, holds no per-scenario state and is not changed
+    after construction.
     """
 
     def __init__(self, land: LandscapeRaster, params: SpreadParams | None = None):
@@ -299,21 +298,7 @@ class SpreadEngine:
         self._indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.count_nonzero(mask, axis=1), out=self._indptr[1:])
         self._n_cells = n
-
-        # Every edge joins two burnable cells by a queen path of burnable
-        # cells (a knight edge's two intermediates), so the edge graph's
-        # components are the 8-connected components of the burnable mask,
-        # for 8 and 16 neighbours alike.
-        labels, _ = label(burn_mask, structure=np.ones((3, 3)))
-        sizes = np.bincount(labels.ravel()).astype(np.int32)
-        sizes[0] = 0  # label 0 marks the non-burnable cells
-        self._reach = sizes[labels.ravel()]
-
-    def reach(self, idx: int) -> int:
-        """Number of cells a fire lit in burnable cell `idx` (flat index
-        row * ncols + col) can ever burn, itself included: the size of the
-        cell's connected component of burnable cells."""
-        return int(self._reach[idx])
+        self._burnable = burn_mask.ravel()
 
     def _epoch_table(self, w: WeatherSample) -> np.ndarray:
         """Inverse weather factor per (fuel, direction), flattened."""
@@ -381,23 +366,22 @@ class SpreadEngine:
         """Simulate ignitions that share one start time, in hour lockstep.
 
         Hour e's edge costs are computed once and advance every scenario
-        still burning by that hour's search. Hour 0 is the one hour in
-        which every fire searches the same graph from a single source, so
-        it runs as one multi-source `dijkstra` per block of fires, with
-        FIRST_HOUR_BLOCK_BYTES bounding the block's distance rows. Later
-        hours run one search per fire from its perimeter. Each fire's row
-        or search ends its hour in one step (`_step`). Specs with the same
-        ignition cell and duration (twins) share one fire, whose raster is
-        yielded at each of their positions.
+        still burning by that hour's search (`_search`), and each fire's
+        labels end its hour in one step (`_step`). In hour 0 no fire has a
+        burned set yet, so the fires are searched in blocks, with
+        FIRST_HOUR_BLOCK_BYTES bounding a block's distance rows; later
+        hours search one fire at a time. Specs with the same ignition cell
+        and duration (twins) share one fire, whose raster is yielded at
+        each of their positions.
 
         Yields (position in specs, outcome) as soon as a scenario
         finishes, so only burning scenarios hold state: a block's fires
-        that end in hour 0 are yielded before the next block is searched,
-        straight from their rows. Every spec is checked before anything is
-        searched or yielded, and the first that cannot run raises:
-        OutOfBoundsError for an ignition outside the raster, CoverageError
-        when the weather does not cover its hours. A non-burnable ignition
-        cell yields an empty raster with a warning.
+        that end in hour 0 are yielded before the next block is searched.
+        Every spec is checked before anything is searched or yielded, and
+        the first that cannot run raises: OutOfBoundsError for an ignition
+        outside the raster, CoverageError when the weather does not cover
+        its hours. A non-burnable ignition cell yields an empty raster with
+        a warning.
         """
         if not specs:
             return
@@ -417,7 +401,7 @@ class SpreadEngine:
         for i, ig in enumerate(specs):
             r, c = ig.cell.row, ig.cell.col
             idx = r * land.ncols + c
-            if self._reach[idx] == 0:  # only non-burnable cells reach nothing
+            if not self._burnable[idx]:
                 yield i, self._raster(
                     np.full(self._n_cells, np.inf),
                     f"ignition cell ({r}, {c}) for line {ig.line_id} is non-burnable",
@@ -426,43 +410,31 @@ class SpreadEngine:
             # Twins (same cell, same duration) burn alike: one fire serves all.
             fire = fires.get((idx, ig.duration_hours))
             if fire is None:
-                fire = fires[idx, ig.duration_hours] = _Fire(ig, idx, self.reach(idx))
+                fire = fires[idx, ig.duration_hours] = _Fire(ig, idx)
             fire.pos.append(i)
 
-        # Hour 0: one multi-source search per block of fires. The group
-        # holds one block of rows at a time.
+        # Each search runs on the cell graph plus one super-source per fire
+        # of its block. The group shares one buffer for that graph: the
+        # hour's edge costs first, then the super-sources' edges, one per
+        # fire in hour 0 and up to one per cell later.
         n, m = self._n_cells, self._indices.size
-        values = np.empty(m + n)
-        self._minutes(wx.at(start), values[:m])
-        hour0 = csr_matrix((values[:m], self._indices, self._indptr), shape=(n, n))
-        rows = max(1, FIRST_HOUR_BLOCK_BYTES // (8 * n))
-        waiting = []
-        first = list(fires.values())
-        for b in range(0, len(first), rows):
-            block = first[b:b + rows]
-            dist = dijkstra(hour0, directed=True, indices=[fire.ig_idx for fire in block],
-                            limit=max(fire.t_hi(0) for fire in block))
-            for fire, row in zip(block, dist):
-                if (yield from self._step(fire, 0, row, values[:m])):
-                    waiting.append(fire)
-            del dist, row  # free this block's rows before the next search
-
-        # Each later search runs on the cell graph plus a super-source (node
-        # n) whose out-edges reach the scenario's seeds at their seed times.
-        # The group shares one buffer for that graph: the hour's edge costs
-        # first, then one scenario's super-source edges.
-        indices = np.concatenate([self._indices, np.empty(n, dtype=np.int32)])
-        indptr = np.append(self._indptr, np.int32(m))
-        e = 1
-        while waiting:
+        rows = min(max(1, FIRST_HOUR_BLOCK_BYTES // (8 * n)), len(fires))
+        values = np.empty(m + max(n, rows))
+        indices = np.concatenate([self._indices, np.empty(max(n, rows), dtype=np.int32)])
+        indptr = np.concatenate([self._indptr, np.full(rows, m, dtype=np.int32)])
+        burning = list(fires.values())
+        e = 0
+        while burning:
             self._minutes(wx.at(start + timedelta(hours=e)), values[:m])
-            burning = []
-            for fire in waiting:
-                dist = self._search(fire, e, values, indices, indptr)
-                if (yield from self._step(fire, e, dist, values[:m])):
-                    burning.append(fire)
-                del dist  # free the labels before the next search
-            waiting = burning
+            waiting, burning = burning, []
+            per_block = rows if e == 0 else 1
+            for b in range(0, len(waiting), per_block):
+                block = waiting[b:b + per_block]
+                dist = self._search(block, e, values, indices, indptr)
+                for fire, row in zip(block, dist):
+                    if (yield from self._step(fire, e, row, values[:m])):
+                        burning.append(fire)
+                del dist, row  # free this block's rows before the next search
             e += 1
 
     def _step(
@@ -470,51 +442,63 @@ class SpreadEngine:
     ) -> Generator[tuple[int, BurnRaster], None, bool]:
         """End a fire's hour e, given its search labels `dist` and the
         hour's edge costs `minutes`: freeze the labels inside the hour (the
-        search never enters the burned set, so each is a new cell), then
-        either yield the raster at each position the fire serves and drop
-        its arrays, or hand its open edges over. Returns whether it burns on.
+        search never enters the burned set, so each is a new cell) and,
+        unless the duration is over, hand its open edges over. A fire left
+        with no open edge has burned its whole connected component. A fire
+        that stops yields the raster at each position it serves and drops
+        its arrays. Returns whether it burns on.
         """
         n = self._n_cells
         newly = np.flatnonzero(dist[:n] <= fire.t_hi(e))
         if fire.frozen is None:
             fire.frozen = np.full(n, np.inf)
         fire.frozen[newly] = dist[newly]
-        fire.n_frozen += newly.size
-        if fire.done(e + 1):
-            burn = self._raster(fire.frozen, None)
-            fire.frozen = fire.edge = fire.entered = fire.cost = fire.left = None
-            for pos in fire.pos:
-                yield pos, burn
-            return False
-        fire.hand_over(newly, 60.0 * (e + 1), minutes, self._indptr, self._indices)
-        return True
+        if e + 1 < fire.epochs:
+            fire.hand_over(newly, 60.0 * (e + 1), minutes, self._indptr, self._indices)
+            if fire.edge.size:
+                return True
+        burn = self._raster(fire.frozen, None)
+        fire.frozen = fire.edge = fire.entered = fire.cost = fire.left = None
+        for pos in fire.pos:
+            yield pos, burn
+        return False
 
     def _search(
-        self, fire: _Fire, e: int, values: np.ndarray, indices: np.ndarray, indptr: np.ndarray
+        self, block: Sequence[_Fire], e: int, values: np.ndarray, indices: np.ndarray,
+        indptr: np.ndarray,
     ) -> np.ndarray:
-        """The labels of hour e >= 1: a search from the fire's perimeter
-        under the hour's costs, held in the graph buffers with this filling
-        in the super-source's edges. It seeds each unburned cell across an
-        open edge at the earliest minute the fire on that edge leaves it
-        (`_Fire.seeds`), and blocks the edges back into the burned set, so
-        it settles only cells that are not burned yet."""
+        """The labels of hour e for each fire of `block`, one row each: a
+        search under the hour's costs from node n + i for the block's i-th
+        fire, held in the graph buffers with this filling in that node's
+        out-edges. They reach each of the fire's seeds (`_Fire.seeds`) at
+        its seed minute. The search blocks the edges back into the burned
+        sets, so it settles only cells that are not burned yet. Only a
+        block of fresh fires holds more than one fire, and a fresh fire has
+        no burned set, so no block hides a cell from another fire."""
         n, m = self._n_cells, self._indices.size
-        t_hi = fire.t_hi(e)
-        sources, times = fire.seeds(values[:m], self._indices, 60.0 * e, t_hi)
+        size = m
+        for i, fire in enumerate(block):
+            sources, times = fire.seeds(values[:m], self._indices, 60.0 * e, fire.t_hi(e))
+            indices[size:size + sources.size] = sources
+            values[size:size + sources.size] = times
+            size += sources.size
+            indptr[n + 1 + i] = size
 
         # The reverses of the open edges are the in-edges of the burned set
         # from unburned cells.
-        into_burned = self._rev[fire.edge]
+        into_burned = self._rev[np.concatenate([fire.edge for fire in block])]
         blocked = values[into_burned]
         values[into_burned] = np.inf
-        size = m + sources.size
-        indices[m:size] = sources
-        values[m:size] = times
-        indptr[n + 1] = size
-        csr = csr_matrix((values[:size], indices[:size], indptr), shape=(n + 1, n + 1))
-        dist = dijkstra(csr, directed=True, indices=n, limit=t_hi)
+        k = len(block)
+        csr = csr_matrix((values[:size], indices[:size], indptr[:n + 1 + k]),
+                         shape=(n + k, n + k))
+        # A one-fire block passes its super-source as a scalar: the
+        # per-layer tracer (perfbench/tracing.py) counts a scalar start's
+        # out-edges as the cells the search restarts from.
+        dist = dijkstra(csr, directed=True, indices=n if k == 1 else np.arange(n, n + k),
+                        limit=max(fire.t_hi(e) for fire in block))
         values[into_burned] = blocked
-        return dist
+        return dist.reshape(k, -1)
 
     def _raster(self, arrival: np.ndarray, warning: Optional[str]) -> BurnRaster:
         arrival = arrival.reshape(self.land.nrows, self.land.ncols)
@@ -528,21 +512,20 @@ class _Fire:
     their positions in the group.
 
     Its arrival labels `frozen` are +inf where a cell has not burned, so
-    its burned set is the finite labels. It also keeps its open edges: the
-    CSR positions of the edges from a burned cell to an unburned one, with,
-    per edge, the minute the fire entered it, its cost then (NaN once an
-    hour's cost differs) and the share of it still to cross at the next
-    hour boundary. A finished fire drops all of these.
+    its burned set is the finite labels (and `frozen` is None before its
+    first hour). It also keeps its open edges: the CSR positions of the
+    edges from a burned cell to an unburned one, with, per edge, the
+    minute the fire entered it, its cost then (NaN once an hour's cost
+    differs) and the share of it still to cross at the next hour
+    boundary. A finished fire drops all of these.
     """
 
-    def __init__(self, ig: IgnitionSpec, ig_idx: int, reach: int):
+    def __init__(self, ig: IgnitionSpec, ig_idx: int):
         self.pos: list[int] = []
         self.ig_idx = ig_idx
-        self.reach = reach
         self.epochs = math.ceil(ig.duration_hours)
         self.duration_min = ig.duration_hours * 60.0
         self.frozen: Optional[np.ndarray] = None
-        self.n_frozen = 0
         self.edge = np.empty(0, dtype=np.int64)
         self.entered = np.empty(0)
         self.cost = np.empty(0)
@@ -552,23 +535,21 @@ class _Fire:
         """The last minute the fire burns in hour e."""
         return min(60.0 * (e + 1), self.duration_min)
 
-    def done(self, e: int) -> bool:
-        """Whether the fire stops before hour e: its duration is over, or
-        it has burned every cell it can reach."""
-        return e >= self.epochs or self.n_frozen >= self.reach
-
     def seeds(
         self, minutes: np.ndarray, indices: np.ndarray, t_lo: float, t_hi: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """The unburned cells that the fire on an open edge reaches by
         minute t_hi, under the costs `minutes` of the hour starting at
-        t_lo, each with the earliest such minute.
+        t_lo, each with the earliest such minute. A fresh fire's one seed
+        is its ignition at minute 0.
 
         An edge whose cost has not changed since it was entered at t_s is
         left at t_s + c, so constant weather gives one static search bit
         for bit. Otherwise the share still to cross is crossed at the new
         speed, t_lo + left * c, which is +inf in an impassable hour.
         """
+        if self.frozen is None:
+            return np.array([self.ig_idx]), np.zeros(1)
         c = minutes[self.edge]
         with np.errstate(invalid="ignore"):  # left 0 (rounding) times inf
             leave = np.where(c == self.cost, self.entered + c, t_lo + self.left * c)

@@ -209,6 +209,18 @@ def test_report_refuses_a_risk_row_with_an_extra_field(small_run, tmp_path, caps
     assert f"{bad / 'risk.csv'}: row 2: expected 6 fields, got 7" in capsys.readouterr().err
 
 
+def test_report_refuses_a_non_finite_risk_row(small_run, tmp_path, capsys):
+    _, rep = small_run
+    bad = tmp_path / "rep"
+    shutil.copytree(rep, bad)
+    rows = (bad / "risk.csv").read_text().splitlines()
+    j, lbe, lbl, wfl, _, rank = rows[1].split(",")
+    rows[1] = ",".join([j, "inf", lbl, "inf", "nan", rank])
+    (bad / "risk.csv").write_text("\n".join(rows) + "\n")
+    assert run(["report", str(bad)]) == 2
+    assert f"{bad / 'risk.csv'}: row 2: non-finite" in capsys.readouterr().err
+
+
 def test_report_summary(small_run, capsys):
     _, rep = small_run
     assert run(["report", str(rep)]) == 0
@@ -267,6 +279,18 @@ def test_assess_from_tables_honors_cost_overrides(study_dir, tmp_path):
     assert risk[6][3] == 1.0
     assert risk[10][3] == pytest.approx(0.7296717828735528, rel=1e-12)
     assert risk[6][0] == pytest.approx(100 * 84_724_000.0, rel=1e-12)
+
+
+def test_assess_refuses_costs_whose_losses_overflow(study_dir, tmp_path, capsys):
+    rep = tmp_path / "rep"
+    rc = run(["assess", "--from-tables", str(study_dir / "table1.csv"),
+              str(study_dir / "table2.csv"), "--out", str(rep),
+              "--set", "costs.cbe_per_acre=1e305"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 1: loss lbe inf" in err
+    assert "costs.cbe_per_acre and costs.cbl_per_mile" in err
+    assert not rep.exists()
 
 
 # -------------------------------------------------------------- exit codes

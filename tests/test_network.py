@@ -240,16 +240,61 @@ def test_corridor_buffer_semantics():
         Corridors([line], frame, -1)
 
 
+def corridor_studies():
+    """The study network on its 128x128 raster, and a copy squeezed onto
+    32x32 that runs two cells from the raster edge."""
+    return [
+        (ieee30_network(), RasterFrame(nrows=128, ncols=128, origin=STUDY_ORIGIN, cell_size=30.0)),
+        (ieee30_network(width_m=960.0, height_m=960.0, margin_m=15.0),
+         RasterFrame(nrows=32, ncols=32, origin=STUDY_ORIGIN, cell_size=30.0)),
+    ]
+
+
+def clipped_shift_corridor(line, frame, buffer_cells):
+    """A line's corridor built as every shift of up to `buffer_cells` of
+    each of its cells, clipped onto the grid: exact, because a clipped
+    shift stays within its cell's buffer, but (2b + 1)**2 cells per line
+    cell."""
+    span = np.arange(-buffer_cells, buffer_cells + 1)
+    rc = np.array([(c.row, c.col) for c in line_cells(line, frame)], dtype=np.int64)
+    rows = np.clip(rc[:, 0, None, None] + span[:, None], 0, frame.nrows - 1)
+    cols = np.clip(rc[:, 1, None, None] + span[None, :], 0, frame.ncols - 1)
+    return np.unique(rows * frame.ncols + cols)
+
+
+def test_corridors_equal_clipped_shifts():
+    """The dilated corridors are the clipped-shift ones, cell for cell and
+    in the same order, including buffers clipped at the raster edge and
+    one wider than the 32x32 grid."""
+    for net, frame in corridor_studies():
+        lines = ignitable_lines(net)
+        for buffer in (0, 1, 2, 3, 7, 40):
+            table = Corridors(lines, frame, buffer)
+            want = [clipped_shift_corridor(b, frame, buffer) for b in lines]
+            np.testing.assert_array_equal(table.cells, np.concatenate(want))
+            np.testing.assert_array_equal(
+                table.owner, np.repeat(np.arange(len(want)), [w.size for w in want]))
+
+
+def test_corridor_buffer_wider_than_the_grid_is_the_grid():
+    """A 10**6-cell buffer makes every corridor the whole grid, built in
+    memory of the grid's size: the clipped shifts would need (2 * 10**6 +
+    1)**2 cells per line cell."""
+    net, frame = corridor_studies()[1]
+    lines = ignitable_lines(net)
+    table = Corridors(lines, frame, 10**6)
+    grid = np.arange(frame.nrows * frame.ncols)
+    np.testing.assert_array_equal(table.cells, np.tile(grid, len(lines)))
+    np.testing.assert_array_equal(table.owner, np.repeat(np.arange(len(lines)), grid.size))
+    assert table.affected(np.eye(frame.nrows, dtype=bool))[0] == frozenset(b.id for b in lines)
+
+
 def test_corridor_hits_equal_brute_force():
     """The corridor table's hits against Python sets: a line is hit when a
     burned cell lies within `buffer` (Chebyshev) of a cell its route
     crosses. The 32x32 network runs two cells from the raster edge, so its
     buffer-3 corridors are clipped there."""
-    studies = [
-        (ieee30_network(), RasterFrame(nrows=128, ncols=128, origin=STUDY_ORIGIN, cell_size=30.0)),
-        (ieee30_network(width_m=960.0, height_m=960.0, margin_m=15.0),
-         RasterFrame(nrows=32, ncols=32, origin=STUDY_ORIGIN, cell_size=30.0)),
-    ]
+    studies = corridor_studies()
     rng = np.random.default_rng(5)
     clipped = 0
     for net, frame in studies:

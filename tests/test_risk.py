@@ -74,6 +74,14 @@ def test_rank_lines_order_and_records():
         rank_lines(acres, {1: [1.0, 1.0]}, costs)
 
 
+def test_rank_lines_refuses_losses_that_overflow():
+    with pytest.raises(InvalidInputError, match="line 2: loss lbe inf .*costs.cbe_per_acre"):
+        rank_lines({1: [1.0], 2: [1e10]}, {1: [0.0], 2: [1.0]}, CostParams(cbe=1e300, cbl=1.0))
+    # each part is finite, their sum is not
+    with pytest.raises(InvalidInputError, match="line 1: loss lbe 1.5e"):
+        rank_lines({1: [1e8]}, {1: [1e8]}, CostParams(cbe=1.5e300, cbl=1.5e300))
+
+
 def test_rank_monotone_in_acres():
     costs = CostParams(cbe=20_000.0, cbl=200_000.0)
     miles = {j: [2.0] for j in (1, 2, 3)}

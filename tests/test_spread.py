@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 from gridfire import spread
 from gridfire.errors import CoverageError, OutOfBoundsError
@@ -431,30 +431,6 @@ def test_engine_construction_peak_is_near_what_it_holds():
     assert peak <= 1.5 * held, (peak, held)
 
 
-def test_reach_table_equals_breadth_first_search():
-    """Each burnable cell's reach is the size of its connected component
-    in the engine's own edge list, for 8 and 16 neighbours: the label
-    count from connected_components, and the breadth-first order from
-    the cell."""
-    w = WeatherSample(T0, 0.0, 0.0, 20.0, 30.0)
-    for seed in (2, 3, 4):
-        land = mixed_land(seed=seed)
-        n = land.nrows * land.ncols
-        cells = np.flatnonzero(land.burnable_mask().ravel())
-        for neighborhood in (8, 16):
-            eng = SpreadEngine(land, SpreadParams(neighborhood=neighborhood))
-            src, dst, _ = eng.edge_costs(w)
-            graph = csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
-            _, labels = connected_components(graph, directed=False)
-            assert len(set(labels[cells].tolist())) > 2
-            want = np.bincount(labels)[labels[cells]]
-            got = np.array([eng.reach(int(i)) for i in cells])
-            np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}, {neighborhood}")
-            for i in cells[::11]:
-                order = breadth_first_order(graph, i, directed=True, return_predecessors=False)
-                assert eng.reach(int(i)) == order.size, (seed, neighborhood, i)
-
-
 # ------------------------------------------------------------ oracle checks
 
 
@@ -608,7 +584,11 @@ def test_group_arrival_equals_hourly_reference(seed, n, min_ros, durations, bloc
         assert np.isinf(eng.edge_costs(wx.at(T0 + HOUR))[2]).all()
     if block_rows:
         monkeypatch.setattr(spread, "FIRST_HOUR_BLOCK_BYTES", block_rows * 8 * n * n)
-        reach = {eng.reach(int(r * n + c)): GridIndex(int(r), int(c)) for r, c in burnable}
+        src, dst, _ = eng.edge_costs(wx.at(T0))
+        graph = csr_matrix((np.ones(src.size), (src, dst)), shape=(n * n, n * n))
+        _, labels = connected_components(graph, directed=False)
+        sizes = np.bincount(labels)[labels]
+        reach = {int(sizes[r * n + c]): GridIndex(int(r), int(c)) for r, c in burnable}
         island = reach[min(k for k in reach if k > 1)]
         specs += [ignite(specs[1].cell, durations[1], line_id=2),
                   ignite(specs[1].cell, durations[1] + 1.0),
@@ -630,8 +610,58 @@ def test_group_arrival_equals_hourly_reference(seed, n, min_ros, durations, bloc
         assert got[len(durations)] is got[1]
         assert (got[len(durations) + 1].arrival > 60.0 * durations[1]).any()
         whole = got[len(specs) - 1].arrival
-        assert np.isfinite(whole).sum() == eng.reach(island.row * n + island.col)
+        assert np.isfinite(whole).sum() == sizes[island.row * n + island.col]
         assert whole[np.isfinite(whole)].max() <= 60.0, "the island should burn out in hour 0"
+
+
+def test_fire_stops_in_the_hour_it_burns_out():
+    """A 24 h fire on a small island stops in the hour it burns the
+    island's last cell: its group re-costs no later hour, and its raster
+    is the exact arrival. A fire lit on an isolated burnable cell burns
+    that cell alone, in hour 0, with no warning."""
+    fuel = np.zeros((5, 20), dtype=int)
+    fuel[2, 2:18] = 3  # a strip of slow timber litter
+    fuel[0, 0] = 1
+    eng = SpreadEngine(custom_land(fuel))
+    wx = const_wx(hours=30)
+    specs = [ignite(GridIndex(2, 2), 24.0), ignite(GridIndex(0, 0), 24.0)]
+    recosts = []
+    minutes = SpreadEngine._minutes
+
+    def counted(self, w, out):
+        recosts.append(w)
+        return minutes(self, w, out)
+
+    with patch.object(SpreadEngine, "_minutes", counted):
+        got = dict(eng.run_group(specs, wx))
+    want = hourly_reference(eng, wx, specs[0])
+    np.testing.assert_array_equal(got[0].status, np.isfinite(want))
+    np.testing.assert_allclose(got[0].arrival[got[0].status], want[np.isfinite(want)],
+                               rtol=0, atol=1e-9)
+    assert got[0].burned_cell_count() == 16
+    hours = math.ceil(want[np.isfinite(want)].max() / 60.0)
+    assert 2 <= hours < 24
+    assert len(recosts) == hours
+    assert got[1].burned_cell_count() == 1 and got[1].arrival[0, 0] == 0.0
+    assert got[1].warning is None
+
+
+def test_first_hour_block_with_more_fires_than_cells():
+    """Every cell of a 3x3 grid lit at three durations makes 27 fires,
+    which hour 0 searches in one block, each from its own super-source:
+    more super-source edges than the grid has cells. Each fire burns as
+    it does alone."""
+    land = flat_land(n=3)
+    eng = SpreadEngine(land)
+    wx = const_wx(hours=3, ws=3.0, wdir=45.0)
+    specs = [ignite(GridIndex(r, c), hours, line_id=r * 3 + c + 1)
+             for hours in (0.02, 0.05, 2.0) for r in range(3) for c in range(3)]
+    assert spread.FIRST_HOUR_BLOCK_BYTES // (8 * 9) > len(specs)
+    got = dict(eng.run_group(specs, wx))
+    assert sorted(got) == list(range(len(specs)))
+    for i, ig in enumerate(specs):
+        np.testing.assert_array_equal(got[i].arrival, eng.run(ig, wx).arrival)
+    assert len({got[i].burned_cell_count() for i in range(len(specs))}) > 1
 
 
 @settings(max_examples=30, deadline=None)
