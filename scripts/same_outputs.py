@@ -16,6 +16,11 @@ and `report` run in subprocesses with only that tree's `src` on PYTHONPATH:
 - `assess --from-tables` and `report` on the reference tables that
   `synth` writes.
 
+Each `simulate` run also gets `arrivals.sha256`: one line per scenario,
+its results.csv key and the sha256 of its arrival raster, computed by the
+tree's own `SpreadEngine.run_group` on the run's config. So a solver
+change is checked label by label, not only through burned counts.
+
 It compares every file these write, and each `report`'s stdout, byte for
 byte, prints one line per file, and exits 1 if any file differs or is
 missing from one tree. Outputs go to a temporary directory.
@@ -24,6 +29,7 @@ missing from one tree. Outputs go to a temporary directory.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -57,15 +63,45 @@ def runs(bench) -> list[tuple[str, int, list[str], int]]:
     return out
 
 
+def python(tree: Path, *args: str) -> str:
+    """The stdout of one Python command run with the tree's sources."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{tree}: {' '.join(args)} exited {done.returncode}\n{done.stderr}")
+    return done.stdout
+
+
 def gridfire(tree: Path, *args: str) -> str:
     """The stdout of one gridfire command run with the tree's sources."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    done = subprocess.run([sys.executable, "-m", "gridfire.cli", *args], env=env,
-                          capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{tree}: gridfire {' '.join(args)} exited {done.returncode}\n"
-                         f"{done.stderr}")
-    return done.stdout
+    return python(tree, "-m", "gridfire.cli", *args)
+
+
+def write_arrivals(ini: str, path: str, args: list[str]) -> None:
+    """Write `path`: per scenario of `simulate --config ini *args`, in
+    results.csv order, its line, season and ignition index and the sha256
+    of its arrival raster. Imports gridfire from PYTHONPATH, so run it as
+    `same_outputs.py --arrivals INI PATH [ARGS]` under the tree's `src`."""
+    from gridfire import cli
+    from gridfire.landscape import load_catalog, load_landscape
+    from gridfire.network import load_network
+    from gridfire.scenarios import build_matrix
+    from gridfire.spread import SpreadEngine
+
+    config = cli._config(cli.build_parser().parse_args(["simulate", "--config", ini, *args]),
+                         require=True)
+    paths, cfg = config.paths, config.study
+    land = load_landscape(paths["landscape_dir"], catalog=load_catalog(paths["fuel_catalog"]))
+    specs = build_matrix(load_network(paths["network"]), cfg, land.frame)
+    wx, engine = cli.load_weather(paths["weather"]), SpreadEngine(land, cfg.spread)
+    rows = [""] * len(specs)
+    for season, start in enumerate(cfg.seasons):
+        group = [k for k, ig in enumerate(specs) if ig.start == start]
+        for i, burn in engine.run_group([specs[k] for k in group], wx):
+            ig = specs[group[i]]
+            rows[group[i]] = (f"{ig.line_id},{season},{ig.ignition_index},"
+                              f"{hashlib.sha256(burn.arrival.tobytes()).hexdigest()}")
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def report(tree: Path, out: Path) -> None:
@@ -81,6 +117,8 @@ def run_tree(tree: Path, work: Path, bench) -> None:
         ini, out = str(work / f"inputs{size}" / "study.ini"), work / name
         gridfire(tree, "simulate", "--config", ini, "--out", str(out / "run"),
                  "--workers", str(workers), *args)
+        python(tree, str(Path(__file__).resolve()), "--arrivals", ini,
+               str(out / "run" / "arrivals.sha256"), *args)
         gridfire(tree, "assess", "--config", ini, "--results", str(out / "run" / "results.csv"),
                  "--out", str(out / "report"), *args)
         report(tree, out)
@@ -108,6 +146,10 @@ def compare(parent: Path, change: Path) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--arrivals"]:
+        write_arrivals(argv[1], argv[2], argv[3:])
+        return 0
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path, help="the other gridfire tree")
     args = p.parse_args(argv)

@@ -230,8 +230,8 @@ def cmd_synth(args):
 
     size = args.size if args.size is not None else STUDY_NROWS
     cell = args.cell_size if args.cell_size is not None else STUDY_CELL_M
-    land = study_landscape(seed=seed, nrows=size, ncols=size, cell_size=cell)
     try:
+        land = study_landscape(seed=seed, nrows=size, ncols=size, cell_size=cell)
         net = ieee30_network(width_m=size * cell, height_m=size * cell)
     except InvalidInputError as exc:
         raise InvalidInputError(f"--size {size} at --cell-size {cell:g} m: {exc}") from None

@@ -2,44 +2,43 @@
 
 The fire front is modeled as shortest arrival time over a graph whose
 nodes are burnable cells and whose edges connect each cell to its 8 queen
-and 8 knight neighbors (16 directions total; knight moves cut the angular
-quantization of the lattice metric to about 3%). The traversal time of an
-edge is the center-to-center distance divided by the harmonic mean of the
-directional rate of spread at its two endpoints, which is the exact travel
-time over two half-cells moving at different speeds.
+and 8 knight neighbors. An edge's traversal time is the center-to-center
+distance over the harmonic mean of the directional rate of spread at its
+two endpoints, the exact travel time over two half-cells at different
+speeds. In uniform fuel a lattice fire grows as the convex hull of the 16
+moves' speed vectors: without wind that keeps about 97% of the model's
+circle, and under wind it cuts the speed ellipse's narrow head, to
+0.85-0.90 of its area at the synthetic year's median wind and 0.77-0.85
+at its 95th percentile.
 
-Weather is piecewise constant per hour. A fire crosses an edge at the
-speed of the hour it is in; when the hour ends part-way, the share already
-crossed is kept and the rest is crossed at the next hour's speed (an hour
-in which the edge is impassable makes no progress). Leaving later never
-arrives earlier under these rules (the FIFO property), so hour-by-hour
-label setting gives the exact earliest arrival (Orda & Rom 1990), the
-minimum-travel-time reading of fire growth (Finney 2002). Each hourly
-epoch runs one label-setting search over that hour's edge costs and
-freezes the labels that fall inside the hour. It starts from the fire's
-perimeter only: every unburned cell across an open edge (one leading out
-of the burned set) is seeded at the minute the fire on that edge leaves
-it, and the search never re-enters the burned set. Frozen labels are
-never revised, so output is deterministic, burn sets grow monotonically
-with duration, and weather after minute 60 * k cannot change an arrival
-at or before it. Scenarios that share a start time see the same weather
-hours, so they run in hour lockstep and each hour's edge costs are
-computed once for all of them. Every hourly search starts from a
-super-source per fire, whose out-edges reach the fire's seeds at their
-seed minutes; a fresh fire's one seed is its ignition at minute 0. In
-hour 0 no fire has a burned set to block, so a block of fires shares one
-search, each from its own super-source. A fire stops when its duration
-is over or when no edge leads out of its burned set, which is then its
-whole connected component. Scenarios with the same ignition cell and
-duration burn alike and are simulated once.
+Weather is piecewise constant per hour, and an epoch is a run of
+consecutive hours with bit-equal weather. A fire crosses an edge at the
+speed of the epoch it is in; when the epoch ends part-way, the share
+already crossed is kept and the rest is crossed at the next epoch's speed
+(an epoch in which the edge is impassable makes no progress). Leaving
+later never arrives earlier (the FIFO property), so epoch-by-epoch label
+setting gives the exact earliest arrival (Orda & Rom 1990), the
+minimum-travel-time reading of fire growth (Finney 2002), and constant
+weather is one static search. Each epoch runs one search per fire from a
+super-source whose out-edges reach the cells across the fire's open edges
+(those leading out of its burned set) at the minute it leaves them; a
+fresh fire's one seed is its ignition. The search never re-enters the
+burned set, and the labels it freezes are never revised, so output is
+deterministic, burn sets grow monotonically with duration, and weather
+after minute 60 * k cannot change an arrival at or before it. Scenarios
+that share a start time run in epoch lockstep on one re-cost per epoch;
+in the first epoch, with no burned set to block, a block of fires shares
+one search. A fire stops when its duration is over or no edge leads out
+of its burned set. Scenarios with the same ignition cell and duration are
+simulated once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from typing import Generator, Iterator, Optional, Sequence
+from datetime import datetime
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -57,8 +56,8 @@ MOISTURE_FACTOR_MIN = 0.1
 MOISTURE_FACTOR_MAX = 3.0
 SLOPE_GAIN = 0.3
 
-# Bytes of distance rows one first-hour block search may hold; sets how
-# many fires of a group share one search in hour 0.
+# Bytes of distance rows one first-epoch block search may hold; sets how
+# many fires of a group share one search in the first epoch.
 FIRST_HOUR_BLOCK_BYTES = 4 << 20
 
 # Edges re-costed per pass of `SpreadEngine._minutes`. Its two scratch
@@ -137,7 +136,10 @@ def moisture_factor(
     rel_humidity: float, moisture_exp: float, humidity_ref: float = SpreadParams.humidity_ref
 ) -> float:
     """Humidity damping of spread, clamped to [0.1, 3]."""
-    raw = (humidity_ref / max(rel_humidity, 1.0)) ** moisture_exp
+    try:
+        raw = (humidity_ref / max(rel_humidity, 1.0)) ** moisture_exp
+    except OverflowError:  # beyond any float, so above the clamp
+        raw = math.inf
     return min(MOISTURE_FACTOR_MAX, max(MOISTURE_FACTOR_MIN, raw))
 
 
@@ -202,13 +204,13 @@ class SpreadEngine:
     Construction precomputes, per travel direction, the landscape half of
     every edge cost (distance over base_ros times the slope factor at each
     endpoint). Weather enters as a per-(fuel, direction) scalar each epoch,
-    so re-costing the whole edge set for a new hour is two table lookups,
+    so re-costing the whole edge set for a new epoch is two table lookups,
     two products and a sum per edge. It runs in place, over chunks of
-    RECOST_CHUNK edges, straight into the buffer the hour's searches read,
-    so an hour holds no edge-length temporaries. The edges are held in
+    RECOST_CHUNK edges, straight into the buffer the epoch's searches read,
+    so an epoch holds no edge-length temporaries. The edges are held in
     CSR order, by source cell and then by direction, and each edge's
     reverse is the edge leaving its end cell in the opposite direction;
-    the engine records where that reverse sits, so an hourly search can
+    the engine records where that reverse sits, so an epoch's search can
     block the edges back into a fire's burned set. One engine serves any
     number of ignitions, holds no per-scenario state and is not changed
     after construction.
@@ -292,7 +294,8 @@ class SpreadEngine:
         self._table_size = max(len(self._fuel_models), 1) * ndirs
         if d.size and max(self._key_src.max(), self._key_dst.max()) >= self._table_size:
             raise RuntimeError("edge keys beyond the (fuel, direction) table")
-        self._max_minutes = (dists / params.min_ros)[d] if params.min_ros > 0 else None
+        with np.errstate(over="ignore"):  # a subnormal floor makes no edge too slow
+            self._max_minutes = (dists / params.min_ros)[d] if params.min_ros > 0 else None
         del d
 
         self._indptr = np.zeros(n + 1, dtype=np.int32)
@@ -301,29 +304,33 @@ class SpreadEngine:
         self._burnable = burn_mask.ravel()
 
     def _epoch_table(self, w: WeatherSample) -> np.ndarray:
-        """Inverse weather factor per (fuel, direction), flattened."""
-        params = self.params
-        out = np.empty(self._table_size)
+        """Inverse weather factor per (fuel, direction), flattened. A fuel
+        whose wind factor overflows raises InvalidInputError, since an
+        infinite factor would make its edges free."""
+        params, out = self.params, np.empty(self._table_size)
         for fi, fm in enumerate(self._fuel_models):
             pm = moisture_factor(w.rel_humidity, fm.moisture_exp, params.humidity_ref)
-            for d, theta_deg in enumerate(self._theta_deg):
-                pe = wind_factor(
-                    w.wind_speed, w.wind_dir_from, theta_deg,
-                    fm.wind_coeff, fm.wind_exp, params.max_eccentricity,
-                )
-                out[fi * self._ndirs + d] = 1.0 / (pm * pe)
+            try:
+                row = [1.0 / (pm * wind_factor(w.wind_speed, w.wind_dir_from, theta, fm.wind_coeff,
+                                               fm.wind_exp, params.max_eccentricity))
+                       for theta in self._theta_deg]
+            except OverflowError:
+                row = [0.0]
+            if not all(row):
+                raise InvalidInputError(f"fuel {fm.id}: wind_exp {fm.wind_exp:g} overflows the wind "
+                                        f"factor at wind speed {w.wind_speed:g} m/s ({w.timestamp})")
+            out[fi * self._ndirs:(fi + 1) * self._ndirs] = row
         return out
 
-    def _minutes(self, w: WeatherSample, out: np.ndarray) -> np.ndarray:
+    def _minutes(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the traversal minutes of every edge, in CSR order, under one
-        weather sample into `out` and return it; edges slower than the
-        min_ros floor are impassable (+inf).
+        weather table (`_epoch_table`) into `out` and return it; edges
+        slower than the min_ros floor are impassable (+inf).
 
         Each cost is hsrc * table[key_src] + hdst * table[key_dst], the
         same operands in the same order whatever the chunking, so every
         cost is bit-identical to that expression's.
         """
-        table = self._epoch_table(w)
         m = out.size
         half = np.empty(min(RECOST_CHUNK, m))
         slow = np.empty(half.size, dtype=bool)
@@ -349,7 +356,8 @@ class SpreadEngine:
         shortest-path checks. Flat cell indexing is row * ncols + col.
         """
         src = np.repeat(np.arange(self._n_cells), np.diff(self._indptr))
-        return src, self._indices.astype(np.int64), self._minutes(w, np.empty(src.size))
+        minutes = self._minutes(self._epoch_table(w), np.empty(src.size))
+        return src, self._indices.astype(np.int64), minutes
 
     def run(self, ig: IgnitionSpec, wx: WeatherSeries) -> BurnRaster:
         """Simulate one ignition and return its burn raster.
@@ -363,25 +371,23 @@ class SpreadEngine:
     def run_group(
         self, specs: Sequence[IgnitionSpec], wx: WeatherSeries
     ) -> Iterator[tuple[int, BurnRaster]]:
-        """Simulate ignitions that share one start time, in hour lockstep.
+        """Simulate ignitions that share one start time, in epoch lockstep.
 
-        Hour e's edge costs are computed once and advance every scenario
-        still burning by that hour's search (`_search`), and each fire's
-        labels end its hour in one step (`_step`). In hour 0 no fire has a
-        burned set yet, so the fires are searched in blocks, with
-        FIRST_HOUR_BLOCK_BYTES bounding a block's distance rows; later
-        hours search one fire at a time. Specs with the same ignition cell
+        Each epoch (`_epochs`) is re-costed once, and every fire still
+        burning advances by one search over it (`_search`) and ends it in
+        one step (`_step`). The first epoch searches the fires in blocks,
+        with FIRST_HOUR_BLOCK_BYTES bounding a block's distance rows; later
+        epochs search one fire at a time. Specs with the same ignition cell
         and duration (twins) share one fire, whose raster is yielded at
         each of their positions.
 
         Yields (position in specs, outcome) as soon as a scenario
-        finishes, so only burning scenarios hold state: a block's fires
-        that end in hour 0 are yielded before the next block is searched.
-        Every spec is checked before anything is searched or yielded, and
-        the first that cannot run raises: OutOfBoundsError for an ignition
-        outside the raster, CoverageError when the weather does not cover
-        its hours. A non-burnable ignition cell yields an empty raster with
-        a warning.
+        finishes, even between the first epoch's blocks, so only burning
+        scenarios hold state. Every spec is checked before anything is
+        searched or yielded, and the first that cannot run raises:
+        OutOfBoundsError for an ignition outside the raster, CoverageError
+        when the weather does not cover its hours. A non-burnable ignition
+        cell yields an empty raster with a warning.
         """
         if not specs:
             return
@@ -415,70 +421,79 @@ class SpreadEngine:
 
         # Each search runs on the cell graph plus one super-source per fire
         # of its block. The group shares one buffer for that graph: the
-        # hour's edge costs first, then the super-sources' edges, one per
-        # fire in hour 0 and up to one per cell later.
+        # epoch's edge costs first, then the super-sources' edges, one per
+        # fire in the first epoch and up to one per cell later.
         n, m = self._n_cells, self._indices.size
         rows = min(max(1, FIRST_HOUR_BLOCK_BYTES // (8 * n)), len(fires))
         values = np.empty(m + max(n, rows))
         indices = np.concatenate([self._indices, np.empty(max(n, rows), dtype=np.int32)])
         indptr = np.concatenate([self._indptr, np.full(rows, m, dtype=np.int32)])
         burning = list(fires.values())
-        e = 0
+        epochs = self._epochs(wx, start, max((fire.hours for fire in burning), default=0))
         while burning:
-            self._minutes(wx.at(start + timedelta(hours=e)), values[:m])
+            e, e1, table = next(epochs)
+            self._minutes(table, values[:m])
             waiting, burning = burning, []
             per_block = rows if e == 0 else 1
             for b in range(0, len(waiting), per_block):
                 block = waiting[b:b + per_block]
-                dist = self._search(block, e, values, indices, indptr)
+                dist = self._search(block, e, e1, values, indices, indptr)
                 for fire, row in zip(block, dist):
-                    if (yield from self._step(fire, e, row, values[:m])):
+                    burn = self._step(fire, e, e1, row, values[:m])
+                    if burn is None:
                         burning.append(fire)
+                    else:
+                        for pos in fire.pos:
+                            yield pos, burn
                 del dist, row  # free this block's rows before the next search
-            e += 1
+
+    def _epochs(self, wx: WeatherSeries, start: datetime,
+                hours: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        """(first hour, hour after the last, weather table) of each run of
+        consecutive hours of `hours` from `start` with bit-equal tables."""
+        e, table = 0, self._epoch_table(wx.at(start))
+        for h in range(1, hours):
+            after = self._epoch_table(wx.at(start + h * HOUR))
+            if after.tobytes() != table.tobytes():
+                yield e, h, table
+                e, table = h, after
+        yield e, hours, table
 
     def _step(
-        self, fire: _Fire, e: int, dist: np.ndarray, minutes: np.ndarray
-    ) -> Generator[tuple[int, BurnRaster], None, bool]:
-        """End a fire's hour e, given its search labels `dist` and the
-        hour's edge costs `minutes`: freeze the labels inside the hour (the
-        search never enters the burned set, so each is a new cell) and,
-        unless the duration is over, hand its open edges over. A fire left
-        with no open edge has burned its whole connected component. A fire
-        that stops yields the raster at each position it serves and drops
-        its arrays. Returns whether it burns on.
-        """
+        self, fire: _Fire, e: int, e1: int, dist: np.ndarray, minutes: np.ndarray
+    ) -> Optional[BurnRaster]:
+        """End a fire's epoch of hours [e, e1), given its search labels
+        `dist` and the epoch's edge costs `minutes`: freeze the labels
+        inside the epoch, each a new cell, and unless the duration is over
+        hand its open edges over. Returns None while it burns on, else its
+        raster, once it has dropped its arrays."""
         n = self._n_cells
-        newly = np.flatnonzero(dist[:n] <= fire.t_hi(e))
+        newly = np.flatnonzero(dist[:n] <= fire.t_hi(e1))
         if fire.frozen is None:
             fire.frozen = np.full(n, np.inf)
         fire.frozen[newly] = dist[newly]
-        if e + 1 < fire.epochs:
-            fire.hand_over(newly, 60.0 * (e + 1), minutes, self._indptr, self._indices)
+        if e1 < fire.hours:
+            fire.hand_over(newly, 60.0 * e, 60.0 * e1, minutes, self._indptr, self._indices)
             if fire.edge.size:
-                return True
+                return None
         burn = self._raster(fire.frozen, None)
-        fire.frozen = fire.edge = fire.entered = fire.cost = fire.left = None
-        for pos in fire.pos:
-            yield pos, burn
-        return False
+        fire.frozen = fire.edge = fire.left = None
+        return burn
 
     def _search(
-        self, block: Sequence[_Fire], e: int, values: np.ndarray, indices: np.ndarray,
-        indptr: np.ndarray,
+        self, block: Sequence[_Fire], e: int, e1: int, values: np.ndarray,
+        indices: np.ndarray, indptr: np.ndarray,
     ) -> np.ndarray:
-        """The labels of hour e for each fire of `block`, one row each: a
-        search under the hour's costs from node n + i for the block's i-th
-        fire, held in the graph buffers with this filling in that node's
-        out-edges. They reach each of the fire's seeds (`_Fire.seeds`) at
-        its seed minute. The search blocks the edges back into the burned
-        sets, so it settles only cells that are not burned yet. Only a
-        block of fresh fires holds more than one fire, and a fresh fire has
-        no burned set, so no block hides a cell from another fire."""
+        """The labels of the epoch of hours [e, e1) for each fire of
+        `block`, one row each: a search under the epoch's costs from node
+        n + i, whose out-edges, filled in here, reach the i-th fire's
+        seeds (`_Fire.seeds`) at their seed minutes. The edges back into
+        the burned sets are blocked, so only unburned cells are settled;
+        only fresh fires, which have none, share a block."""
         n, m = self._n_cells, self._indices.size
         size = m
         for i, fire in enumerate(block):
-            sources, times = fire.seeds(values[:m], self._indices, 60.0 * e, fire.t_hi(e))
+            sources, times = fire.seeds(values[:m], self._indices, 60.0 * e, fire.t_hi(e1))
             indices[size:size + sources.size] = sources
             values[size:size + sources.size] = times
             size += sources.size
@@ -496,7 +511,7 @@ class SpreadEngine:
         # per-layer tracer (perfbench/tracing.py) counts a scalar start's
         # out-edges as the cells the search restarts from.
         dist = dijkstra(csr, directed=True, indices=n if k == 1 else np.arange(n, n + k),
-                        limit=max(fire.t_hi(e) for fire in block))
+                        limit=max(fire.t_hi(e1) for fire in block))
         values[into_burned] = blocked
         return dist.reshape(k, -1)
 
@@ -507,52 +522,40 @@ class SpreadEngine:
 
 
 class _Fire:
-    """State of one fire inside `SpreadEngine.run_group`. It serves every
-    spec of the group with its ignition cell and duration; `pos` holds
-    their positions in the group.
-
-    Its arrival labels `frozen` are +inf where a cell has not burned, so
-    its burned set is the finite labels (and `frozen` is None before its
-    first hour). It also keeps its open edges: the CSR positions of the
-    edges from a burned cell to an unburned one, with, per edge, the
-    minute the fire entered it, its cost then (NaN once an hour's cost
-    differs) and the share of it still to cross at the next hour
-    boundary. A finished fire drops all of these.
-    """
+    """State of one fire inside `SpreadEngine.run_group`, serving every
+    spec of the group with its ignition cell and duration (`pos`, their
+    positions). Its arrival labels `frozen` are +inf where a cell has not
+    burned (None before its first epoch), so its burned set is the finite
+    labels. Its open edges are the CSR positions `edge` of the edges from
+    a burned cell to an unburned one, each with the share `left` of it
+    still to cross when the next epoch starts. A finished fire drops all
+    three arrays."""
 
     def __init__(self, ig: IgnitionSpec, ig_idx: int):
         self.pos: list[int] = []
         self.ig_idx = ig_idx
-        self.epochs = math.ceil(ig.duration_hours)
+        self.hours = math.ceil(ig.duration_hours)
         self.duration_min = ig.duration_hours * 60.0
         self.frozen: Optional[np.ndarray] = None
         self.edge = np.empty(0, dtype=np.int64)
-        self.entered = np.empty(0)
-        self.cost = np.empty(0)
         self.left = np.empty(0)
 
-    def t_hi(self, e: int) -> float:
-        """The last minute the fire burns in hour e."""
-        return min(60.0 * (e + 1), self.duration_min)
+    def t_hi(self, e1: int) -> float:
+        """The last minute the fire burns in an epoch that ends at hour e1."""
+        return min(60.0 * e1, self.duration_min)
 
     def seeds(
         self, minutes: np.ndarray, indices: np.ndarray, t_lo: float, t_hi: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """The unburned cells that the fire on an open edge reaches by
-        minute t_hi, under the costs `minutes` of the hour starting at
-        t_lo, each with the earliest such minute. A fresh fire's one seed
-        is its ignition at minute 0.
-
-        An edge whose cost has not changed since it was entered at t_s is
-        left at t_s + c, so constant weather gives one static search bit
-        for bit. Otherwise the share still to cross is crossed at the new
-        speed, t_lo + left * c, which is +inf in an impassable hour.
-        """
+        minute t_hi, under the costs `minutes` of the epoch starting at
+        t_lo, each with the earliest such minute: the fire leaves an edge
+        of cost c at t_lo + left * c, +inf if it is impassable. A fresh
+        fire's one seed is its ignition at minute 0."""
         if self.frozen is None:
             return np.array([self.ig_idx]), np.zeros(1)
-        c = minutes[self.edge]
         with np.errstate(invalid="ignore"):  # left 0 (rounding) times inf
-            leave = np.where(c == self.cost, self.entered + c, t_lo + self.left * c)
+            leave = t_lo + self.left * minutes[self.edge]
         soon = np.flatnonzero(leave <= t_hi)
         cells = indices[self.edge[soon]]
         order = np.argsort(cells)
@@ -561,35 +564,31 @@ class _Fire:
         return cells[first], np.minimum.reduceat(leave, first)
 
     def hand_over(
-        self, new: np.ndarray, t_end: float, minutes: np.ndarray, indptr: np.ndarray,
-        indices: np.ndarray,
+        self, new: np.ndarray, t_lo: float, t_end: float, minutes: np.ndarray,
+        indptr: np.ndarray, indices: np.ndarray,
     ) -> None:
-        """Carry the open edges over the hour boundary at minute t_end,
-        given the cells `new` that burned in the hour that ends there and
-        its costs `minutes`: close the edges into those cells, take the
-        hour's progress off the others, and open every edge from one of
-        them to a cell that has not burned."""
+        """Carry the open edges over the epoch boundary at minute t_end,
+        given the cells `new` that burned in the epoch from t_lo to t_end
+        and its costs `minutes`: close the edges into those cells, take
+        the epoch's progress off the others, and open every edge from one
+        of them to a cell that has not burned, less the share crossed
+        since the fire entered it."""
         frozen = self.frozen
         first = indptr[new]
         deg = indptr[new + 1] - first
         edge = np.repeat(first - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-        entered = np.repeat(frozen[new], deg)
         opened = frozen[indices[edge]] == np.inf
-        edge, entered = edge[opened], entered[opened]
-        c_new = minutes[edge]
-
+        edge, entered = edge[opened], np.repeat(frozen[new], deg)[opened]
         still = frozen[indices[self.edge]] == np.inf
-        c = minutes[self.edge[still]]
-        cost = self.cost[still]
-        self.edge = np.concatenate([self.edge[still], edge])
-        self.entered = np.concatenate([self.entered[still], entered])
-        self.cost = np.concatenate([np.where(c == cost, cost, np.nan), c_new])
-        self.left = np.concatenate([self.left[still] - 60.0 / c, 1.0 - (t_end - entered) / c_new])
+        old = self.edge[still]
+        self.left = np.concatenate([self.left[still] - (t_end - t_lo) / minutes[old],
+                                    1.0 - (t_end - entered) / minutes[edge]])
+        self.edge = np.concatenate([old, edge])
 
 
 def check_coverage(wx: WeatherSeries, start: datetime, hours: float) -> None:
-    """Raise CoverageError unless `wx` holds a sample for every hourly
-    epoch of a fire burning `hours` from `start`."""
+    """Raise CoverageError unless `wx` holds a sample for every hour of a
+    fire burning `hours` from `start`."""
     # The series is gap-free, so checking both ends covers the window. A
     # fire longer than the whole series cannot be covered, and bounding
     # the hours first keeps the end instant representable.

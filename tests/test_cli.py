@@ -8,6 +8,7 @@ session-scoped study_dir fixture.
 import json
 import math
 import shutil
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -410,6 +411,42 @@ def test_ragged_catalog_row_is_exit_2(study_dir, tmp_path, capsys, row):
     assert not (tmp_path / "run").exists()
 
 
+def test_catalog_wind_exp_that_overflows_is_exit_2(study_dir, tmp_path, capsys):
+    """A wind exponent whose wind factor overflows in some hour's wind
+    stops simulate, naming the fuel, the exponent and the wind speed: an
+    infinite factor would make the fuel's edges free."""
+    lines = (study_dir / "fuel_catalog.csv").read_text().splitlines()
+    assert lines[2] == "1,grass,1,15.0,0.4,1.0,1.0"
+    catalog = tmp_path / "fuel_catalog.csv"
+    catalog.write_text("\n".join([*lines[:2], "1,grass,1,15.0,0.4,500.0,1.0", *lines[3:]]) + "\n")
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path / "run"),
+              *SMALL_STUDY, "--set", f"paths.fuel_catalog={catalog}"])
+    assert rc == 2
+    assert "fuel 1: wind_exp 500 overflows the wind factor at wind speed " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("extreme, same_as", [
+    ("spread.humidity_ref_pct=1e308", "spread.humidity_ref_pct=1e6"),
+    ("spread.min_ros_m_min=1e-320", "spread.min_ros_m_min=0"),
+])
+def test_extreme_spread_values_saturate(study_dir, tmp_path, extreme, same_as):
+    """A humidity reference too large for any float moisture factor
+    saturates at the factor's clamp, as a large finite one does; a
+    subnormal ROS floor makes no edge impassable, as no floor does.
+    Neither raises nor warns, and each writes the results of its twin."""
+    results = []
+    for k, value in enumerate((extreme, same_as)):
+        out = tmp_path / str(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(out),
+                      *SMALL_STUDY, "--set", value])
+        assert rc == 0
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]
+
+
 def test_bad_seed_type_is_exit_2(tmp_path, capsys):
     ini = tmp_path / "study.ini"
     ini.write_text("[study]\nseed = banana\n")
@@ -501,6 +538,9 @@ def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     # windows too small for the network layout's margins
     (["synth", "--out", "NEW", "--size", "4"], "--size 4 at --cell-size 30 m"),
     (["synth", "--out", "NEW", "--size", "8"], "--size 8 at --cell-size 30 m"),
+    # cell sizes whose landscape cannot be built
+    (["synth", "--out", "NEW", "--cell-size", "1e-300"], "--size 128 at --cell-size 1e-300 m: "),
+    (["synth", "--out", "NEW", "--cell-size", "1e308"], "--size 128 at --cell-size 1e+308 m: "),
     # flags a command would ignore are not accepted
     (["report", "REP", "--set", "bogus.key=1"], "--set"),
     (["report", "REP", "--workers", "2"], "--workers"),

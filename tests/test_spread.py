@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import ConvexHull
 
 from gridfire import spread
 from gridfire.errors import CoverageError, OutOfBoundsError
@@ -338,7 +339,7 @@ def test_edge_costs_match_scalar_model():
 
 @pytest.mark.parametrize("n, min_ros", [(64, 5.0), (64, 0.0), (9, 5.0)])
 def test_chunked_recost_equals_whole_edge_expression(n, min_ros):
-    """`_minutes(w, out)` re-costs in chunks of RECOST_CHUNK edges, in
+    """`_minutes(table, out)` re-costs in chunks of RECOST_CHUNK edges, in
     place; each cost must equal, bit for bit, the whole-array expression
     hsrc * table[key_src] + hdst * table[key_dst], with edges slower than
     the floor (edge length / min_ros) made impassable. 64x64 spans several
@@ -363,7 +364,7 @@ def test_chunked_recost_equals_whole_edge_expression(n, min_ros):
         if min_ros > 0:
             want[want > length / min_ros] = np.inf
         out = np.full(m, np.nan)
-        assert eng._minutes(w, out) is out
+        assert eng._minutes(table, out) is out
         assert out.tobytes() == want.tobytes()
         if m and min_ros > 0:
             assert 0 < np.isinf(out).sum() < m  # the floor bites on some edges only
@@ -374,10 +375,10 @@ def test_recost_holds_no_edge_length_temporaries():
     226k edges, 1.8 MB of costs) peaks below 1 MB of traced memory."""
     eng = SpreadEngine(study_landscape(seed=0))
     out = np.empty(eng._indices.size)
-    w = WeatherSample(T0, 3.5, 240.0, 18.0, 45.0)
+    table = eng._epoch_table(WeatherSample(T0, 3.5, 240.0, 18.0, 45.0))
     tracemalloc.start()
     try:
-        eng._minutes(w, out)
+        eng._minutes(table, out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -484,6 +485,35 @@ def test_arrival_equals_bellman_ford(seed, duration):
     np.testing.assert_array_equal(got.status, within)
     assert np.all(got.arrival[within] == oracle[within])
     assert np.all(np.isinf(got.arrival[~within]))
+
+
+@pytest.mark.parametrize("wind, wdir, hours", [
+    (0.0, 0.0, 1.0), (3.7, 0.0, 1.0), (3.7, 10.0, 1.0), (5.0, 22.5, 0.75), (2.3, 45.0, 1.0),
+])
+def test_arrival_equals_the_stencil_gauge(wind, wdir, hours):
+    """In flat uniform grass under constant wind, a lattice fire's arrival
+    at x is the gauge of x: the least t with x in t times the convex hull
+    of the stencil's speed vectors, one per move, along the move at the
+    rate of spread in its compass direction. The hull, not the model's
+    speed ellipse, is the shape the lattice burns."""
+    n, cell = 161, 30.0
+    w = WeatherSample(T0, wind, wdir, 20.0, 30.0)
+    moves = np.array(spread.QUEEN_OFFSETS + spread.KNIGHT_OFFSETS, dtype=float)
+    ros = [directional_ros(GRASS, 0.0, 0.0, w, math.degrees(math.atan2(dc, dr)) % 360.0)
+           for dr, dc in moves]  # rows run north, columns east
+    speeds = moves / np.hypot(*moves.T)[:, None] * np.array(ros)[:, None]
+    facets = ConvexHull(speeds).equations  # a . v + b <= 0 inside, b < 0
+    r, c = np.indices((n, n)) - n // 2
+    x = np.stack([r.ravel(), c.ravel()], axis=1) * cell
+    gauge = (x @ facets[:, :2].T / -facets[:, 2]).max(axis=1).reshape(n, n)
+
+    wx = const_wx(hours=2, ws=wind, wdir=wdir)
+    got = simulate_spread(ignite(GridIndex(n // 2, n // 2), hours), flat_land(n=n), wx)
+    horizon = 60.0 * hours
+    assert not (got.status[[0, -1]].any() or got.status[:, [0, -1]].any())
+    assert np.abs(got.arrival[got.status] - gauge[got.status]).max() <= 1e-9
+    assert got.status[gauge <= horizon - 1e-6].all()
+    assert not got.status[gauge > horizon + 1e-6].any()
 
 
 def hourly_reference(eng, wx, ig):
@@ -617,13 +647,16 @@ def test_group_arrival_equals_hourly_reference(seed, n, min_ros, durations, bloc
 def test_fire_stops_in_the_hour_it_burns_out():
     """A 24 h fire on a small island stops in the hour it burns the
     island's last cell: its group re-costs no later hour, and its raster
-    is the exact arrival. A fire lit on an isolated burnable cell burns
-    that cell alone, in hour 0, with no warning."""
+    is the exact arrival. The humidity alternates between 30% and 31%, so
+    every hour is an epoch of its own. A fire lit on an isolated burnable
+    cell burns that cell alone, in hour 0, with no warning."""
     fuel = np.zeros((5, 20), dtype=int)
     fuel[2, 2:18] = 3  # a strip of slow timber litter
     fuel[0, 0] = 1
     eng = SpreadEngine(custom_land(fuel))
-    wx = const_wx(hours=30)
+    wx = WeatherSeries(tuple(
+        WeatherSample(T0 + h * HOUR, 0.0, 0.0, 20.0, 30.0 + h % 2) for h in range(30)
+    ))
     specs = [ignite(GridIndex(2, 2), 24.0), ignite(GridIndex(0, 0), 24.0)]
     recosts = []
     minutes = SpreadEngine._minutes
@@ -644,6 +677,59 @@ def test_fire_stops_in_the_hour_it_burns_out():
     assert len(recosts) == hours
     assert got[1].burned_cell_count() == 1 and got[1].arrival[0, 0] == 0.0
     assert got[1].warning is None
+
+
+def test_hours_with_equal_weather_are_one_epoch():
+    """Consecutive hours with bit-equal weather tables are one epoch: one
+    re-cost and one search per fire. Under constant weather a group
+    re-costs once, and every fire equals the static Bellman-Ford arrival
+    bit for bit, whatever its duration. Under hours [A, A, B] the group
+    re-costs twice, and each fire equals the hourly reference, across the
+    A-A boundary inside the first epoch and the A-B boundary after it."""
+    land = synth_landscape(SynthSpec(
+        nrows=18, ncols=18, cell_size=30.0, origin=ORIGIN, seed=5,
+        fuel_mix=((3, 0.6), (2, 0.3), (0, 0.1)), patch_cells=3.0, elevation_relief=30.0,
+    ))
+    a = WeatherSample(T0, 3.0, 200.0, 20.0, 35.0)
+    b = WeatherSample(T0, 6.0, 80.0, 20.0, 20.0)
+    burnable = np.argwhere(land.burnable_mask())
+    cells = [GridIndex(*map(int, burnable[k])) for k in (0, len(burnable) // 2)]
+    eng = SpreadEngine(land)
+    recosts = []
+    minutes = SpreadEngine._minutes
+
+    def counted(self, table, out):
+        recosts.append(table)
+        return minutes(self, table, out)
+
+    def run(weather, specs):
+        recosts.clear()
+        wx = WeatherSeries(tuple(
+            WeatherSample(T0 + h * HOUR, w.wind_speed, w.wind_dir_from, w.temperature,
+                          w.rel_humidity) for h, w in enumerate(weather)
+        ))
+        with patch.object(SpreadEngine, "_minutes", counted):
+            return wx, dict(eng.run_group(specs, wx))
+
+    specs = [ignite(cells[0], 2.5), ignite(cells[1], 6.0)]
+    _, got = run([a] * 6, specs)
+    assert len(recosts) == 1
+    for i, ig in enumerate(specs):
+        oracle = bellman_ford_arrival(land, a, ig.cell, SpreadParams())
+        within = oracle <= ig.duration_hours * 60.0
+        np.testing.assert_array_equal(got[i].status, within)
+        assert got[i].arrival[within].tobytes() == oracle[within].tobytes()
+        assert (oracle[within] > 60.0).any()
+
+    specs = [ignite(cells[0], 3.0), ignite(cells[1], 2.5)]
+    wx, got = run([a, a, b], specs)
+    assert len(recosts) == 2
+    for i, ig in enumerate(specs):
+        want = hourly_reference(eng, wx, ig)
+        np.testing.assert_array_equal(got[i].status, np.isfinite(want))
+        np.testing.assert_allclose(got[i].arrival[got[i].status], want[np.isfinite(want)],
+                                   rtol=0, atol=1e-9)
+        assert (want > 120.0).any() and ((want > 60.0) & (want < 120.0)).any()
 
 
 def test_first_hour_block_with_more_fires_than_cells():
