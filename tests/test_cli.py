@@ -538,9 +538,6 @@ def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     # windows too small for the network layout's margins
     (["synth", "--out", "NEW", "--size", "4"], "--size 4 at --cell-size 30 m"),
     (["synth", "--out", "NEW", "--size", "8"], "--size 8 at --cell-size 30 m"),
-    # cell sizes whose landscape cannot be built
-    (["synth", "--out", "NEW", "--cell-size", "1e-300"], "--size 128 at --cell-size 1e-300 m: "),
-    (["synth", "--out", "NEW", "--cell-size", "1e308"], "--size 128 at --cell-size 1e+308 m: "),
     # flags a command would ignore are not accepted
     (["report", "REP", "--set", "bogus.key=1"], "--set"),
     (["report", "REP", "--workers", "2"], "--workers"),
@@ -551,6 +548,9 @@ def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     (["assess", "--from-tables", "TABLE1", "TABLE2", "--config", "TYPO", "--out", "NEW"],
      "typo.ini"),
     (["synth", "--out", "NEW", "--seed", "-1"], "study.seed"),
+    # cell sizes whose landscape cannot be built
+    (["synth", "--out", "NEW", "--cell-size", "1e-300"], "--size 128 at --cell-size 1e-300 m: "),
+    (["synth", "--out", "NEW", "--cell-size", "1e308"], "--size 128 at --cell-size 1e+308 m: "),
 ])
 def test_bad_flag_is_usage_error(study_dir, small_run, tmp_path, capsys, flags, named):
     """Flag values out of range, flags the command does not take, and
