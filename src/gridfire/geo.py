@@ -122,6 +122,8 @@ class RasterFrame:
             raise InvalidInputError(f"raster shape {self.nrows}x{self.ncols} not positive")
         if not (math.isfinite(self.cell_size) and self.cell_size > 0.0):
             raise InvalidInputError(f"cell size {self.cell_size} not positive")
+        if not math.isfinite(max(self.nrows, self.ncols) * self.cell_size):
+            raise InvalidInputError(f"raster extent of {self.nrows}x{self.ncols} cells not finite")
 
     @property
     def width_m(self) -> float:

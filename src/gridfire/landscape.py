@@ -1,9 +1,9 @@
-"""Landscape raster: four terrain/fuel layers plus the fuel catalog.
+"""Landscape raster: three terrain/fuel layers plus the fuel catalog.
 
-The layers are elevation, slope, aspect and fuel model. The surface spread
-model reads fuel, slope and aspect; elevation is the terrain surface that
-synthetic slope and aspect are derived from. Other files in a landscape
-directory are not read.
+The layers are slope, aspect and fuel model, the three the surface spread
+model reads. Synthesis derives slope and aspect from an elevation surface
+it does not keep. Other files in a landscape directory, an elevation grid
+among them, are not read.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .geo import GeoPoint, RasterFrame
 ACRES_PER_SQUARE_METER = 0.000247105381
 
 LAYER_FILES = {
-    "elevation": "elevation.asc",
     "slope": "slope.asc",
     "aspect": "aspect.asc",
     "fuel": "fuel.asc",
@@ -153,14 +152,13 @@ def _parse_flag(s: str) -> bool:
 
 @dataclass(frozen=True)
 class LandscapeRaster:
-    """Validated four-layer study raster. Row 0 is the south edge.
+    """Validated three-layer study raster. Row 0 is the south edge.
 
     Arrays are read-only; the raster is shared across scenario workers
     without copying.
     """
 
     frame: RasterFrame
-    elevation: np.ndarray
     slope: np.ndarray
     aspect: np.ndarray
     fuel: np.ndarray
@@ -210,9 +208,9 @@ def cell_acreage(r: LandscapeRaster) -> float:
 
 
 def load_landscape(directory: str | Path, catalog: FuelCatalog | None = None) -> LandscapeRaster:
-    """Load the four layer files from a directory into one raster.
+    """Load the three layer files from a directory into one raster.
 
-    All four must agree on grid geometry; other files in the directory
+    All three must agree on grid geometry; other files in the directory
     are ignored. Cells flagged NODATA in any layer are forced to the
     non-burnable fuel with zeroed terrain, which keeps fire from crossing
     unknown ground.
@@ -227,7 +225,7 @@ def load_landscape(directory: str | Path, catalog: FuelCatalog | None = None) ->
             raise MissingLayerError(f"missing landscape layer file {fpath}")
         grids[layer] = read_ascii_grid(fpath)
 
-    ref_name, ref = "elevation", grids["elevation"]
+    ref_name, ref = "fuel", grids["fuel"]
     for layer, g in grids.items():
         if g.geometry() != ref.geometry():
             raise InconsistentRasterError(
@@ -242,21 +240,16 @@ def load_landscape(directory: str | Path, catalog: FuelCatalog | None = None) ->
         cell_size=ref.cellsize,
     )
 
-    nodata_mask = np.zeros((ref.nrows, ref.ncols), dtype=bool)
-    values: dict[str, np.ndarray] = {}
-    for layer, g in grids.items():
-        mask = g.data == g.nodata
-        nodata_mask |= mask
-        values[layer] = np.where(mask, 0.0, g.data)
+    nodata = np.zeros((ref.nrows, ref.ncols), dtype=bool)
+    for g in grids.values():
+        nodata |= g.data == g.nodata
+    values = {layer: np.where(nodata, 0.0, g.data) for layer, g in grids.items()}
 
     fuel = np.rint(values["fuel"]).astype(np.int64)
-    fuel[nodata_mask] = catalog.non_burnable_id
-    for layer in ("elevation", "slope", "aspect"):
-        values[layer] = np.where(nodata_mask, 0.0, values[layer])
+    fuel[nodata] = catalog.non_burnable_id
 
     return LandscapeRaster(
         frame=frame,
-        elevation=values["elevation"],
         slope=values["slope"],
         aspect=values["aspect"],
         fuel=fuel,
@@ -265,7 +258,7 @@ def load_landscape(directory: str | Path, catalog: FuelCatalog | None = None) ->
 
 
 def write_landscape(r: LandscapeRaster, directory: str | Path, nodata: float = -9999.0) -> None:
-    """Write the four layer files for a raster (inverse of load_landscape)."""
+    """Write the three layer files for a raster (inverse of load_landscape)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for layer, fname in LAYER_FILES.items():
@@ -288,8 +281,9 @@ class SynthSpec:
 
     Elevation is base + linear gradient + optional smoothed random relief.
     Slope and aspect are either given uniform values or derived from the
-    elevation surface by central differences. Fuel is one uniform id, or a
-    seeded patch mosaic when fuel_mix is set.
+    elevation surface by central differences; the surface itself is not
+    kept. Fuel is one uniform id, or a seeded patch mosaic when fuel_mix
+    is set.
     """
 
     nrows: int
@@ -336,9 +330,7 @@ def synth_landscape(spec: SynthSpec, catalog: FuelCatalog | None = None) -> Land
     else:
         fuel = _patch_mosaic(spec)
 
-    return LandscapeRaster(
-        frame=frame, elevation=elevation, slope=slope, aspect=aspect, fuel=fuel, catalog=catalog
-    )
+    return LandscapeRaster(frame=frame, slope=slope, aspect=aspect, fuel=fuel, catalog=catalog)
 
 
 def _slope_from_elevation(elevation: np.ndarray, cell_size: float) -> np.ndarray:

@@ -51,6 +51,7 @@ from .weather import HOUR, WeatherSample, WeatherSeries
 
 QUEEN_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 KNIGHT_OFFSETS = ((-2, -1), (-2, 1), (-1, -2), (-1, 2), (1, -2), (1, 2), (2, -1), (2, 1))
+OFFSETS = QUEEN_OFFSETS + KNIGHT_OFFSETS
 
 MOISTURE_FACTOR_MIN = 0.1
 MOISTURE_FACTOR_MAX = 3.0
@@ -67,7 +68,12 @@ RECOST_CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class SpreadParams:
-    """Knobs of the spread model that are not fuel properties."""
+    """Knobs of the spread model that are not fuel properties.
+
+    `neighborhood` accepts only 16, the queen and knight moves of `OFFSETS`
+    (at strong wind 8 moves keep about half the wind ellipse's area). It
+    stays so that study files setting `spread.neighborhood` still load.
+    """
 
     neighborhood: int = 16
     humidity_ref: float = 30.0
@@ -75,8 +81,8 @@ class SpreadParams:
     max_eccentricity: float = 0.95
 
     def __post_init__(self) -> None:
-        if self.neighborhood not in (8, 16):
-            raise InvalidInputError(f"neighborhood must be 8 or 16, got {self.neighborhood}")
+        if self.neighborhood != 16:
+            raise InvalidInputError(f"neighborhood must be 16, got {self.neighborhood}")
         if not self.humidity_ref > 0:
             raise InvalidInputError(f"humidity_ref must be positive, got {self.humidity_ref}")
         if self.min_ros < 0:
@@ -85,9 +91,6 @@ class SpreadParams:
             raise InvalidInputError(
                 f"max_eccentricity must be in [0, 1), got {self.max_eccentricity}"
             )
-
-    def offsets(self) -> tuple[tuple[int, int], ...]:
-        return QUEEN_OFFSETS if self.neighborhood == 8 else QUEEN_OFFSETS + KNIGHT_OFFSETS
 
 
 @dataclass(frozen=True)
@@ -225,23 +228,22 @@ class SpreadEngine:
         """Build the CSR edge structure from one (cell, direction) mask.
 
         mask[i, d] is True where the edge from flat cell i in direction d
-        (an index into `SpreadParams.offsets`) exists. The CSR order is the
-        mask's row-major order of True entries: edges sorted by source
-        cell, then by direction. The edge at (i, d) ends at
-        i + dr * ncols + dc. Every edge runs both ways, so its reverse is
-        the edge at (that end cell, the opposite direction), looked up in a
-        table of each (cell, direction)'s CSR position.
+        (an index into `OFFSETS`) exists. The CSR order is the mask's
+        row-major order of True entries: edges sorted by source cell, then
+        by direction. The edge at (i, d) ends at i + dr * ncols + dc. Every
+        edge runs both ways, so its reverse is the edge at (that end cell,
+        the opposite direction), looked up in a table of each (cell,
+        direction)'s CSR position.
         """
         land, params = self.land, self.params
         nrows, ncols = land.nrows, land.ncols
         n = nrows * ncols
 
-        offsets = params.offsets()
-        self._theta_deg = [math.degrees(math.atan2(dc, dr)) % 360.0 for dr, dc in offsets]
-        ndirs = self._ndirs = len(offsets)
-        dists = np.array([land.cell_size * math.hypot(dr, dc) for dr, dc in offsets])
-        step = np.array([dr * ncols + dc for dr, dc in offsets])
-        opposite = np.array([offsets.index((-dr, -dc)) for dr, dc in offsets])
+        self._theta_deg = [math.degrees(math.atan2(dc, dr)) % 360.0 for dr, dc in OFFSETS]
+        ndirs = self._ndirs = len(OFFSETS)
+        dists = np.array([land.cell_size * math.hypot(dr, dc) for dr, dc in OFFSETS])
+        step = np.array([dr * ncols + dc for dr, dc in OFFSETS])
+        opposite = np.array([OFFSETS.index((-dr, -dc)) for dr, dc in OFFSETS])
 
         burn_mask = land.burnable_mask()
         fuel_ids, inverse = np.unique(land.fuel[burn_mask], return_inverse=True)
@@ -253,7 +255,7 @@ class SpreadEngine:
 
         mask = np.zeros((nrows, ncols, ndirs), dtype=bool)
         half = np.empty((ndirs, n))
-        for d, (dr, dc) in enumerate(offsets):
+        for d, (dr, dc) in enumerate(OFFSETS):
             phi_s = slope_factor(land.slope, land.aspect, self._theta_deg[d])
             with np.errstate(divide="ignore"):
                 half[d] = (dists[d] * 0.5 / (base * phi_s)).ravel()

@@ -90,8 +90,8 @@ def test_synth_writes_expected_files(study_dir):
     assert "weather.csv" in names
     assert "table1.csv" in names
     assert "table2.csv" in names
-    for layer in ("elevation", "slope", "aspect", "fuel"):
-        assert f"landscape/{layer}.asc" in names
+    assert {n for n in names if n.startswith("landscape/")} == {
+        "landscape/slope.asc", "landscape/aspect.asc", "landscape/fuel.asc"}
 
 
 def test_synth_writes_the_default_study_ini(study_dir):
@@ -521,6 +521,8 @@ def test_config_lists_and_absolute_paths(tmp_path):
     # a repeated season instant would write every row under one season
     (["--set", "study.seasons=2022-01-01T12:00Z,2022-01-01T12:00Z"], "study.seasons"),
     (["--seed", "-1"], "study.seed"),
+    # the lattice is the 16-neighborhood only
+    (["--set", "spread.neighborhood=8"], "spread.neighborhood"),
 ])
 def test_bad_config_input_is_exit_2(study_dir, tmp_path, capsys, bad, named):
     argv = ["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path),
@@ -590,7 +592,7 @@ def _valid(key, text):
             return {"study.ignitions_per_line": v >= 1, "study.year": 1 <= v <= 9999,
                     "study.ignition_hour": 0 <= v <= 23, "study.buffer_cells": v >= 0,
                     "study.seed": v >= 0,
-                    "spread.neighborhood": v in (8, 16)}.get(key, True)
+                    "spread.neighborhood": v == 16}.get(key, True)
         if key in FLOAT_KEYS:
             v = float(text)
             return math.isfinite(v) and {"spread.min_ros_m_min": v >= 0,

@@ -63,6 +63,17 @@ def test_geopoint_range_validation():
         GeoPoint(float("nan"), 0.0)
 
 
+def test_raster_frame_validation():
+    """Shape, cell size and the extent they span must be positive and
+    finite: a frame whose width would overflow to inf is refused before
+    any coordinate array is built from it."""
+    assert RasterFrame(1, 1, ORIGIN, 1e308).width_m == 1e308
+    for nrows, ncols, cell in ((0, 4, 30.0), (4, -1, 30.0), (4, 4, 0.0), (4, 4, math.nan),
+                               (4, 4, math.inf), (128, 1, 1e308), (1, 128, 1e308)):
+        with pytest.raises(InvalidInputError):
+            RasterFrame(nrows, ncols, ORIGIN, cell)
+
+
 @given(
     dlat=st.floats(-4.9, 4.9),
     dlon=st.floats(-4.9, 4.9),

@@ -183,8 +183,8 @@ def test_uniform_spec_is_constant():
 def test_synth_deterministic():
     a = synth_landscape(_flat_spec(seed=7, elevation_relief=50.0, slope_deg=None))
     b = synth_landscape(_flat_spec(seed=7, elevation_relief=50.0, slope_deg=None))
-    np.testing.assert_array_equal(a.elevation, b.elevation)
     np.testing.assert_array_equal(a.slope, b.slope)
+    np.testing.assert_array_equal(a.aspect, b.aspect)
 
 
 def test_gradient_slope_matches_finite_difference():
@@ -216,7 +216,7 @@ def test_landscape_round_trip(tmp_path):
     d = tmp_path / "land"
     write_landscape(land, d)
     assert sorted(p.name for p in d.glob("*.asc")) == [
-        "aspect.asc", "elevation.asc", "fuel.asc", "slope.asc"]
+        "aspect.asc", "fuel.asc", "slope.asc"]
     back = load_landscape(d, catalog=land.catalog)
     assert back.frame == land.frame
     for name in LAYER_FILES:
@@ -225,25 +225,32 @@ def test_landscape_round_trip(tmp_path):
 
 
 def test_extra_layer_files_are_ignored(tmp_path):
-    """An eight-file landscape directory (the four layers plus four
-    constant canopy bands) loads as the four files alone do."""
+    """An eight-file landscape directory (the three layers, four constant
+    canopy bands and a stale elevation grid) loads as the three files
+    alone do. A NODATA cell in the elevation grid is not read, so the
+    cell keeps the fuel that fuel.asc gives it."""
     land = synth_landscape(_flat_spec(n=8, elevation_relief=40.0, slope_deg=None,
                                       fuel_mix=((1, 0.7), (0, 0.3))))
-    four, eight = tmp_path / "four", tmp_path / "eight"
-    write_landscape(land, four)
+    three, eight = tmp_path / "three", tmp_path / "eight"
+    write_landscape(land, three)
     write_landscape(land, eight)
-    ref = read_ascii_grid(eight / "elevation.asc")
-    for name, value in (("canopy_cover", 35.0), ("canopy_height", 14.0),
-                        ("canopy_base", 2.5), ("canopy_density", 0.11)):
+    ref = read_ascii_grid(eight / "fuel.asc")
+    r, c = np.argwhere(land.burnable_mask())[0]
+    elevation = np.full((ref.nrows, ref.ncols), 650.0)
+    elevation[r, c] = ref.nodata
+    for name, data in (("canopy_cover", 35.0), ("canopy_height", 14.0),
+                       ("canopy_base", 2.5), ("canopy_density", 0.11),
+                       ("elevation", elevation)):
         write_ascii_grid(eight / f"{name}.asc", AsciiGrid(
             ref.ncols, ref.nrows, ref.xllcorner, ref.yllcorner, ref.cellsize, ref.nodata,
-            np.full((ref.nrows, ref.ncols), value)))
+            np.broadcast_to(data, (ref.nrows, ref.ncols)).astype(np.float64)))
     assert len(list(eight.glob("*.asc"))) == 8
-    a = load_landscape(four, catalog=land.catalog)
+    a = load_landscape(three, catalog=land.catalog)
     b = load_landscape(eight, catalog=land.catalog)
     assert a.frame == b.frame
     for name in LAYER_FILES:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    assert b.fuel[r, c] == land.fuel[r, c] != land.catalog.non_burnable_id
 
 
 def test_load_missing_layer(tmp_path):
@@ -284,14 +291,14 @@ def test_nodata_cells_become_non_burnable(tmp_path):
     land = synth_landscape(_flat_spec(n=4))
     d = tmp_path / "land"
     write_landscape(land, d)
-    g = read_ascii_grid(d / "elevation.asc")
+    g = read_ascii_grid(d / "slope.asc")
     data = g.data.copy()
     data[1, 1] = g.nodata
     bad = AsciiGrid(g.ncols, g.nrows, g.xllcorner, g.yllcorner, g.cellsize, g.nodata, data)
-    write_ascii_grid(d / "elevation.asc", bad)
+    write_ascii_grid(d / "slope.asc", bad)
     back = load_landscape(d, catalog=land.catalog)
     assert back.fuel[1, 1] == back.catalog.non_burnable_id
-    assert back.elevation[1, 1] == 0.0
+    assert back.slope[1, 1] == 0.0
     # untouched cells keep their values
     assert back.fuel[0, 0] == 1
 
