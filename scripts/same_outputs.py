@@ -21,6 +21,14 @@ its results.csv key and the sha256 of its arrival raster, computed by the
 tree's own `SpreadEngine.run_group` on the run's config. So a solver
 change is checked label by label, not only through burned counts.
 
+Bad inputs are compared too. `simulate` runs on corrupted copies of the
+smallest study's synth weather file: a ragged row, a bad timestamp, a
+gap, an unparseable value and a humidity of 101, each as the last row of
+the first block of `weather._BLOCK_ROWS` rows, as the first row of the
+second, and there again after a blank line early in the file. Both trees
+read the same copies, at the same path, so each run's exit code and
+stderr, written to `bad-weather/<case>.txt`, must match byte for byte.
+
 It compares every file these write, and each `report`'s stdout, byte for
 byte, prints one line per file, and exits 1 if any file differs or is
 missing from one tree. Outputs go to a temporary directory.
@@ -63,10 +71,15 @@ def runs(bench) -> list[tuple[str, int, list[str], int]]:
     return out
 
 
+def run(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """One Python command run with the tree's sources."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def python(tree: Path, *args: str) -> str:
     """The stdout of one Python command run with the tree's sources."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    done = run(tree, *args)
     if done.returncode != 0:
         raise SystemExit(f"{tree}: {' '.join(args)} exited {done.returncode}\n{done.stderr}")
     return done.stdout
@@ -102,6 +115,46 @@ def write_arrivals(ini: str, path: str, args: list[str]) -> None:
             rows[group[i]] = (f"{ig.line_id},{season},{ig.ignition_index},"
                               f"{hashlib.sha256(burn.arrival.tobytes()).hexdigest()}")
     Path(path).write_text("\n".join(rows) + "\n")
+
+
+def corrupt(row: str, next_row: str, fault: str) -> str:
+    """A weather row broken by one fault; `next_row` is the row after it."""
+    stamp, values = row.split(",", 1)
+    return {
+        "ragged": row.rsplit(",", 1)[0],
+        "bad-timestamp": f"2022-13-01T00:00Z,{values}",
+        "gap": f"{next_row.split(',', 1)[0]},{values}",
+        "unparseable": f"{stamp},warm,{values.split(',', 1)[1]}",
+        "rh101": f"{row.rsplit(',', 1)[0]},101",
+    }[fault]
+
+
+def write_bad_weather(source: Path, out: Path, block: int) -> list[Path]:
+    """Write the corrupted copies of the weather file `source` into `out`."""
+    out.mkdir()
+    lines = source.read_text().splitlines()
+    files = []
+    for fault in ("ragged", "bad-timestamp", "gap", "unparseable", "rh101"):
+        for where, row, blank in (("last-of-block", block - 1, None), ("next-block", block, None),
+                                  ("after-blank", block, 10)):
+            bad = lines.copy()
+            bad[row + 1] = corrupt(lines[row + 1], lines[row + 2], fault)
+            if blank is not None:
+                bad.insert(blank + 1, "")
+            files.append(out / f"{fault}-{where}.csv")
+            files[-1].write_text("\n".join(bad) + "\n")
+    return files
+
+
+def bad_weather_runs(tree: Path, work: Path, ini: Path, files: list[Path]) -> None:
+    """Write the exit code and stderr of `simulate` on each corrupted
+    weather file to work/bad-weather/<case>.txt."""
+    out = work / "bad-weather"
+    out.mkdir()
+    for path in files:
+        done = run(tree, "-m", "gridfire.cli", "simulate", "--config", str(ini),
+                   "--out", str(out / f"{path.stem}-run"), "--set", f"paths.weather={path}")
+        (out / f"{path.stem}.txt").write_text(f"exit {done.returncode}\n{done.stderr}")
 
 
 def report(tree: Path, out: Path) -> None:
@@ -157,10 +210,16 @@ def main(argv=None) -> int:
         print(f"same_outputs: no gridfire sources under {args.parent / 'src'}", file=sys.stderr)
         return 2
     bench = perfbench()
+    trees = (("parent", args.parent.resolve()), ("change", ROOT))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for label, tree in (("parent", args.parent.resolve()), ("change", ROOT)):
+        for label, tree in trees:
             run_tree(tree, work / label, bench)
+        inputs = work / "parent" / f"inputs{min(size for _, size, _, _ in runs(bench))}"
+        block = int(python(ROOT, "-c", "from gridfire.weather import _BLOCK_ROWS as b; print(b)"))
+        files = write_bad_weather(inputs / "weather.csv", work / "bad-weather", block)
+        for label, tree in trees:
+            bad_weather_runs(tree, work / label, inputs / "study.ini", files)
         differ = compare(work / "parent", work / "change")
     print(f"{differ} file(s) differ" if differ else "all outputs byte-identical")
     return 1 if differ else 0

@@ -1,4 +1,4 @@
-"""One reader for every CSV table the program reads.
+"""One reader for every CSV the program reads, the weather file included.
 
 `read_csv` numbers each data row by its line in the file, as an editor
 shows it, and holds each row to the header's field count, so the row
@@ -35,7 +35,7 @@ def read_csv(path: str | Path, error: type[Exception]) -> tuple[list[str], Rows]
     return [f.strip() for f in header], rows
 
 
-def blank(fields: list[str]) -> bool:
+def _blank(fields: list[str]) -> bool:
     """Whether a parsed CSV row is a blank line: empty, or spaces only."""
     return len(fields) < 2 and not "".join(fields).strip()
 
@@ -45,7 +45,7 @@ def _rows(path: str | Path, text: str, error: type[Exception]) -> Rows:
     width = None
     try:
         for fields in reader:
-            if blank(fields):
+            if _blank(fields):
                 continue
             if width is None:
                 width = len(fields)

@@ -316,14 +316,12 @@ def synth_landscape(spec: SynthSpec, catalog: FuelCatalog | None = None) -> Land
             spec.nrows, spec.ncols, spec.patch_cells, spec.seed, stream=1
         )
 
+    if spec.slope_deg is None or spec.aspect_deg is None:
+        slope, aspect = _slope_aspect(elevation, spec.cell_size)
     if spec.slope_deg is not None:
         slope = np.full((spec.nrows, spec.ncols), float(spec.slope_deg))
-    else:
-        slope = _slope_from_elevation(elevation, spec.cell_size)
     if spec.aspect_deg is not None:
         aspect = np.full((spec.nrows, spec.ncols), float(spec.aspect_deg))
-    else:
-        aspect = _aspect_from_elevation(elevation, spec.cell_size)
 
     if spec.fuel_mix is None:
         fuel = np.full((spec.nrows, spec.ncols), int(spec.fuel_id), dtype=np.int64)
@@ -333,17 +331,13 @@ def synth_landscape(spec: SynthSpec, catalog: FuelCatalog | None = None) -> Land
     return LandscapeRaster(frame=frame, slope=slope, aspect=aspect, fuel=fuel, catalog=catalog)
 
 
-def _slope_from_elevation(elevation: np.ndarray, cell_size: float) -> np.ndarray:
-    dzdy, dzdx = np.gradient(elevation, cell_size)
-    return np.degrees(np.arctan(np.hypot(dzdx, dzdy)))
-
-
-def _aspect_from_elevation(elevation: np.ndarray, cell_size: float) -> np.ndarray:
-    """Compass direction the terrain faces (downslope); 0 where flat."""
+def _slope_aspect(elevation: np.ndarray, cell_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """Slope (degrees) and the compass direction the terrain faces
+    (downslope; 0 where flat) of an elevation surface, from one gradient."""
     dzdy, dzdx = np.gradient(elevation, cell_size)
     aspect = np.degrees(np.arctan2(-dzdx, -dzdy)) % 360.0
     flat = (dzdx == 0.0) & (dzdy == 0.0)
-    return np.where(flat, 0.0, aspect)
+    return np.degrees(np.arctan(np.hypot(dzdx, dzdy))), np.where(flat, 0.0, aspect)
 
 
 def _smooth_field(nrows: int, ncols: int, scale_cells: float, seed: int, stream: int) -> np.ndarray:

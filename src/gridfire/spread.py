@@ -55,6 +55,9 @@ OFFSETS = QUEEN_OFFSETS + KNIGHT_OFFSETS
 
 MOISTURE_FACTOR_MIN = 0.1
 MOISTURE_FACTOR_MAX = 3.0
+# Largest wind factor an hour may give a fuel. A larger one makes the
+# fuel's edges all but free, so a fire would cross whole components at once.
+WIND_FACTOR_MAX = 1e3
 SLOPE_GAIN = 0.3
 
 # Bytes of distance rows one first-epoch block search may hold; sets how
@@ -307,21 +310,21 @@ class SpreadEngine:
 
     def _epoch_table(self, w: WeatherSample) -> np.ndarray:
         """Inverse weather factor per (fuel, direction), flattened. A fuel
-        whose wind factor overflows raises InvalidInputError, since an
-        infinite factor would make its edges free."""
+        whose wind factor exceeds WIND_FACTOR_MAX in some direction, or
+        overflows, raises InvalidInputError."""
         params, out = self.params, np.empty(self._table_size)
         for fi, fm in enumerate(self._fuel_models):
             pm = moisture_factor(w.rel_humidity, fm.moisture_exp, params.humidity_ref)
             try:
-                row = [1.0 / (pm * wind_factor(w.wind_speed, w.wind_dir_from, theta, fm.wind_coeff,
-                                               fm.wind_exp, params.max_eccentricity))
-                       for theta in self._theta_deg]
+                wind = [wind_factor(w.wind_speed, w.wind_dir_from, theta, fm.wind_coeff,
+                                    fm.wind_exp, params.max_eccentricity)
+                        for theta in self._theta_deg]
             except OverflowError:
-                row = [0.0]
-            if not all(row):
+                wind = [math.inf]
+            if not max(wind) <= WIND_FACTOR_MAX:
                 raise InvalidInputError(f"fuel {fm.id}: wind_exp {fm.wind_exp:g} overflows the wind "
                                         f"factor at wind speed {w.wind_speed:g} m/s ({w.timestamp})")
-            out[fi * self._ndirs:(fi + 1) * self._ndirs] = row
+            out[fi * self._ndirs:(fi + 1) * self._ndirs] = [1.0 / (pm * f) for f in wind]
         return out
 
     def _minutes(self, table: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -591,16 +594,15 @@ class _Fire:
 def check_coverage(wx: WeatherSeries, start: datetime, hours: float) -> None:
     """Raise CoverageError unless `wx` holds a sample for every hour of a
     fire burning `hours` from `start`."""
-    # The series is gap-free, so checking both ends covers the window. A
-    # fire longer than the whole series cannot be covered, and bounding
-    # the hours first keeps the end instant representable.
+    # The series is gap-free, so a fire that starts inside it is covered
+    # unless its last hour starts at the series end or later. That hour is
+    # compared as an offset, bounded by the hours first: it may pass 9999.
     wx.at(start)
-    if not hours <= len(wx):
+    if not hours <= len(wx) or (math.ceil(hours) - 1) * HOUR >= wx.end - start:
         raise CoverageError(
             f"a {hours:g} h fire from {start.isoformat()} outlasts the {len(wx)} h "
             f"weather series [{wx.start.isoformat()}, {wx.end.isoformat()})"
         )
-    wx.at(start + (math.ceil(hours) - 1) * HOUR)
 
 
 def simulate_spread(

@@ -7,31 +7,28 @@ series builds the `WeatherSample` of an hour only when `at` first asks for
 it, and hands back that same object on every later call; `samples` is the
 tuple of all of them, built on first use.
 
-`load_weather` checks a file in column passes over blocks of rows: per
-block, one numpy float conversion of the four value columns, vectorised
-range masks, and one comparison of the timestamp column against the hourly
-sequence that starts at row 0 (only rows whose text differs from it, such
-as unpadded forms, are parsed). These passes only decide whether the whole
-file is good. A file they reject is read again row by row, one
-`WeatherSample` per row, and that reading alone decides which row is
-named, by its line in the file, and why.
+`load_weather` reads a file once, through `read_csv`, and checks its rows
+in blocks: per block, one comparison of the timestamp column against the
+hourly sequence of the series (only rows whose text differs from it, such
+as unpadded forms, are parsed), one numpy float conversion of the four
+value columns, and vectorised range masks. A block these column passes
+reject is walked row by row, in memory, and the first row that breaks a
+rule is named, by its line in the file, and why. Every earlier block has
+passed, so that row is the file's first bad row.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from itertools import filterfalse, islice
-from operator import itemgetter
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .csvfile import blank, read_csv
+from .csvfile import read_csv
 from .errors import CoverageError, InvalidInputError, InvalidSampleError, MalformedSeriesError
 
 HOUR = timedelta(hours=1)
@@ -144,6 +141,11 @@ class WeatherSeries:
              samples: tuple[WeatherSample, ...] | None) -> None:
         if start.tzinfo is None:
             raise InvalidSampleError(f"timestamp {start} is naive, expected UTC")
+        try:
+            self.end = start + values.shape[1] * HOUR  # first instant after the last hour
+        except OverflowError:
+            raise MalformedSeriesError(
+                f"weather series from {start.isoformat()} ends after year 9999") from None
         values.setflags(write=False)
         self.start = start
         self._values = values  # (4, hours), the four columns below as rows
@@ -180,11 +182,6 @@ class WeatherSeries:
     def __repr__(self) -> str:
         return f"WeatherSeries(start={self.start.isoformat()}, hours={len(self)})"
 
-    @property
-    def end(self) -> datetime:
-        """First instant after the last sample's hour."""
-        return self.start + len(self) * HOUR
-
     def at(self, instant: datetime) -> WeatherSample:
         """Sample whose hour contains the instant."""
         if instant.tzinfo is None:
@@ -214,82 +211,87 @@ def parse_timestamp(text: str) -> datetime:
     return datetime.strptime(text, TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
 
 
-def _check_columns(text: str) -> tuple[datetime, np.ndarray]:
-    """The series start and the (4, hours) values of a weather file's text,
-    checked in column passes over blocks of rows; raises a bare ValueError,
-    naming no row, if the file breaks any rule."""
-    rows = filterfalse(blank, csv.reader(io.StringIO(text)))
-    if [f.strip() for f in next(rows, ())] != WEATHER_HEADER:
-        raise ValueError("bad header")
-    start, parts, done = None, [], 0
-    for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
-        n = len(block)
-        if any(len(r) != len(WEATHER_HEADER) for r in block):
-            raise ValueError("ragged row")
-        values = np.array(list(zip(*block))[1:], dtype=np.float64)
-        if _first_invalid(values) < n:
-            raise ValueError("invalid value")
-        if start is None:
-            start = parse_timestamp(block[0][0].strip())
-        # Text equal to the hourly sequence from row 0 is that hour; any
-        # other text (an unpadded form, say) must still parse to it.
-        expected = _hour_stamps(start + done * HOUR, n)
-        differ = np.fromiter(map(str.__ne__, map(itemgetter(0), block), expected), bool, n)
-        for i in np.flatnonzero(differ).tolist():
-            if parse_timestamp(block[i][0].strip()) - start != (done + i) * HOUR:
-                raise ValueError("not hourly")
-        parts.append(values)
-        done += n
-    if not parts:
-        raise ValueError("no rows")
-    return start, np.concatenate(parts, axis=1)
-
-
-def _load_rows(path: Path) -> WeatherSeries:
-    """The series of a weather file read row by row, one `WeatherSample`
-    per row; raises for the first bad row, named by its line in the file.
-
-    A row is checked for its field count, then its timestamp, then its
-    one-hour step from the row before, then its values: a row that breaks
-    several rules is named for the first of them.
-    """
-    header, rows = read_csv(path, InvalidSampleError)
-    if header != WEATHER_HEADER:
-        raise InvalidSampleError(f"{path}: expected header {','.join(WEATHER_HEADER)}")
-    samples: list[WeatherSample] = []
-    for line, fields in rows:
+def _walk(path: Path, block: list[tuple[int, list[str]]], prev: datetime | None) -> np.ndarray:
+    """The (4, n) values of a block of rows checked one row at a time, the
+    first being the hour after `prev` (None for the file's first row).
+    Raises for the first bad row, named by its line in the file and by the
+    first rule it breaks: its timestamp, its one-hour step, its values."""
+    values = []
+    for line, fields in block:
         try:
             ts = parse_timestamp(fields[0].strip())
         except ValueError as exc:
             raise InvalidSampleError(f"{path}: row {line}: bad timestamp: {exc}") from exc
-        if samples and ts - samples[-1].timestamp != HOUR:
-            fault = _step_fault(samples[-1].timestamp, ts)
-            raise MalformedSeriesError(f"{path}: row {line}: {fault}")
+        if prev is not None and ts - prev != HOUR:
+            raise MalformedSeriesError(f"{path}: row {line}: {_step_fault(prev, ts)}")
         try:
-            samples.append(WeatherSample(ts, *map(float, fields[1:])))
+            s = WeatherSample(ts, *map(float, fields[1:]))
         except (ValueError, InvalidSampleError) as exc:
             raise InvalidSampleError(f"{path}: row {line}: {exc}") from exc
-    if not samples:
-        raise MalformedSeriesError(f"{path}: weather series is empty")
-    return WeatherSeries(samples)
+        values.append((s.wind_speed, s.wind_dir_from, s.temperature, s.rel_humidity))
+        prev = ts
+    return np.array(values, dtype=np.float64).reshape(-1, 4).T
+
+
+def _columns(block: list[tuple[int, list[str]]], start: datetime | None, done: int) -> np.ndarray:
+    """The (4, n) values of a block of rows checked in column passes: the
+    rows must be hours `done` ... `done + n - 1` of the series from `start`
+    (from the block's first row when `start` is None), and their values
+    must pass `WeatherSample`'s rules. Raises a bare ValueError or
+    OverflowError, naming no row, if any row breaks a rule."""
+    stamps, *columns = zip(*(fields for _, fields in block))
+    n = len(stamps)
+    if start is None:
+        start = parse_timestamp(stamps[0].strip())
+    # Text equal to the hourly sequence from `start` is that hour; any
+    # other text (an unpadded form, say) must still parse to it.
+    expected = _hour_stamps(start + done * HOUR, n)
+    for i in np.flatnonzero(np.fromiter(map(str.__ne__, stamps, expected), bool, n)).tolist():
+        if parse_timestamp(stamps[i].strip()) - start != (done + i) * HOUR:
+            raise ValueError("not hourly")
+    values = np.array(columns, dtype=np.float64)
+    if _first_invalid(values) < n:
+        raise ValueError("invalid value")
+    return values
 
 
 def load_weather(path: str | Path) -> WeatherSeries:
     """Read the hourly weather CSV (see WEATHER_HEADER for columns).
 
-    The column passes of `_check_columns` accept a good file; a file they
-    reject is read again by `_load_rows`, which names its first bad row.
+    The file is read once, by `read_csv`, and checked in blocks of
+    `_BLOCK_ROWS` rows: `_columns` accepts a good block, and a block it
+    rejects is walked row by row by `_walk`, which names its first bad
+    row. Every earlier block has passed, so that row is the file's first.
     """
     path = Path(path)
+    header, rows = read_csv(path, InvalidSampleError)
+    if header != WEATHER_HEADER:
+        raise InvalidSampleError(f"{path}: expected header {','.join(WEATHER_HEADER)}")
+    start, parts, done = None, [], 0
+    while True:
+        prev = None if start is None else start + (done - 1) * HOUR
+        block = []
+        try:
+            for row in islice(rows, _BLOCK_ROWS):
+                block.append(row)
+        except InvalidSampleError:
+            # read_csv refused a row (a ragged one): a bad row before it comes first.
+            _walk(path, block, prev)
+            raise
+        if not block:
+            break
+        try:
+            values = _columns(block, start, done)
+        except (ValueError, OverflowError):
+            values = _walk(path, block, prev)
+        if start is None:
+            start = parse_timestamp(block[0][1][0].strip())
+        parts.append(values)
+        done += len(block)
     try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidInputError(f"cannot read weather file {path}: {exc}") from exc
-    try:
-        start, values = _check_columns(text)
-    except (ValueError, OverflowError):
-        return _load_rows(path)
-    return WeatherSeries.from_columns(start, *values)
+        return WeatherSeries.from_columns(start, *np.concatenate([np.empty((4, 0)), *parts], axis=1))
+    except MalformedSeriesError as exc:  # no rows, or an end past year 9999
+        raise MalformedSeriesError(f"{path}: {exc}") from None
 
 
 def write_weather(s: WeatherSeries, path: str | Path) -> None:

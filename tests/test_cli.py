@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from gridfire import cli
 from gridfire.scenarios import StudyConfig
+from gridfire.spread import wind_factor
 
 
 def tree_bytes(root):
@@ -423,6 +424,39 @@ def test_catalog_wind_exp_that_overflows_is_exit_2(study_dir, tmp_path, capsys):
               *SMALL_STUDY, "--set", f"paths.fuel_catalog={catalog}"])
     assert rc == 2
     assert "fuel 1: wind_exp 500 overflows the wind factor at wind speed " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_catalog_wind_factor_above_its_cap_is_exit_2(study_dir, tmp_path, capsys):
+    """A wind factor that is finite but above WIND_FACTOR_MAX stops
+    simulate as an overflowing one does: the fuel's edges would be all but
+    free, so a fire would cross whole components at minute 0."""
+    lines = (study_dir / "fuel_catalog.csv").read_text().splitlines()
+    catalog = tmp_path / "fuel_catalog.csv"
+    catalog.write_text("\n".join([*lines[:2], "1,grass,1,15.0,0.4,30.0,1.0", *lines[3:]]) + "\n")
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path / "run"),
+              *SMALL_STUDY, "--set", f"paths.fuel_catalog={catalog}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "fuel 1: wind_exp 30 overflows the wind factor at wind speed " in err
+    speed = float(err.split("wind speed ")[1].split(" m/s")[0])
+    assert 1e3 < wind_factor(speed, 0.0, 180.0, 0.4, 30.0) < math.inf  # downwind: the largest
+    assert not (tmp_path / "run").exists()
+
+
+def test_weather_ending_after_year_9999_is_exit_2(study_dir, tmp_path, capsys):
+    """A weather year whose last hour is 9999-12-31T23:00 has no
+    representable end, so it stops simulate with a message rather than
+    with a traceback when a coverage message would print that end."""
+    lines = (study_dir / "weather.csv").read_text().splitlines()
+    rows = [f"9999-12-31T{h:02d}:00Z," + line.split(",", 1)[1] for h, line in enumerate(lines[1:25])]
+    weather = tmp_path / "weather.csv"
+    weather.write_text("\n".join([lines[0], *rows]) + "\n")
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path / "run"),
+              *SMALL_STUDY, "--set", "study.year=9999", "--set", f"paths.weather={weather}"])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {weather}: weather series from "
+                                       "9999-12-31T00:00:00+00:00 ends after year 9999\n")
     assert not (tmp_path / "run").exists()
 
 

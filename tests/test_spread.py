@@ -236,6 +236,18 @@ def test_weather_coverage_checked_up_front():
         simulate_spread(ignite(GridIndex(4, 4), 6.0), land, const_wx(hours=3))
 
 
+def test_coverage_of_a_fire_past_year_9999_is_a_coverage_error():
+    """A fire whose last hour would start after year 9999 outlasts a series
+    that ends in it: the check compares offsets, not instants."""
+    wx = const_wx(hours=2207, start=datetime(9999, 10, 1, tzinfo=timezone.utc))
+    start = datetime(9999, 10, 1, 12, tzinfo=timezone.utc)
+    with pytest.raises(CoverageError, match="a 2207 h fire from 9999-10-01T12:00:00"):
+        spread.check_coverage(wx, start, 2207)
+    spread.check_coverage(wx, start, 2195)
+    with pytest.raises(CoverageError, match="outlasts the 2207 h weather series"):
+        spread.check_coverage(wx, start, 2195.5)
+
+
 def test_run_group_raises_before_yielding():
     """A spec that cannot run stops its group before anything is yielded,
     wherever it sits in the group; the first such spec names the error.

@@ -1,7 +1,9 @@
 """Hourly weather series: validation, lookup, file round-trip."""
 
 import csv
+import re
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -263,8 +265,12 @@ def test_load_names_the_file_line_after_blank_lines(tmp_path, monkeypatch, fault
         load_weather(path)
 
 
-def never(path):
-    raise AssertionError(f"the column passes rejected {path}")
+def never(path, block, prev):
+    raise AssertionError(f"the column passes rejected rows {block[0][0]}-{block[-1][0]} of {path}")
+
+
+def reject(block, start, done):
+    raise ValueError("rejected")
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -272,7 +278,7 @@ def test_column_passes_skip_blank_lines_as_read_csv_does(tmp_path, monkeypatch, 
     """A line that is empty or spaces only is blank to the column passes, as
     to `read_csv`, so a good file with such lines passes them."""
     monkeypatch.setattr(weather, "_BLOCK_ROWS", block)
-    monkeypatch.setattr(weather, "_load_rows", never)
+    monkeypatch.setattr(weather, "_walk", never)
     lines = ["  ", ",".join(WEATHER_HEADER)]
     for h in range(48):
         lines += [row(h)] + {3: [""], 20: ["   "], 47: ["", "  "]}.get(h, [])
@@ -314,6 +320,108 @@ def reference_load(path):
     ))
 
 
+def reference_error(path):
+    """(type, message) of the error that reading a weather file row by row
+    raises for its first bad row, or None when every row is good. Blank
+    lines (empty or spaces only) are skipped but counted; a row is checked
+    for its field count, then its timestamp, then its one-hour step from
+    the row before, then its values."""
+    reader = csv.reader(path.read_text().splitlines())
+    rows = [(reader.line_num, r) for r in reader if "".join(r).strip()]
+    prev = None
+    for line, r in rows[1:]:
+        where = f"{path}: row {line}: "
+        if len(r) != len(WEATHER_HEADER):
+            return InvalidSampleError, where + f"expected {len(WEATHER_HEADER)} fields, got {len(r)}"
+        try:
+            ts = datetime.strptime(r[0].strip(), TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+        except ValueError as exc:
+            return InvalidSampleError, where + f"bad timestamp: {exc}"
+        if prev is not None and ts <= prev:
+            return MalformedSeriesError, where + f"timestamps not strictly increasing at {ts}"
+        if prev is not None and ts - prev != HOUR:
+            return (MalformedSeriesError,
+                    where + f"gap of {ts - prev} before {ts}, expected exactly one hour")
+        try:
+            WeatherSample(ts, *map(float, r[1:]))
+        except (ValueError, InvalidSampleError) as exc:
+            return InvalidSampleError, where + str(exc)
+        prev = ts
+    return None
+
+
+@given(
+    faults=st.lists(st.tuples(st.integers(0, 29), st.sampled_from(sorted(FAULTS))),
+                    min_size=1, max_size=3, unique_by=lambda f: f[0]),
+    blanks=st.lists(st.tuples(st.integers(0, 31), st.sampled_from(["", "  "])), max_size=6),
+    block=st.integers(1, 7),
+)
+def test_load_names_the_first_bad_row_as_a_row_by_row_reading_does(tmp_path_factory, faults,
+                                                                   blanks, block):
+    """Whatever the block size, the error names the file line of the first
+    faulty row, with that row's first rule: the block that holds it is the
+    first block to fail, and a ragged row is raised only after the rows
+    before it in its block are checked."""
+    rows = [row(h) for h in range(30)]
+    for h, fault in faults:
+        rows[h] = FAULTS[fault][0](h)
+    lines = [",".join(WEATHER_HEADER), *rows]
+    for at, text in sorted(blanks, reverse=True):
+        lines.insert(at, text)
+    path = tmp_path_factory.mktemp("wx") / "wx.csv"
+    path.write_text("\n".join(lines) + "\n")
+
+    want = reference_error(path)
+    first, fault = min(faults)
+    if first > 0:  # a step fault in row 0 only moves the series start
+        line = first + 2 + sum(at <= first + 1 for at, _ in blanks)
+        assert want[0] is FAULTS[fault][1]
+        assert re.fullmatch(f"{re.escape(str(path))}: row {line}: {FAULTS[fault][2]}.*", want[1])
+    with patch.object(weather, "_BLOCK_ROWS", block):
+        if want is None:
+            assert load_weather(path) == reference_load(path)
+        else:
+            with pytest.raises(want[0]) as got:
+                load_weather(path)
+            assert str(got.value) == want[1]
+
+
+def test_load_reads_a_bad_file_from_disk_once(tmp_path, monkeypatch):
+    rows = [row(h) for h in range(48)]
+    rows[45] = row(45, "3.0,225.0,15.0,101")
+    path = tmp_path / "wx.csv"
+    path.write_text(",".join(WEATHER_HEADER) + "\n" + "\n".join(rows) + "\n")
+    reads, read_text = [], Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(weather, "_BLOCK_ROWS", 5)
+    monkeypatch.setattr(Path, "read_text", counted)
+    with pytest.raises(InvalidSampleError, match="row 47: relative humidity 101.0"):
+        load_weather(path)
+    assert reads == [path]
+
+
+def test_series_must_end_by_year_9999(tmp_path):
+    """A series whose last hour is 9999-12-31T23:00 has no representable
+    end, so it is refused; one hour less loads."""
+    last = datetime(9999, 12, 31, 23, tzinfo=timezone.utc)
+    fits = WeatherSeries.from_columns(last - 23 * HOUR, *[[3.0] * 23, [225.0] * 23,
+                                                          [15.0] * 23, [40.0] * 23])
+    assert fits.end == last
+    with pytest.raises(CoverageError, match=r"\[9999-12-31T00:00:00\+00:00, 9999-12-31T23:00"):
+        fits.at(last)
+    with pytest.raises(MalformedSeriesError, match="from 9999-12-31T00:00:00.* after year 9999"):
+        WeatherSeries.from_columns(last - 23 * HOUR, *[[3.0] * 24, [225.0] * 24,
+                                                       [15.0] * 24, [40.0] * 24])
+    path = tmp_path / "wx.csv"
+    write_rows(path, *(f"9999-12-31T{h:02d}:00Z" for h in range(24)))
+    with pytest.raises(MalformedSeriesError, match=f"{re.escape(str(path))}: weather series from "):
+        load_weather(path)
+
+
 def unpadded(t):
     return f"{t.year}-{t.month}-{t.day}T{t.hour}:{t.minute}Z"
 
@@ -341,11 +449,13 @@ def test_load_equals_row_by_row_reference(tmp_path_factory, start, rows, block, 
     path = tmp_path_factory.mktemp("wx") / "wx.csv"
     path.write_text("\n".join(lines) + "\n")
 
-    with patch.object(weather, "_BLOCK_ROWS", block), patch.object(weather, "_load_rows", never):
+    with patch.object(weather, "_BLOCK_ROWS", block), patch.object(weather, "_walk", never):
         got = load_weather(path)
     want = reference_load(path)
     assert got == want
-    assert weather._load_rows(path) == got
+    # Blocks the column passes reject but the row rules accept still load.
+    with patch.object(weather, "_BLOCK_ROWS", block), patch.object(weather, "_columns", reject):
+        assert load_weather(path) == got
     i = probe.draw(st.integers(0, len(rows) - 1))
     early = got.at(start + i * HOUR + timedelta(minutes=probe.draw(st.integers(0, 59))))
     assert early == want.samples[i]
@@ -369,9 +479,10 @@ def test_synth_weather_file_is_the_row_formatters(tmp_path, seed):
     write_weather(wx, path)
     want = "\n".join([",".join(WEATHER_HEADER), *map(reference_row, wx.samples)]) + "\n"
     assert path.read_bytes() == want.encode()
-    with patch.object(weather, "_load_rows", never):
+    with patch.object(weather, "_walk", never):
         assert load_weather(path) == wx
-    assert weather._load_rows(path) == wx
+    with patch.object(weather, "_columns", reject):
+        assert load_weather(path) == wx
 
 
 def test_write_weather_formats_a_non_utc_start_in_utc(tmp_path):
