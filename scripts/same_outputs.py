@@ -25,9 +25,14 @@ Bad inputs are compared too. `simulate` runs on corrupted copies of the
 smallest study's synth weather file: a ragged row, a bad timestamp, a
 gap, an unparseable value and a humidity of 101, each as the last row of
 the first block of `weather._BLOCK_ROWS` rows, as the first row of the
-second, and there again after a blank line early in the file. Both trees
-read the same copies, at the same path, so each run's exit code and
-stderr, written to `bad-weather/<case>.txt`, must match byte for byte.
+second, and there again after a blank line early in the file. It also
+runs on corrupted copies of that study's landscape directory (`GRID_FAULTS`):
+header counts that are not whole numbers, an origin or cell size no
+raster can have, a layer whose cell size differs from fuel.asc's, a short
+grid body, and fuel or slope cells a layer cannot hold. Both trees read
+the same copies, at the same path, so each run's exit code and stderr,
+written to `bad-weather/<case>.txt` or `bad-landscape/<case>.txt`, must
+match byte for byte.
 
 It compares every file these write, and each `report`'s stdout, byte for
 byte, prints one line per file, and exits 1 if any file differs or is
@@ -40,6 +45,7 @@ import argparse
 import hashlib
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -47,6 +53,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
+
+# case: (layer file, what breaks it, the new text). A header key gets the
+# text as its value, "cell" puts it in the first cell of the middle body
+# row, and "short-body" drops the last row.
+GRID_FAULTS = {
+    "ncols-fraction": ("slope.asc", "ncols", "128.6"),
+    "ncols-nan": ("slope.asc", "ncols", "nan"),
+    "ncols-1e400": ("slope.asc", "ncols", "1e400"),
+    "xllcorner-200": ("slope.asc", "xllcorner", "200"),
+    "cellsize-1e308": ("slope.asc", "cellsize", "1e308"),
+    "cellsize-differs": ("aspect.asc", "cellsize", "60"),
+    "short-body": ("aspect.asc", "short-body", None),
+    "fuel-fraction": ("fuel.asc", "cell", "1.4"),
+    "fuel-nan": ("fuel.asc", "cell", "nan"),
+    "fuel-inf": ("fuel.asc", "cell", "inf"),
+    "fuel-1e30": ("fuel.asc", "cell", "1e30"),
+    "slope-95": ("slope.asc", "cell", "95"),
+}
 
 
 def perfbench():
@@ -146,14 +170,34 @@ def write_bad_weather(source: Path, out: Path, block: int) -> list[Path]:
     return files
 
 
-def bad_weather_runs(tree: Path, work: Path, ini: Path, files: list[Path]) -> None:
-    """Write the exit code and stderr of `simulate` on each corrupted
-    weather file to work/bad-weather/<case>.txt."""
-    out = work / "bad-weather"
+def write_bad_landscapes(source: Path, out: Path) -> list[Path]:
+    """Copy the landscape directory `source` into out/<case>, one copy per
+    GRID_FAULTS case, and break one layer file of each copy."""
     out.mkdir()
-    for path in files:
+    dirs = []
+    for case, (fname, where, text) in GRID_FAULTS.items():
+        shutil.copytree(source, out / case)
+        path = out / case / fname
+        lines = path.read_text().splitlines()
+        if where == "short-body":
+            lines.pop()
+        elif where == "cell":
+            row = len(lines) // 2
+            lines[row] = " ".join([text, *lines[row].split()[1:]])
+        else:
+            lines = [f"{where} {text}" if line.split()[0] == where else line for line in lines]
+        path.write_text("\n".join(lines) + "\n")
+        dirs.append(out / case)
+    return dirs
+
+
+def bad_input_runs(tree: Path, out: Path, ini: Path, key: str, paths: list[Path]) -> None:
+    """Write the exit code and stderr of `simulate` with the path setting
+    `key` at each corrupted input to out/<case>.txt."""
+    out.mkdir()
+    for path in paths:
         done = run(tree, "-m", "gridfire.cli", "simulate", "--config", str(ini),
-                   "--out", str(out / f"{path.stem}-run"), "--set", f"paths.weather={path}")
+                   "--out", str(out / f"{path.stem}-run"), "--set", f"{key}={path}")
         (out / f"{path.stem}.txt").write_text(f"exit {done.returncode}\n{done.stderr}")
 
 
@@ -218,8 +262,11 @@ def main(argv=None) -> int:
         inputs = work / "parent" / f"inputs{min(size for _, size, _, _ in runs(bench))}"
         block = int(python(ROOT, "-c", "from gridfire.weather import _BLOCK_ROWS as b; print(b)"))
         files = write_bad_weather(inputs / "weather.csv", work / "bad-weather", block)
+        dirs = write_bad_landscapes(inputs / "landscape", work / "bad-landscape")
+        ini = inputs / "study.ini"
         for label, tree in trees:
-            bad_weather_runs(tree, work / label, inputs / "study.ini", files)
+            bad_input_runs(tree, work / label / "bad-weather", ini, "paths.weather", files)
+            bad_input_runs(tree, work / label / "bad-landscape", ini, "paths.landscape_dir", dirs)
         differ = compare(work / "parent", work / "change")
     print(f"{differ} file(s) differ" if differ else "all outputs byte-identical")
     return 1 if differ else 0

@@ -1,40 +1,33 @@
 """Minimal ESRI ASCII grid reader and writer.
 
-Files store the northernmost row first; in memory we keep row 0 at the
-south edge to match the rest of the package, so both functions flip the
-row order at the boundary.
+A grid file holds a RasterFrame (shape, southwest origin and cell size),
+its NODATA value and its data. Files store the northernmost row first; in
+memory we keep row 0 at the south edge to match the rest of the package,
+so both functions flip the row order at the boundary.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import GridFireError, InvalidInputError
+from .geo import GeoPoint, RasterFrame
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
-
-@dataclass(frozen=True)
-class AsciiGrid:
-    """One parsed grid: header fields plus data with row 0 at the south."""
-
-    ncols: int
-    nrows: int
-    xllcorner: float
-    yllcorner: float
-    cellsize: float
-    nodata: float
-    data: np.ndarray
-
-    def geometry(self) -> tuple[int, int, float, float, float]:
-        return (self.ncols, self.nrows, self.xllcorner, self.yllcorner, self.cellsize)
+# The NODATA value of a header without a NODATA_value line.
+NODATA = -9999.0
 
 
-def read_ascii_grid(path: str | Path) -> AsciiGrid:
+def read_ascii_grid(path: str | Path) -> tuple[RasterFrame, float, np.ndarray]:
+    """The grid's frame, its NODATA value and its read-only data.
+
+    Errors name the file: a header that is not a valid RasterFrame (a
+    count that is not a whole number, a bad origin, cell size or extent)
+    or a body of the wrong shape raises InvalidInputError.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -56,47 +49,52 @@ def read_ascii_grid(path: str | Path) -> AsciiGrid:
     for key in _HEADER_KEYS[:5]:
         if key not in header:
             raise InvalidInputError(f"{path}: missing header field {key}")
-    ncols = int(header["ncols"])
-    nrows = int(header["nrows"])
-    if ncols <= 0 or nrows <= 0:
-        raise InvalidInputError(f"{path}: non-positive grid shape {nrows}x{ncols}")
-    cellsize = header["cellsize"]
-    if not (math.isfinite(cellsize) and cellsize > 0.0):
-        raise InvalidInputError(f"{path}: non-positive cellsize {cellsize}")
-    nodata = header.get("nodata_value", -9999.0)
+    try:
+        frame = RasterFrame(
+            nrows=_count(header, "nrows"),
+            ncols=_count(header, "ncols"),
+            origin=GeoPoint(header["yllcorner"], header["xllcorner"]),
+            cell_size=header["cellsize"],
+        )
+    except (GridFireError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
+    nodata = header.get("nodata_value", NODATA)
 
     try:
         values = np.loadtxt(lines[body_start:], dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise InvalidInputError(f"{path}: unparseable grid body: {exc}") from exc
-    if values.shape != (nrows, ncols):
+    if values.shape != (frame.nrows, frame.ncols):
         raise InvalidInputError(
-            f"{path}: body shape {values.shape} does not match header {nrows}x{ncols}"
+            f"{path}: body shape {values.shape} does not match header {frame.nrows}x{frame.ncols}"
         )
     # File order is north first; flip so row 0 is the south row.
     data = np.ascontiguousarray(values[::-1, :])
     data.flags.writeable = False
-    return AsciiGrid(ncols, nrows, header["xllcorner"], header["yllcorner"], cellsize, nodata, data)
+    return frame, nodata, data
 
 
-def write_ascii_grid(path: str | Path, grid: AsciiGrid) -> None:
-    path = Path(path)
-    if grid.data.shape != (grid.nrows, grid.ncols):
-        raise InvalidInputError(
-            f"grid data shape {grid.data.shape} does not match header "
-            f"{grid.nrows}x{grid.ncols}"
-        )
+def _count(header: dict[str, float], key: str) -> int:
+    """A header count, which must be a whole number (128 or 128.0)."""
+    value = header[key]
+    if not value.is_integer():
+        raise ValueError(f"{key} {value!r} is not a whole number")
+    return int(value)
+
+
+def write_ascii_grid(path: str | Path, frame: RasterFrame, nodata: float, data: np.ndarray) -> None:
+    """Write data (row 0 at the south, shaped like the frame) as a grid file."""
     out = [
-        f"ncols {grid.ncols}",
-        f"nrows {grid.nrows}",
-        f"xllcorner {grid.xllcorner!r}",
-        f"yllcorner {grid.yllcorner!r}",
-        f"cellsize {grid.cellsize!r}",
-        f"NODATA_value {grid.nodata!r}",
+        f"ncols {frame.ncols}",
+        f"nrows {frame.nrows}",
+        f"xllcorner {frame.origin.lon!r}",
+        f"yllcorner {frame.origin.lat!r}",
+        f"cellsize {frame.cell_size!r}",
+        f"NODATA_value {nodata!r}",
     ]
-    for row in grid.data[::-1, :]:
+    for row in data[::-1, :]:
         out.append(" ".join(_fmt(v) for v in row))
-    path.write_text("\n".join(out) + "\n")
+    Path(path).write_text("\n".join(out) + "\n")
 
 
 def _fmt(v: float) -> str:

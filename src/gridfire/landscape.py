@@ -17,10 +17,11 @@ from typing import Mapping
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .asciigrid import AsciiGrid, read_ascii_grid, write_ascii_grid
+from .asciigrid import NODATA, read_ascii_grid, write_ascii_grid
 from .csvfile import read_csv
 from .errors import (
     CatalogError,
+    GridFireError,
     InconsistentRasterError,
     InvalidInputError,
     MissingLayerError,
@@ -59,15 +60,16 @@ class FuelModel:
     def __post_init__(self) -> None:
         if self.base_ros < 0:
             raise InvalidInputError(f"fuel {self.id}: negative base_ros {self.base_ros}")
-        if self.burnable != (self.base_ros > 0):
-            raise InvalidInputError(
-                f"fuel {self.id}: burnable flag disagrees with base_ros {self.base_ros}"
-            )
-        for label, v in (("wind_coeff", self.wind_coeff),
+        for label, v in (("base_ros", self.base_ros),
+                         ("wind_coeff", self.wind_coeff),
                          ("wind_exp", self.wind_exp),
                          ("moisture_exp", self.moisture_exp)):
             if not (math.isfinite(v) and v >= 0):
                 raise InvalidInputError(f"fuel {self.id}: {label} must be finite and >= 0, got {v}")
+        if self.burnable != (self.base_ros > 0):
+            raise InvalidInputError(
+                f"fuel {self.id}: burnable flag disagrees with base_ros {self.base_ros}"
+            )
 
 
 @dataclass(frozen=True)
@@ -210,69 +212,60 @@ def cell_acreage(r: LandscapeRaster) -> float:
 def load_landscape(directory: str | Path, catalog: FuelCatalog | None = None) -> LandscapeRaster:
     """Load the three layer files from a directory into one raster.
 
-    All three must agree on grid geometry; other files in the directory
-    are ignored. Cells flagged NODATA in any layer are forced to the
-    non-burnable fuel with zeroed terrain, which keeps fire from crossing
-    unknown ground.
+    All three must have the same RasterFrame; the raster keeps fuel.asc's.
+    Other files in the directory are ignored. Cells flagged NODATA in any
+    layer are forced to the non-burnable fuel with zeroed terrain, which
+    keeps fire from crossing unknown ground. Every other fuel cell must
+    hold a whole number in the int64 range (a catalog id). Errors name the
+    file, or the directory when the raster refuses the layers' values.
     """
     directory = Path(directory)
     if catalog is None:
         catalog = default_catalog()
-    grids: dict[str, AsciiGrid] = {}
+    grids = {}
     for layer, fname in LAYER_FILES.items():
         fpath = directory / fname
         if not fpath.exists():
             raise MissingLayerError(f"missing landscape layer file {fpath}")
         grids[layer] = read_ascii_grid(fpath)
 
-    ref_name, ref = "fuel", grids["fuel"]
-    for layer, g in grids.items():
-        if g.geometry() != ref.geometry():
+    frame = grids["fuel"][0]
+    for layer, (f, _, _) in grids.items():
+        if f != frame:
             raise InconsistentRasterError(
-                f"layer {layer} header {g.geometry()} does not match "
-                f"{ref_name} header {ref.geometry()}"
+                f"{directory / LAYER_FILES[layer]}: {f} does not match "
+                f"{directory / LAYER_FILES['fuel']}: {frame}"
             )
 
-    frame = RasterFrame(
-        nrows=ref.nrows,
-        ncols=ref.ncols,
-        origin=GeoPoint(ref.yllcorner, ref.xllcorner),
-        cell_size=ref.cellsize,
-    )
+    nodata = np.zeros((frame.nrows, frame.ncols), dtype=bool)
+    for _, nd, data in grids.values():
+        nodata |= data == nd
+    values = {layer: np.where(nodata, 0.0, data) for layer, (_, _, data) in grids.items()}
 
-    nodata = np.zeros((ref.nrows, ref.ncols), dtype=bool)
-    for g in grids.values():
-        nodata |= g.data == g.nodata
-    values = {layer: np.where(nodata, 0.0, g.data) for layer, g in grids.items()}
-
-    fuel = np.rint(values["fuel"]).astype(np.int64)
+    fuel = values["fuel"]
+    whole = (np.trunc(fuel) == fuel) & (fuel >= -(2.0**63)) & (fuel < 2.0**63)
+    if not whole.all():
+        r, c = np.argwhere(~whole)[0]
+        raise InvalidInputError(
+            f"{directory / LAYER_FILES['fuel']}: fuel code {float(fuel[r, c])!r} in row {r} "
+            f"(row 0 is the south edge), column {c} is not a whole number in the int64 range"
+        )
+    fuel = fuel.astype(np.int64)
     fuel[nodata] = catalog.non_burnable_id
 
-    return LandscapeRaster(
-        frame=frame,
-        slope=values["slope"],
-        aspect=values["aspect"],
-        fuel=fuel,
-        catalog=catalog,
-    )
+    try:
+        return LandscapeRaster(frame=frame, slope=values["slope"], aspect=values["aspect"],
+                               fuel=fuel, catalog=catalog)
+    except GridFireError as exc:
+        raise type(exc)(f"{directory}: {exc}") from None
 
 
-def write_landscape(r: LandscapeRaster, directory: str | Path, nodata: float = -9999.0) -> None:
+def write_landscape(r: LandscapeRaster, directory: str | Path) -> None:
     """Write the three layer files for a raster (inverse of load_landscape)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for layer, fname in LAYER_FILES.items():
-        data = getattr(r, layer).astype(np.float64)
-        grid = AsciiGrid(
-            ncols=r.ncols,
-            nrows=r.nrows,
-            xllcorner=r.frame.origin.lon,
-            yllcorner=r.frame.origin.lat,
-            cellsize=r.cell_size,
-            nodata=nodata,
-            data=data,
-        )
-        write_ascii_grid(directory / fname, grid)
+        write_ascii_grid(directory / fname, r.frame, NODATA, getattr(r, layer))
 
 
 @dataclass(frozen=True)

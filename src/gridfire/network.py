@@ -153,7 +153,7 @@ def load_network(path: str | Path) -> GridNetwork:
         raise InvalidInputError(f"{path}: invalid JSON: {exc}") from exc
     try:
         buses = tuple(
-            Bus(id=int(b["id"]), location=GeoPoint(float(b["lat"]), float(b["lon"])))
+            Bus(id=_whole(b["id"]), location=GeoPoint(float(b["lat"]), float(b["lon"])))
             for b in raw["buses"]
         )
         branches = []
@@ -163,10 +163,10 @@ def load_network(path: str | Path) -> GridNetwork:
             )
             branches.append(
                 Branch(
-                    id=int(br["id"]),
+                    id=_whole(br["id"]),
                     kind=str(br["kind"]),
-                    from_bus=int(br["from"]),
-                    to_bus=int(br["to"]),
+                    from_bus=_whole(br["from"]),
+                    to_bus=_whole(br["to"]),
                     route=route,
                     length_miles=polyline_length_miles(route) if route else 0.0,
                 )
@@ -174,6 +174,13 @@ def load_network(path: str | Path) -> GridNetwork:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed network record: {exc!r}") from exc
     return GridNetwork(buses=buses, branches=tuple(branches))
+
+
+def _whole(v) -> int:
+    """A JSON id: refuses a number that is not whole rather than truncate it."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"id {v!r} is not a whole number")
+    return int(v)
 
 
 def write_network(n: GridNetwork, path: str | Path) -> None:

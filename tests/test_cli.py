@@ -444,6 +444,27 @@ def test_catalog_wind_factor_above_its_cap_is_exit_2(study_dir, tmp_path, capsys
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("fname, line, text", [
+    ("slope.asc", 0, "ncols 1e400"), ("fuel.asc", 6, "nan"), ("fuel.asc", 6, "1.4")])
+def test_bad_landscape_grid_is_exit_2(study_dir, tmp_path, capsys, fname, line, text):
+    """A grid count that is not a whole number, or a fuel cell that is not
+    a catalog id, stops simulate with exit 2 naming the file: no traceback,
+    no numpy warning and no run on a truncated or rounded value."""
+    land = tmp_path / "landscape"
+    shutil.copytree(study_dir / "landscape", land)
+    lines = (land / fname).read_text().splitlines()
+    lines[line] = text if line == 0 else " ".join([text, *lines[line].split()[1:]])
+    (land / fname).write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["simulate", "--config", str(study_dir / "study.ini"),
+                  "--out", str(tmp_path / "run"), *SMALL_STUDY,
+                  "--set", f"paths.landscape_dir={land}"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {land / fname}: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_weather_ending_after_year_9999_is_exit_2(study_dir, tmp_path, capsys):
     """A weather year whose last hour is 9999-12-31T23:00 has no
     representable end, so it stops simulate with a message rather than

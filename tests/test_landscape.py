@@ -1,20 +1,23 @@
 """Landscape rasters: file IO, fuel catalog, synthesis, acreage ratio."""
 
 import math
+import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridfire.asciigrid import AsciiGrid, read_ascii_grid, write_ascii_grid
+from gridfire.asciigrid import read_ascii_grid, write_ascii_grid
 from gridfire.errors import (
     CatalogError,
     InconsistentRasterError,
     InvalidInputError,
     MissingLayerError,
 )
-from gridfire.geo import GeoPoint
+from gridfire.geo import GeoPoint, RasterFrame
 from gridfire.landscape import (
     ACRES_PER_SQUARE_METER,
     LAYER_FILES,
@@ -45,13 +48,13 @@ def _flat_spec(n=10, **kw):
 
 def test_ascii_grid_round_trip(tmp_path):
     data = np.array([[1.5, -2.0, 3.25], [0.0, 7.0, -9999.0]])
-    g = AsciiGrid(ncols=3, nrows=2, xllcorner=-120.1, yllcorner=37.85,
-                  cellsize=30.0, nodata=-9999.0, data=data)
+    frame = RasterFrame(nrows=2, ncols=3, origin=GeoPoint(37.85, -120.1), cell_size=30.0)
     path = tmp_path / "layer.asc"
-    write_ascii_grid(path, g)
-    back = read_ascii_grid(path)
-    assert back.geometry() == g.geometry()
-    np.testing.assert_array_equal(back.data, g.data)
+    write_ascii_grid(path, frame, -9999.0, data)
+    back_frame, back_nodata, back = read_ascii_grid(path)
+    assert back_frame == frame
+    assert back_nodata == -9999.0
+    np.testing.assert_array_equal(back, data)
 
 
 def test_ascii_grid_rows_stored_south_up(tmp_path):
@@ -62,8 +65,8 @@ def test_ascii_grid_rows_stored_south_up(tmp_path):
         "cellsize 10.0\nNODATA_value -9999\n"
         "3 4\n1 2\n"
     )
-    g = read_ascii_grid(path)
-    np.testing.assert_array_equal(g.data, [[1.0, 2.0], [3.0, 4.0]])
+    _, _, data = read_ascii_grid(path)
+    np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_ascii_grid_shape_mismatch(tmp_path):
@@ -132,6 +135,23 @@ def test_catalog_row_error_names_the_file_line(tmp_path):
         "1,grass,1,-15.0,0.4,1.0,1.0\n"
     )
     with pytest.raises(CatalogError, match=r"fuels.csv: row 4: fuel 1: negative base_ros"):
+        load_catalog(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,grass,1,inf,0.4,1.0,1.0", "fuel 1: base_ros must be finite and >= 0, got inf"),
+    ("0,rock,0,nan,0,0,0", "fuel 0: base_ros must be finite and >= 0, got nan"),
+], ids=["inf", "nan-non-burnable"])
+def test_catalog_refuses_a_base_ros_that_is_not_finite(tmp_path, row, message):
+    """An infinite base_ros would make every edge of the fuel free; a NaN
+    one on a non-burnable fuel passes the burnable-flag check unnoticed."""
+    path = tmp_path / "fuels.csv"
+    path.write_text(
+        "id,name,burnable,base_ros_m_min,wind_coeff,wind_exp,moisture_exp\n"
+        f"{row}\n"
+        "2,shrub,1,8.0,0.3,1.0,1.2\n"
+    )
+    with pytest.raises(CatalogError, match=re.escape(f"fuels.csv: row 2: {message}")):
         load_catalog(path)
 
 
@@ -234,16 +254,15 @@ def test_extra_layer_files_are_ignored(tmp_path):
     three, eight = tmp_path / "three", tmp_path / "eight"
     write_landscape(land, three)
     write_landscape(land, eight)
-    ref = read_ascii_grid(eight / "fuel.asc")
+    frame, nodata, _ = read_ascii_grid(eight / "fuel.asc")
     r, c = np.argwhere(land.burnable_mask())[0]
-    elevation = np.full((ref.nrows, ref.ncols), 650.0)
-    elevation[r, c] = ref.nodata
+    elevation = np.full((frame.nrows, frame.ncols), 650.0)
+    elevation[r, c] = nodata
     for name, data in (("canopy_cover", 35.0), ("canopy_height", 14.0),
                        ("canopy_base", 2.5), ("canopy_density", 0.11),
                        ("elevation", elevation)):
-        write_ascii_grid(eight / f"{name}.asc", AsciiGrid(
-            ref.ncols, ref.nrows, ref.xllcorner, ref.yllcorner, ref.cellsize, ref.nodata,
-            np.broadcast_to(data, (ref.nrows, ref.ncols)).astype(np.float64)))
+        write_ascii_grid(eight / f"{name}.asc", frame, nodata,
+                         np.broadcast_to(data, (frame.nrows, frame.ncols)).astype(np.float64))
     assert len(list(eight.glob("*.asc"))) == 8
     a = load_landscape(three, catalog=land.catalog)
     b = load_landscape(eight, catalog=land.catalog)
@@ -266,10 +285,9 @@ def test_load_inconsistent_geometry(tmp_path):
     land = synth_landscape(_flat_spec(n=4))
     d = tmp_path / "land"
     write_landscape(land, d)
-    g = read_ascii_grid(d / "slope.asc")
-    bad = AsciiGrid(g.ncols, g.nrows, g.xllcorner, g.yllcorner,
-                    cellsize=g.cellsize * 2.0, nodata=g.nodata, data=g.data.copy())
-    write_ascii_grid(d / "slope.asc", bad)
+    frame, nodata, data = read_ascii_grid(d / "slope.asc")
+    write_ascii_grid(d / "slope.asc", replace(frame, cell_size=frame.cell_size * 2.0),
+                     nodata, data)
     with pytest.raises(InconsistentRasterError, match="slope"):
         load_landscape(d, catalog=land.catalog)
 
@@ -278,11 +296,10 @@ def test_load_unknown_fuel_id(tmp_path):
     land = synth_landscape(_flat_spec(n=4))
     d = tmp_path / "land"
     write_landscape(land, d)
-    g = read_ascii_grid(d / "fuel.asc")
-    data = g.data.copy()
+    frame, nodata, data = read_ascii_grid(d / "fuel.asc")
+    data = data.copy()
     data[2, 2] = 99.0
-    bad = AsciiGrid(g.ncols, g.nrows, g.xllcorner, g.yllcorner, g.cellsize, g.nodata, data)
-    write_ascii_grid(d / "fuel.asc", bad)
+    write_ascii_grid(d / "fuel.asc", frame, nodata, data)
     with pytest.raises(CatalogError, match="99"):
         load_landscape(d, catalog=land.catalog)
 
@@ -291,11 +308,10 @@ def test_nodata_cells_become_non_burnable(tmp_path):
     land = synth_landscape(_flat_spec(n=4))
     d = tmp_path / "land"
     write_landscape(land, d)
-    g = read_ascii_grid(d / "slope.asc")
-    data = g.data.copy()
-    data[1, 1] = g.nodata
-    bad = AsciiGrid(g.ncols, g.nrows, g.xllcorner, g.yllcorner, g.cellsize, g.nodata, data)
-    write_ascii_grid(d / "slope.asc", bad)
+    frame, nodata, data = read_ascii_grid(d / "slope.asc")
+    data = data.copy()
+    data[1, 1] = nodata
+    write_ascii_grid(d / "slope.asc", frame, nodata, data)
     back = load_landscape(d, catalog=land.catalog)
     assert back.fuel[1, 1] == back.catalog.non_burnable_id
     assert back.slope[1, 1] == 0.0
@@ -308,3 +324,47 @@ def test_slope_range_validated():
         synth_landscape(_flat_spec(slope_deg=95.0))
     with pytest.raises(InvalidInputError):
         synth_landscape(_flat_spec(aspect_deg=360.0))
+
+
+# (layer file, header key or "cell", value, message); {file} is the layer
+# file's path and {dir} the landscape directory.
+BAD_GRIDS = [
+    pytest.param("slope.asc", "ncols", "128.6", "{file}: ncols 128.6 is not a whole number",
+                 id="ncols-128.6"),
+    pytest.param("slope.asc", "ncols", "nan", "{file}: ncols nan is not a whole number",
+                 id="ncols-nan"),
+    pytest.param("slope.asc", "ncols", "1e400", "{file}: ncols inf is not a whole number",
+                 id="ncols-1e400"),
+    pytest.param("slope.asc", "xllcorner", "200", "{file}: longitude 200.0 outside [-180, 180]",
+                 id="xllcorner-200"),
+    pytest.param("slope.asc", "cellsize", "1e308", "{file}: raster extent of 4x4 cells not finite",
+                 id="cellsize-1e308"),
+    *[pytest.param("fuel.asc", "cell", v,
+                   f"{{file}}: fuel code {float(v)!r} in row 2 (row 0 is the south edge), "
+                   "column 1 is not a whole number in the int64 range", id=f"fuel-{v}")
+      for v in ("1.4", "nan", "inf", "1e30")],
+    pytest.param("slope.asc", "cell", "95", "{dir}: slope values outside [0, 90)", id="slope-95"),
+]
+
+
+@pytest.mark.parametrize("fname, key, value, message", BAD_GRIDS)
+def test_bad_grid_is_invalid_input_named_by_its_file(tmp_path, fname, key, value, message):
+    """A header that is not a valid frame, or a cell value a layer cannot
+    hold, raises InvalidInputError naming where it is, without a numpy
+    warning: a count or a fuel code is never truncated or rounded."""
+    land = synth_landscape(_flat_spec(n=4))
+    d = tmp_path / "land"
+    write_landscape(land, d)
+    lines = (d / fname).read_text().splitlines()
+    if key == "cell":  # file line 7 is the second row from the north: row 2
+        cells = lines[7].split()
+        cells[1] = value
+        lines[7] = " ".join(cells)
+    else:
+        lines = [f"{key} {value}" if line.split()[0] == key else line for line in lines]
+    (d / fname).write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError) as err:
+            load_landscape(d, catalog=land.catalog)
+    assert str(err.value) == message.format(file=d / fname, dir=d)

@@ -136,6 +136,37 @@ def test_load_dangling_reference_from_file(tmp_path):
     assert "3" in str(err.value) and "2" in str(err.value)
 
 
+@pytest.mark.parametrize("record, value", [
+    ("bus", "1e400"), ("bus", "1.5"), ("branch", "1.7"), ("from", "1.7"), ("to", "NaN")])
+def test_load_refuses_an_id_that_is_not_whole(tmp_path, record, value):
+    """A bus or branch id, or a branch end, that is not a whole number is
+    a malformed record: JSON reads 1e400 as inf, which has no int, and
+    1.7 would otherwise be truncated to another id."""
+    ids = {"bus": "1", "branch": "3", "from": "1", "to": "2", **{record: value}}
+    path = tmp_path / "net.json"
+    path.write_text(
+        f'{{"buses": [{{"id": {ids["bus"]}, "lat": 37.8, "lon": -120.0}},'
+        f' {{"id": 2, "lat": 37.8, "lon": -120.01}}],'
+        f' "branches": [{{"id": {ids["branch"]}, "kind": "link",'
+        f' "from": {ids["from"]}, "to": {ids["to"]}}}]}}'
+    )
+    with pytest.raises(InvalidInputError, match=f"{path}: malformed network record: .*not a whole"):
+        load_network(path)
+
+
+def test_load_accepts_a_whole_float_id(tmp_path):
+    """1.0 is the id 1: only a fraction or a non-finite id is refused."""
+    path = tmp_path / "net.json"
+    path.write_text(
+        '{"buses": [{"id": 1.0, "lat": 37.8, "lon": -120.0},'
+        ' {"id": 2, "lat": 37.8, "lon": -120.01}],'
+        ' "branches": [{"id": 3.0, "kind": "link", "from": 1, "to": 2.0}]}'
+    )
+    net = load_network(path)
+    assert [b.id for b in net.buses] == [1, 2]
+    assert (net.branches[0].id, net.branches[0].from_bus, net.branches[0].to_bus) == (3, 1, 2)
+
+
 def test_ignitable_lines_on_link_only_network():
     a = Bus(1, GeoPoint(37.8, -120.0))
     b = Bus(2, GeoPoint(37.81, -120.0))
