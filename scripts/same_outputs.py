@@ -29,10 +29,15 @@ second, and there again after a blank line early in the file. It also
 runs on corrupted copies of that study's landscape directory (`GRID_FAULTS`):
 header counts that are not whole numbers, an origin or cell size no
 raster can have, a layer whose cell size differs from fuel.asc's, a short
-grid body, and fuel or slope cells a layer cannot hold. Both trees read
+grid body, and fuel or slope cells a layer cannot hold. And it breaks
+copies of the three CSV files the program writes and reads back
+(`TABLE_FAULTS`): the synth fuel catalog, read by `simulate`, and the
+study128 run's results.csv and risk.csv, read by `assess` and `report`.
+Each gets a wrong header name, a ragged row, an unparseable number and a
+nan; the catalog and results.csv also get a repeated key. Both trees read
 the same copies, at the same path, so each run's exit code and stderr,
-written to `bad-weather/<case>.txt` or `bad-landscape/<case>.txt`, must
-match byte for byte.
+written to `bad-weather/<case>.txt`, `bad-landscape/<case>.txt` or
+`bad-tables/<case>.txt`, must match byte for byte.
 
 It compares every file these write, and each `report`'s stdout, byte for
 byte, prints one line per file, and exits 1 if any file differs or is
@@ -70,6 +75,18 @@ GRID_FAULTS = {
     "fuel-inf": ("fuel.asc", "cell", "inf"),
     "fuel-1e30": ("fuel.asc", "cell", "1e30"),
     "slope-95": ("slope.asc", "cell", "95"),
+}
+
+# file: (the gridfire command that reads a broken copy, the number column
+# that the unparseable and nan faults break, the faults). In a command,
+# {ini} is the study config, {file} the broken input, {dir} its folder and
+# {out} an output folder of the run's own.
+FAULTS = ("header", "ragged", "unparseable", "nan")
+TABLE_FAULTS = {
+    "fuel_catalog.csv": ("simulate --config {ini} --out {out} --set paths.fuel_catalog={file}",
+                         3, (*FAULTS, "repeat")),
+    "results.csv": ("assess --config {ini} --results {file} --out {out}", 4, (*FAULTS, "repeat")),
+    "risk.csv": ("report {dir}", 1, FAULTS),
 }
 
 
@@ -191,14 +208,52 @@ def write_bad_landscapes(source: Path, out: Path) -> list[Path]:
     return dirs
 
 
-def bad_input_runs(tree: Path, out: Path, ini: Path, key: str, paths: list[Path]) -> None:
-    """Write the exit code and stderr of `simulate` with the path setting
-    `key` at each corrupted input to out/<case>.txt."""
+def corrupt_table(lines: list[str], fault: str, column: int) -> list[str]:
+    """A CSV file's lines broken by one fault: in the header's `column`
+    name, in its middle data row, or a copy of its first data row at the end."""
+    bad, row = lines.copy(), len(lines) // 2
+    fields = bad[row].split(",")
+    if fault == "header":
+        names = bad[0].split(",")
+        names[column] = "value"
+        bad[0] = ",".join(names)
+    elif fault == "ragged":
+        bad[row] = ",".join(fields[:-1])
+    elif fault == "repeat":
+        bad.append(lines[1])
+    else:
+        fields[column] = {"unparseable": "warm", "nan": "nan"}[fault]
+        bad[row] = ",".join(fields)
+    return bad
+
+
+def write_bad_tables(sources: dict[str, Path], out: Path) -> dict[str, tuple[str, Path]]:
+    """Copy the folder of each TABLE_FAULTS file in `sources` (name ->
+    path) into out/<case>, once per fault, and break the file in the copy.
+    Returns each case's command and broken file."""
     out.mkdir()
-    for path in paths:
-        done = run(tree, "-m", "gridfire.cli", "simulate", "--config", str(ini),
-                   "--out", str(out / f"{path.stem}-run"), "--set", f"{key}={path}")
-        (out / f"{path.stem}.txt").write_text(f"exit {done.returncode}\n{done.stderr}")
+    cases = {}
+    for name, (command, column, faults) in TABLE_FAULTS.items():
+        lines = sources[name].read_text().splitlines()
+        for fault in faults:
+            case = f"{Path(name).stem}-{fault}"
+            shutil.copytree(sources[name].parent, out / case)
+            path = out / case / name
+            path.write_text("\n".join(corrupt_table(lines, fault, column)) + "\n")
+            cases[case] = (command, path)
+    return cases
+
+
+def bad_input_runs(tree: Path, out: Path, ini: Path, cases: dict[str, tuple[str, Path]]) -> None:
+    """Run each case's gridfire command (placeholders as in TABLE_FAULTS,
+    `ini` the study config and out/<case>-run the {out}) on its corrupted
+    input, and write its exit code and stderr to out/<case>.txt."""
+    out.mkdir()
+    for case, (command, path) in cases.items():
+        args = [a.format(ini=ini, file=path, dir=path.parent, out=out / f"{case}-run")
+                for a in command.split()]
+        done = run(tree, "-m", "gridfire.cli", *args)
+        (out / f"{case}.txt").write_text(f"exit {done.returncode}\n{done.stderr}")
 
 
 def report(tree: Path, out: Path) -> None:
@@ -263,10 +318,22 @@ def main(argv=None) -> int:
         block = int(python(ROOT, "-c", "from gridfire.weather import _BLOCK_ROWS as b; print(b)"))
         files = write_bad_weather(inputs / "weather.csv", work / "bad-weather", block)
         dirs = write_bad_landscapes(inputs / "landscape", work / "bad-landscape")
-        ini = inputs / "study.ini"
+        study = work / "parent" / "study128"
+        bad = {
+            "bad-weather": {
+                f.stem: ("simulate --config {ini} --out {out} --set paths.weather={file}", f)
+                for f in files},
+            "bad-landscape": {
+                d.stem: ("simulate --config {ini} --out {out} --set paths.landscape_dir={file}", d)
+                for d in dirs},
+            "bad-tables": write_bad_tables({"fuel_catalog.csv": inputs / "fuel_catalog.csv",
+                                            "results.csv": study / "run" / "results.csv",
+                                            "risk.csv": study / "report" / "risk.csv"},
+                                           work / "bad-tables-inputs"),
+        }
         for label, tree in trees:
-            bad_input_runs(tree, work / label / "bad-weather", ini, "paths.weather", files)
-            bad_input_runs(tree, work / label / "bad-landscape", ini, "paths.landscape_dir", dirs)
+            for kind, cases in bad.items():
+                bad_input_runs(tree, work / label / kind, inputs / "study.ini", cases)
         differ = compare(work / "parent", work / "change")
     print(f"{differ} file(s) differ" if differ else "all outputs byte-identical")
     return 1 if differ else 0

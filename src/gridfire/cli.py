@@ -29,10 +29,11 @@ import time
 import traceback
 from dataclasses import MISSING, dataclass, fields
 from decimal import Decimal, InvalidOperation
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
-from .csvfile import read_csv
+from .csvfile import Column, read_csv, read_table, write_table
 from .errors import GridFireError, InvalidInputError
 from .fixtures import (
     SEASON_LABELS,
@@ -52,7 +53,16 @@ from .weather import (IGNITION_HOUR, STUDY_YEAR, TIMESTAMP_FORMAT, load_weather,
                       season_starts, write_weather)
 
 SECTIONS = ("paths", "study", "spread", "costs")
-RISK_HEADER = "line_id,lbe,lbl,wfl,metric,rank"
+RISK_COLUMNS = (
+    Column("line_id", int),
+    Column("lbe", float),
+    Column("lbl", float),
+    Column("wfl", float),
+    Column("metric", float),
+    Column("rank", int),
+)
+# plot_metric.csv holds risk.csv's line_id and metric columns.
+_plot_columns = itemgetter(0, 4)
 
 
 def _finite(text):
@@ -293,14 +303,14 @@ def _season_labels(n):
 
 
 def _write_table(path, records, attr):
-    n_seasons = len(getattr(records[0], attr))
-    header = "line_id," + ",".join(_season_labels(n_seasons)) + ",avg"
-    rows = [header]
+    labels = _season_labels(len(getattr(records[0], attr)))
+    columns = [Column("line_id", int), *(Column(label, float) for label in labels),
+               Column("avg", float)]
+    rows = []
     for rec in sorted(records, key=lambda r: r.line_id):
         vals = [float(v) for v in getattr(rec, attr)]
-        rows.append(f"{rec.line_id}," + ",".join(repr(v) for v in vals)
-                    + f",{seasonal_average(vals)!r}")
-    Path(path).write_text("\n".join(rows) + "\n")
+        rows.append([rec.line_id, *vals, seasonal_average(vals)])
+    write_table(path, columns, rows)
 
 
 def _check_avg(path, line, text, vals):
@@ -370,13 +380,10 @@ def cmd_assess(args):
     _write_table(out / "table_acres.csv", records, "season_acres")
     _write_table(out / "table_miles.csv", records, "season_miles")
 
-    risk_rows = [RISK_HEADER]
-    plot_rows = ["line_id,metric"]
-    for rank, rec in enumerate(records, start=1):
-        risk_rows.append(f"{rec.line_id},{rec.lbe!r},{rec.lbl!r},{rec.wfl!r},{rec.metric!r},{rank}")
-        plot_rows.append(f"{rec.line_id},{rec.metric!r}")
-    (out / "risk.csv").write_text("\n".join(risk_rows) + "\n")
-    (out / "plot_metric.csv").write_text("\n".join(plot_rows) + "\n")
+    risk = [(rec.line_id, rec.lbe, rec.lbl, rec.wfl, rec.metric, rank)
+            for rank, rec in enumerate(records, start=1)]
+    write_table(out / "risk.csv", RISK_COLUMNS, risk)
+    write_table(out / "plot_metric.csv", _plot_columns(RISK_COLUMNS), map(_plot_columns, risk))
 
     top = records[0]
     print(f"assessed {len(records)} lines -> {out / 'risk.csv'} "
@@ -394,17 +401,10 @@ def cmd_report(args):
         raise InvalidInputError(f"missing report file: {acres_path}")
 
     rows = []
-    header, risk_rows = read_csv(risk_path, InvalidInputError)
-    if header != RISK_HEADER.split(","):
-        raise InvalidInputError(f"{risk_path}: unexpected header")
-    for line, (j, lbe_d, lbl_d, wfl_d, metric, rank) in risk_rows:
-        try:
-            rows.append((int(j), float(lbe_d), float(lbl_d), float(wfl_d), float(metric),
-                         int(rank)))
-        except ValueError:
-            raise InvalidInputError(f"{risk_path}: row {line}: malformed row") from None
-        if not all(map(math.isfinite, rows[-1][1:5])):
+    for line, row in read_table(risk_path, RISK_COLUMNS, InvalidInputError):
+        if not all(map(math.isfinite, row[1:5])):
             raise InvalidInputError(f"{risk_path}: row {line}: non-finite loss or metric")
+        rows.append(row)
     if not rows:
         raise InvalidInputError(f"{risk_path}: no data rows")
     rows.sort(key=lambda r: r[5])

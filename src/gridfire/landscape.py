@@ -9,7 +9,8 @@ among them, are not read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from .asciigrid import NODATA, read_ascii_grid, write_ascii_grid
-from .csvfile import read_csv
+from .csvfile import Column, read_table, write_table
 from .errors import (
     CatalogError,
     GridFireError,
@@ -35,9 +36,6 @@ LAYER_FILES = {
     "aspect": "aspect.asc",
     "fuel": "fuel.asc",
 }
-
-CATALOG_HEADER = ["id", "name", "burnable", "base_ros_m_min", "wind_coeff", "wind_exp", "moisture_exp"]
-
 
 @dataclass(frozen=True)
 class FuelModel:
@@ -112,16 +110,35 @@ def default_catalog() -> FuelCatalog:
     return FuelCatalog(models=models, non_burnable_id=0)
 
 
+def _parse_flag(s: str) -> bool:
+    v = s.strip().lower()
+    if v in ("1", "true", "yes"):
+        return True
+    if v in ("0", "false", "no"):
+        return False
+    raise ValueError(f"bad flag value {s!r}")
+
+
+# The columns of a fuel catalog file, in FuelModel's field order.
+CATALOG_COLUMNS = (
+    Column("id", int),
+    Column("name", str.strip, str),
+    Column("burnable", _parse_flag, lambda flag: "1" if flag else "0"),
+    Column("base_ros_m_min", float),
+    Column("wind_coeff", float),
+    Column("wind_exp", float),
+    Column("moisture_exp", float),
+)
+_catalog_row = attrgetter(*(f.name for f in fields(FuelModel)))
+
+
 def load_catalog(path: str | Path) -> FuelCatalog:
     """Read a fuel catalog CSV (id,name,burnable,base_ros_m_min,...)."""
-    header, rows = read_csv(path, CatalogError)
-    if header != CATALOG_HEADER:
-        raise CatalogError(f"{path}: expected header {','.join(CATALOG_HEADER)}")
     models: dict[int, FuelModel] = {}
-    for line, (fid, name, burnable, *numbers) in rows:
+    for line, values in read_table(path, CATALOG_COLUMNS, CatalogError):
         try:
-            model = FuelModel(int(fid), name.strip(), _parse_flag(burnable), *map(float, numbers))
-        except (ValueError, InvalidInputError) as exc:
+            model = FuelModel(*values)
+        except InvalidInputError as exc:
             raise CatalogError(f"{path}: row {line}: {exc}") from exc
         if model.id in models:
             raise CatalogError(f"{path}: row {line}: duplicate fuel id {model.id}")
@@ -133,23 +150,8 @@ def load_catalog(path: str | Path) -> FuelCatalog:
 
 
 def write_catalog(catalog: FuelCatalog, path: str | Path) -> None:
-    rows = [",".join(CATALOG_HEADER)]
-    for fid in sorted(catalog.models):
-        m = catalog.models[fid]
-        rows.append(
-            f"{m.id},{m.name},{1 if m.burnable else 0},"
-            f"{m.base_ros!r},{m.wind_coeff!r},{m.wind_exp!r},{m.moisture_exp!r}"
-        )
-    Path(path).write_text("\n".join(rows) + "\n")
-
-
-def _parse_flag(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes"):
-        return True
-    if v in ("0", "false", "no"):
-        return False
-    raise ValueError(f"bad flag value {s!r}")
+    write_table(path, CATALOG_COLUMNS,
+                [_catalog_row(catalog.models[fid]) for fid in sorted(catalog.models)])
 
 
 @dataclass(frozen=True)
@@ -214,10 +216,11 @@ def load_landscape(directory: str | Path, catalog: FuelCatalog | None = None) ->
 
     All three must have the same RasterFrame; the raster keeps fuel.asc's.
     Other files in the directory are ignored. Cells flagged NODATA in any
-    layer are forced to the non-burnable fuel with zeroed terrain, which
-    keeps fire from crossing unknown ground. Every other fuel cell must
-    hold a whole number in the int64 range (a catalog id). Errors name the
-    file, or the directory when the raster refuses the layers' values.
+    layer (nan cells, where the layer's NODATA value is nan) are forced to
+    the non-burnable fuel with zeroed terrain, which keeps fire from
+    crossing unknown ground. Every other fuel cell must hold a whole
+    number in the int64 range (a catalog id). Errors name the file, or the
+    directory when the raster refuses the layers' values.
     """
     directory = Path(directory)
     if catalog is None:
@@ -239,7 +242,7 @@ def load_landscape(directory: str | Path, catalog: FuelCatalog | None = None) ->
 
     nodata = np.zeros((frame.nrows, frame.ncols), dtype=bool)
     for _, nd, data in grids.values():
-        nodata |= data == nd
+        nodata |= np.isnan(data) if math.isnan(nd) else data == nd
     values = {layer: np.where(nodata, 0.0, data) for layer, (_, _, data) in grids.items()}
 
     fuel = values["fuel"]

@@ -16,14 +16,15 @@ from __future__ import annotations
 import math
 import multiprocessing
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvfile import read_csv
+from .csvfile import Column, read_table, write_table
 from .errors import CoverageError, InvalidInputError
 from .geo import GridIndex, PlanarPoint, RasterFrame
 from .landscape import LandscapeRaster, cell_acreage
@@ -38,8 +39,6 @@ from .spread import (
     check_coverage,
 )
 from .weather import WeatherSeries, season_starts
-
-RESULTS_HEADER = "line_id,season,ignition_idx,burned_cells,burned_acres,affected_line_ids,affected_miles"
 
 PLACEMENTS = ("even", "seeded-random")
 
@@ -81,14 +80,40 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """The fields before `warning` are the columns of results.csv, in order."""
+
     line_id: int
-    ignition_index: int
     season_index: int
+    ignition_index: int
     burned_cell_count: int
     burned_acres: float
     affected_line_ids: frozenset[int]
     affected_miles: float
     warning: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.season_index < 0:
+            raise InvalidInputError(f"negative season index {self.season_index}")
+        if self.burned_cell_count < 0:
+            raise InvalidInputError(f"negative burned_cells {self.burned_cell_count}")
+        for label, v in (("burned_acres", self.burned_acres),
+                         ("affected_miles", self.affected_miles)):
+            if not (math.isfinite(v) and v >= 0.0):
+                raise InvalidInputError(f"{label} {v} must be finite and >= 0")
+
+
+RESULT_COLUMNS = (
+    Column("line_id", int),
+    Column("season", int),
+    Column("ignition_idx", int),
+    Column("burned_cells", int),
+    Column("burned_acres", float),
+    Column("affected_line_ids", lambda text: frozenset(int(t) for t in text.split(";") if t),
+           lambda ids: ";".join(map(str, sorted(ids)))),
+    Column("affected_miles", float),
+)
+RESULTS_HEADER = ",".join(c.name for c in RESULT_COLUMNS)
+_result_row = attrgetter(*(f.name for f in fields(ScenarioResult)[:len(RESULT_COLUMNS)]))
 
 
 def place_ignitions(
@@ -271,42 +296,18 @@ def run_batch(
 
 
 def write_results(results: Sequence[ScenarioResult], path: str | Path) -> None:
-    rows = [RESULTS_HEADER]
-    for r in results:
-        ids = ";".join(str(j) for j in sorted(r.affected_line_ids))
-        rows.append(
-            f"{r.line_id},{r.season_index},{r.ignition_index},"
-            f"{r.burned_cell_count},{r.burned_acres!r},{ids},{r.affected_miles!r}"
-        )
-    Path(path).write_text("\n".join(rows) + "\n")
+    write_table(path, RESULT_COLUMNS, map(_result_row, results))
 
 
 def read_results(path: str | Path) -> list[ScenarioResult]:
-    header, rows = read_csv(path, InvalidInputError)
-    if header != RESULTS_HEADER.split(","):
-        raise InvalidInputError(f"{path}: expected header {RESULTS_HEADER!r}")
+    """The rows of a results.csv, each a scenario that no earlier row has."""
     out = []
     seen: dict[tuple[int, int, int], int] = {}
-    for i, (line_id, season, ignition, cells, acres, ids, miles) in rows:
+    for i, values in read_table(path, RESULT_COLUMNS, InvalidInputError):
         try:
-            r = ScenarioResult(
-                line_id=int(line_id),
-                season_index=int(season),
-                ignition_index=int(ignition),
-                burned_cell_count=int(cells),
-                burned_acres=float(acres),
-                affected_line_ids=frozenset(int(t) for t in ids.split(";") if t),
-                affected_miles=float(miles),
-            )
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: row {i}: {exc}") from exc
-        if r.season_index < 0:
-            raise InvalidInputError(f"{path}: row {i}: negative season index {r.season_index}")
-        if r.burned_cell_count < 0:
-            raise InvalidInputError(f"{path}: row {i}: negative burned_cells {r.burned_cell_count}")
-        for label, v in (("burned_acres", r.burned_acres), ("affected_miles", r.affected_miles)):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise InvalidInputError(f"{path}: row {i}: {label} {v} must be finite and >= 0")
+            r = ScenarioResult(*values)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: row {i}: {exc}") from None
         key = (r.line_id, r.season_index, r.ignition_index)
         if key in seen:
             raise InvalidInputError(f"{path}: row {i}: scenario {key} repeats row {seen[key]}")

@@ -4,12 +4,16 @@ The fire front is modeled as shortest arrival time over a graph whose
 nodes are burnable cells and whose edges connect each cell to its 8 queen
 and 8 knight neighbors. An edge's traversal time is the center-to-center
 distance over the harmonic mean of the directional rate of spread at its
-two endpoints, the exact travel time over two half-cells at different
-speeds. In uniform fuel a lattice fire grows as the convex hull of the 16
-moves' speed vectors: without wind that keeps about 97% of the model's
-circle, and under wind it cuts the speed ellipse's narrow head, to
-0.85-0.90 of its area at the synthetic year's median wind and 0.77-0.85
-at its 95th percentile.
+two endpoints: half the distance at each endpoint's speed. For a queen
+move that is the exact travel time over the two half-cells it crosses. A
+knight move crosses four cells, a quarter of its length in each, but is
+still priced by its endpoints alone; its two intermediate cells only
+decide whether the edge exists (ROADMAP item 11 would price all four).
+In uniform fuel a lattice fire grows as the convex hull of the 16 moves'
+speed vectors: without wind that keeps about 97% of the model's circle,
+and under wind it cuts the speed ellipse's narrow head, to 0.85-0.90 of
+its area at the synthetic year's median wind and 0.77-0.85 at its 95th
+percentile.
 
 Weather is piecewise constant per hour, and an epoch is a run of
 consecutive hours with bit-equal weather. A fire crosses an edge at the

@@ -1,11 +1,16 @@
-"""The shared CSV row reader: file-line numbering and the field-count rule."""
+"""The shared CSV row reader (file-line numbering and the field-count
+rule) and the column tables' writer and reader."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridfire.csvfile import read_csv
-from gridfire.errors import InvalidInputError
+from gridfire import cli
+from gridfire.cli import RISK_COLUMNS
+from gridfire.csvfile import read_csv, read_table, write_table
+from gridfire.errors import GridFireError, InvalidInputError
+from gridfire.landscape import CATALOG_COLUMNS, load_catalog
+from gridfire.scenarios import RESULT_COLUMNS, read_results
 
 blank = st.sampled_from(["", " ", "   "])
 field = st.text(alphabet="ab09.-_", min_size=1, max_size=4)
@@ -49,3 +54,54 @@ def test_read_csv_numbers_rows_by_file_line(tmp_path_factory, before, header, bo
 def test_read_csv_names_a_file_it_cannot_read(tmp_path):
     with pytest.raises(InvalidInputError, match="cannot read .*absent.csv"):
         read_csv(tmp_path / "absent.csv", InvalidInputError)
+
+
+# ------------------------------------------------------------ column tables
+
+ints = st.integers()
+amounts = st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                    st.sampled_from([5e-324, 1.7976931348623157e308]))
+TABLES = {
+    "results": (RESULT_COLUMNS, st.tuples(ints, ints, ints, ints, amounts,
+                                          st.frozensets(ints), amounts)),
+    "risk": (RISK_COLUMNS, st.tuples(ints, amounts, amounts, amounts, amounts, ints)),
+    "catalog": (CATALOG_COLUMNS, st.tuples(ints, st.text(alphabet="ab_ ", max_size=6),
+                                           st.booleans(), amounts, amounts, amounts, amounts)),
+}
+
+
+@given(table=st.sampled_from(sorted(TABLES)).flatmap(
+    lambda name: st.tuples(st.just(TABLES[name][0]), st.lists(TABLES[name][1], max_size=5))))
+def test_table_round_trip(tmp_path_factory, table):
+    """read_table gives back what write_table wrote, but for the spaces
+    around a fuel name, which the catalog's name column strips; writing
+    what was read again gives the same bytes exactly when nothing was
+    stripped."""
+    columns, rows = table
+    d = tmp_path_factory.mktemp("table")
+    write_table(d / "first.csv", columns, rows)
+    got = [values for _, values in read_table(d / "first.csv", columns, InvalidInputError)]
+    want = [[v.strip() if isinstance(v, str) else v for v in row] for row in rows]
+    assert got == want
+    write_table(d / "second.csv", columns, got)
+    same = (d / "second.csv").read_bytes() == (d / "first.csv").read_bytes()
+    assert same == (got == [list(row) for row in rows])
+
+
+def _report(path):
+    """`report` on the folder of a risk.csv at `path`."""
+    (path.parent / "table_acres.csv").write_text("line_id,winter,avg\n6,1.0,1.0\n")
+    cli.cmd_report(cli.build_parser().parse_args(["report", str(path.parent)]))
+
+
+@pytest.mark.parametrize("name, read, columns", [
+    pytest.param("results.csv", read_results, RESULT_COLUMNS, id="results"),
+    pytest.param("risk.csv", _report, RISK_COLUMNS, id="risk"),
+    pytest.param("fuel_catalog.csv", load_catalog, CATALOG_COLUMNS, id="catalog"),
+])
+def test_readers_refuse_a_wrong_header_alike(tmp_path, name, read, columns):
+    path = tmp_path / name
+    path.write_text("line_id,x\n6,1\n")
+    with pytest.raises(GridFireError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: expected header {','.join(c.name for c in columns)}"

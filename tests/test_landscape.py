@@ -304,19 +304,24 @@ def test_load_unknown_fuel_id(tmp_path):
         load_landscape(d, catalog=land.catalog)
 
 
-def test_nodata_cells_become_non_burnable(tmp_path):
-    land = synth_landscape(_flat_spec(n=4))
+@pytest.mark.parametrize("layer", ["slope.asc", "fuel.asc"])
+@pytest.mark.parametrize("nodata", [-9999.0, math.nan], ids=["nodata=-9999", "nodata=nan"])
+def test_nodata_cells_become_non_burnable(tmp_path, layer, nodata):
+    """A cell holding its layer's NODATA value, nan included where the
+    header says `NODATA_value nan`, loads as non-burnable flat ground."""
+    land = synth_landscape(_flat_spec(n=4, slope_deg=10.0))
     d = tmp_path / "land"
     write_landscape(land, d)
-    frame, nodata, data = read_ascii_grid(d / "slope.asc")
+    frame, _, data = read_ascii_grid(d / layer)
     data = data.copy()
     data[1, 1] = nodata
-    write_ascii_grid(d / "slope.asc", frame, nodata, data)
+    write_ascii_grid(d / layer, frame, nodata, data)
     back = load_landscape(d, catalog=land.catalog)
     assert back.fuel[1, 1] == back.catalog.non_burnable_id
     assert back.slope[1, 1] == 0.0
     # untouched cells keep their values
     assert back.fuel[0, 0] == 1
+    assert back.slope[0, 0] == 10.0
 
 
 def test_slope_range_validated():
