@@ -400,13 +400,23 @@ def cmd_report(args):
     if not acres_path.is_file():
         raise InvalidInputError(f"missing report file: {acres_path}")
 
-    rows = []
+    # Each line and each rank names one row; the ranks must be 1..n.
+    rows, seen = [], {}
     for line, row in read_table(risk_path, RISK_COLUMNS, InvalidInputError):
         if not all(map(math.isfinite, row[1:5])):
             raise InvalidInputError(f"{risk_path}: row {line}: non-finite loss or metric")
+        for key in (("line", row[0]), ("rank", row[5])):
+            if key in seen:
+                raise InvalidInputError(f"{risk_path}: row {line}: {key[0]} {key[1]} "
+                                        f"repeats row {seen[key]}")
+            seen[key] = line
         rows.append(row)
     if not rows:
         raise InvalidInputError(f"{risk_path}: no data rows")
+    for (what, value), line in seen.items():
+        if what == "rank" and not 1 <= value <= len(rows):
+            raise InvalidInputError(f"{risk_path}: row {line}: rank {value} is not in "
+                                    f"1..{len(rows)}")
     rows.sort(key=lambda r: r[5])
 
     acres = _read_table(acres_path)

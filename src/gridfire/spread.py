@@ -221,9 +221,14 @@ class SpreadEngine:
     CSR order, by source cell and then by direction, and each edge's
     reverse is the edge leaving its end cell in the opposite direction;
     the engine records where that reverse sits, so an epoch's search can
-    block the edges back into a fire's burned set. One engine serves any
-    number of ignitions, holds no per-scenario state and is not changed
-    after construction.
+    block the edges back into a fire's burned set.
+
+    An edge holds 26 bytes: its end cell and its reverse's position (int32
+    each), its two half-costs (float64 each) and its two keys into the
+    (fuel, direction) table (uint8 up to 16 burnable fuels, wider beyond).
+    The min_ros floor is a limit per direction, not per edge. One engine
+    serves any number of ignitions, holds no per-scenario state and is not
+    changed after construction.
     """
 
     def __init__(self, land: LandscapeRaster, params: SpreadParams | None = None):
@@ -232,15 +237,19 @@ class SpreadEngine:
         self._build_structure()
 
     def _build_structure(self) -> None:
-        """Build the CSR edge structure from one (cell, direction) mask.
+        """Build the CSR edge structure one pair of opposite directions at
+        a time.
 
         mask[i, d] is True where the edge from flat cell i in direction d
         (an index into `OFFSETS`) exists. The CSR order is the mask's
         row-major order of True entries: edges sorted by source cell, then
-        by direction. The edge at (i, d) ends at i + dr * ncols + dc. Every
-        edge runs both ways, so its reverse is the edge at (that end cell,
-        the opposite direction), looked up in a table of each (cell,
-        direction)'s CSR position.
+        by direction, so the edge at (i, d) sits at indptr[i] + rank[i, d],
+        where rank counts the edges leaving i in the directions before d.
+        It ends at j = i + dr * ncols + dc. Every edge runs both ways, so
+        its reverse is the edge at (j, the opposite direction), at
+        indptr[j] + rank[j, opposite], so the two are found together. Both
+        directions' edges are written straight into the engine's arrays, so
+        the construction holds no edge-length temporaries beyond a pair's.
         """
         land, params = self.land, self.params
         nrows, ncols = land.nrows, land.ncols
@@ -250,23 +259,24 @@ class SpreadEngine:
         ndirs = self._ndirs = len(OFFSETS)
         dists = np.array([land.cell_size * math.hypot(dr, dc) for dr, dc in OFFSETS])
         step = np.array([dr * ncols + dc for dr, dc in OFFSETS])
-        opposite = np.array([OFFSETS.index((-dr, -dc)) for dr, dc in OFFSETS])
+        opposite = [OFFSETS.index((-dr, -dc)) for dr, dc in OFFSETS]
 
         burn_mask = land.burnable_mask()
         fuel_ids, inverse = np.unique(land.fuel[burn_mask], return_inverse=True)
         self._fuel_models: list[FuelModel] = [land.catalog.lookup(int(f)) for f in fuel_ids]
-        fuel_code = np.zeros(n, dtype=np.int32)
-        fuel_code[burn_mask.ravel()] = inverse
+        base_ros = np.array([fm.base_ros for fm in self._fuel_models])
+        # Each edge's keys into the per-epoch (fuel, direction) table are
+        # fuel index * ndirs + direction, held in the narrowest unsigned
+        # type that fits the table.
+        self._table_size = len(self._fuel_models) * ndirs
+        key = np.min_scalar_type(max(self._table_size - 1, 0))
+        fuel_key = np.zeros(n, dtype=key)
+        fuel_key[burn_mask.ravel()] = inverse * ndirs
         base = np.zeros((nrows, ncols))
-        base[burn_mask] = np.array([fm.base_ros for fm in self._fuel_models])[inverse]
+        base[burn_mask] = base_ros[inverse]
 
         mask = np.zeros((nrows, ncols, ndirs), dtype=bool)
-        half = np.empty((ndirs, n))
         for d, (dr, dc) in enumerate(OFFSETS):
-            phi_s = slope_factor(land.slope, land.aspect, self._theta_deg[d])
-            with np.errstate(divide="ignore"):
-                half[d] = (dists[d] * 0.5 / (base * phi_s)).ravel()
-
             r0, r1 = max(0, -dr), nrows - max(0, dr)
             c0, c1 = max(0, -dc), ncols - max(0, dc)
             if r0 >= r1 or c0 >= c1:
@@ -279,36 +289,50 @@ class SpreadEngine:
             for mr, mc in _knight_intermediates(dr, dc):
                 ok &= burn_mask[r0 + mr:r1 + mr, c0 + mc:c1 + mc]
         mask = mask.reshape(n, ndirs)
+        rank = np.cumsum(mask, axis=1, dtype=np.uint8)
+        self._indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(rank[:, -1], out=self._indptr[1:])
+        rank -= mask
 
-        # Temporaries go as soon as they are used up, and the reverse table
-        # is built while few per-edge arrays are held, so the construction
-        # peaks little above the memory the engine keeps.
-        src, d = np.divmod(np.flatnonzero(mask), ndirs)
-        dst = src + step[d]
-        pos = np.empty((n, ndirs), dtype=np.int32)
-        pos[mask] = np.arange(src.size, dtype=np.int32)
-        self._rev = pos[dst, opposite[d]]
-        del pos
-        self._indices = dst.astype(np.int32)
-        del dst
-        self._hsrc = half[d, src]
-        self._hdst = half[d, self._indices]
-        del half
-        # Per-edge lookup keys into the per-epoch (fuel, direction) table.
-        self._key_src = (fuel_code[src] * ndirs + d).astype(np.int32)
-        del src
-        self._key_dst = (fuel_code[self._indices] * ndirs + d).astype(np.int32)
+        m = int(self._indptr[-1])
+        self._indices = np.empty(m, dtype=np.int32)
+        self._rev = np.empty(m, dtype=np.int32)
+        self._hsrc, self._hdst = np.empty(m), np.empty(m)
+        self._key_src = np.empty(m, dtype=key)
+        self._key_dst = np.empty(m, dtype=key)
+        # The edges of direction d from src are the reverses of those of
+        # the opposite direction o from dst, in the same order.
+        for d, o in enumerate(opposite):
+            if o < d:
+                continue
+            src = np.flatnonzero(mask[:, d])
+            dst = src + step[d]
+            fwd = self._indptr[src].astype(np.intp)
+            fwd += rank[src, d]
+            back = self._indptr[dst].astype(np.intp)
+            back += rank[dst, o]
+            self._rev[fwd], self._rev[back] = back, fwd
+            for dd, e, a, b in ((d, fwd, src, dst), (o, back, dst, src)):
+                phi_s = slope_factor(land.slope, land.aspect, self._theta_deg[dd])
+                with np.errstate(divide="ignore"):
+                    half = (dists[dd] * 0.5 / (base * phi_s)).ravel()
+                self._indices[e] = b
+                self._hsrc[e] = half[a]
+                self._hdst[e] = half[b]
+                self._key_src[e] = fuel_key[a] + dd
+                self._key_dst[e] = fuel_key[b] + dd
         # `_minutes` looks the keys up without numpy's per-lookup bounds
         # check (mode="clip"), so check them once here.
-        self._table_size = max(len(self._fuel_models), 1) * ndirs
-        if d.size and max(self._key_src.max(), self._key_dst.max()) >= self._table_size:
+        if m and max(self._key_src.max(), self._key_dst.max()) >= self._table_size:
             raise RuntimeError("edge keys beyond the (fuel, direction) table")
-        with np.errstate(over="ignore"):  # a subnormal floor makes no edge too slow
-            self._max_minutes = (dists / params.min_ros)[d] if params.min_ros > 0 else None
-        del d
 
-        self._indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(mask, axis=1), out=self._indptr[1:])
+        # The min_ros floor: an edge of direction d slower than dists[d] /
+        # min_ros is impassable. Since the slope factor is at least 1, no
+        # half-cost of fuel f in direction d exceeds _half_bound[f, d].
+        with np.errstate(over="ignore"):  # a subnormal floor makes no edge too slow
+            self._limit = dists / params.min_ros if params.min_ros > 0 else None
+        with np.errstate(divide="ignore", over="ignore"):
+            self._half_bound = (dists * 0.5 / base_ros[:, None]).ravel()
         self._n_cells = n
         self._burnable = burn_mask.ravel()
 
@@ -338,10 +362,13 @@ class SpreadEngine:
 
         Each cost is hsrc * table[key_src] + hdst * table[key_dst], the
         same operands in the same order whatever the chunking, so every
-        cost is bit-identical to that expression's.
+        cost is bit-identical to that expression's. The floor pass runs
+        only when `_floor_bites(table)`; it then looks each edge's limit up
+        by its key (key % 16 is the direction).
         """
         m = out.size
-        half = np.empty(min(RECOST_CHUNK, m))
+        floor = np.tile(self._limit, len(self._fuel_models)) if self._floor_bites(table) else None
+        half, limit = np.empty(min(RECOST_CHUNK, m)), np.empty(min(RECOST_CHUNK, m))
         slow = np.empty(half.size, dtype=bool)
         for a in range(0, m, RECOST_CHUNK):
             b = min(a + RECOST_CHUNK, m)
@@ -351,11 +378,25 @@ class SpreadEngine:
             np.take(table, self._key_dst[a:b], out=h, mode="clip")
             h *= self._hdst[a:b]
             o += h
-            if self._max_minutes is not None:
-                s = slow[:b - a]
-                np.greater(o, self._max_minutes[a:b], out=s)
+            if floor is not None:
+                lim, s = limit[:b - a], slow[:b - a]
+                np.take(floor, self._key_src[a:b], out=lim, mode="clip")
+                np.greater(o, lim, out=s)
                 o[s] = np.inf
         return out
+
+    def _floor_bites(self, table: np.ndarray) -> bool:
+        """Whether the min_ros floor may make an edge impassable under one
+        weather table. Rounding is monotone, so with M_d the largest
+        fl(_half_bound * table) over the keys of direction d, no edge of
+        direction d costs more than fl(M_d + M_d); when that is within the
+        direction's limit for every d, no edge is slower than the floor."""
+        if self._limit is None:
+            return False
+        with np.errstate(over="ignore"):
+            worst = np.max((self._half_bound * table).reshape(-1, self._ndirs), axis=0,
+                           initial=0.0)
+            return not np.all(worst + worst <= self._limit)
 
     def edge_costs(self, w: WeatherSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Edge list (src, dst, minutes) under one fixed weather sample.

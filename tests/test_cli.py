@@ -223,6 +223,25 @@ def test_report_refuses_a_non_finite_risk_row(small_run, tmp_path, capsys):
     assert f"{bad / 'risk.csv'}: row 2: non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows + [rows[1]], "row 3: line 6 repeats row 2"),
+    (lambda rows: rows + ["7" + rows[1][1:]], "row 3: rank 1 repeats row 2"),
+    (lambda rows: [rows[0], rows[1][:-1] + "2"], "row 2: rank 2 is not in 1..1"),
+    (lambda rows: rows + ["7" + rows[1][1:-1] + "3"], "row 3: rank 3 is not in 1..2"),
+])
+def test_report_refuses_a_ranking_that_repeats_a_line_or_skips_a_rank(
+        small_run, tmp_path, capsys, edit, message):
+    """risk.csv holds one row per line, ranked 1..n."""
+    _, rep = small_run
+    bad = tmp_path / "rep"
+    shutil.copytree(rep, bad)
+    rows = (bad / "risk.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("6,") and rows[1].endswith(",1")
+    (bad / "risk.csv").write_text("\n".join(edit(rows)) + "\n")
+    assert run(["report", str(bad)]) == 2
+    assert f"{bad / 'risk.csv'}: {message}" in capsys.readouterr().err
+
+
 def test_report_summary(small_run, capsys):
     _, rep = small_run
     assert run(["report", str(rep)]) == 0

@@ -18,7 +18,8 @@ from gridfire import spread
 from gridfire.errors import CoverageError, OutOfBoundsError
 from gridfire.fixtures import study_landscape
 from gridfire.geo import GeoPoint, GridIndex, RasterFrame
-from gridfire.landscape import LandscapeRaster, SynthSpec, default_catalog, synth_landscape
+from gridfire.landscape import (FuelCatalog, FuelModel, LandscapeRaster, SynthSpec, default_catalog,
+                                synth_landscape)
 from gridfire.spread import (
     IgnitionSpec,
     SpreadEngine,
@@ -108,6 +109,15 @@ def test_slope_factor_geometry():
     assert slope_factor(30.0, 270.0, 270.0) == 1.0  # downhill: no boost
     assert slope_factor(30.0, 270.0, 0.0) == pytest.approx(1.0, abs=1e-12)  # across
     assert slope_factor(0.0, 0.0, 123.0) == 1.0
+
+
+@given(slope=st.floats(0.0, 90.0, exclude_max=True),
+       aspect=st.floats(0.0, 360.0, exclude_max=True),
+       travel=st.floats(0.0, 360.0, exclude_max=True))
+def test_slope_factor_is_at_least_one(slope, aspect, travel):
+    """Slope never slows spread. The engine skips its min_ros floor pass
+    on this bound (`SpreadEngine._floor_bites`)."""
+    assert slope_factor(slope, aspect, travel) >= 1.0
 
 
 def test_moisture_factor_clamps():
@@ -348,13 +358,15 @@ def test_edge_costs_match_scalar_model():
             assert got == pytest.approx(expect, rel=1e-9), (rs, cs, rd, cd)
 
 
-@pytest.mark.parametrize("n, min_ros", [(64, 5.0), (64, 0.0), (9, 5.0)])
+@pytest.mark.parametrize("n, min_ros", [(64, 5.0), (64, 0.01), (64, 0.0), (9, 5.0)])
 def test_chunked_recost_equals_whole_edge_expression(n, min_ros):
     """`_minutes(table, out)` re-costs in chunks of RECOST_CHUNK edges, in
     place; each cost must equal, bit for bit, the whole-array expression
     hsrc * table[key_src] + hdst * table[key_dst], with edges slower than
     the floor (edge length / min_ros) made impassable. 64x64 spans several
-    chunks and ends part-way through one; 9x9 of fuel 0 has no edges."""
+    chunks and ends part-way through one; 9x9 of fuel 0 has no edges. The
+    floor bites on some edges at 5 m/min; at the default 0.01 m/min it
+    cannot, and its pass is skipped."""
     land = synth_landscape(SynthSpec(
         nrows=n, ncols=n, cell_size=30.0, origin=ORIGIN, seed=9,
         fuel_mix=((1, 0.4), (2, 0.3), (3, 0.2), (0, 0.1)), patch_cells=3.0,
@@ -377,8 +389,68 @@ def test_chunked_recost_equals_whole_edge_expression(n, min_ros):
         out = np.full(m, np.nan)
         assert eng._minutes(table, out) is out
         assert out.tobytes() == want.tobytes()
-        if m and min_ros > 0:
+        if m and min_ros == 5.0:
+            assert eng._floor_bites(table)
             assert 0 < np.isinf(out).sum() < m  # the floor bites on some edges only
+        if m and min_ros == 0.01:
+            assert not eng._floor_bites(table)
+            assert np.isfinite(out).all()
+
+
+def test_a_catalog_past_sixteen_fuels_gets_wide_keys():
+    """Twenty burnable fuels make a (fuel, direction) table of 320 entries,
+    too many for uint8 keys, so the keys are uint16. With and without a
+    biting floor, each cost equals, bit for bit, the two-lookup expression
+    over keys and half-costs taken from the landscape: the key of an
+    endpoint is its fuel's rank among the burnable fuels present times 16
+    plus the direction, its half-cost half the edge length over base_ros
+    times the slope factor."""
+    rng = np.random.default_rng(5)
+    models = [FuelModel(0, "rock", False, 0.0, 0.0, 0.0, 0.0)]
+    models += [FuelModel(f, f"fuel{f}", True, rng.uniform(0.5, 20.0), rng.uniform(0.05, 0.5),
+                         rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0)) for f in range(1, 21)]
+    n, cell = 40, 30.0
+    land = LandscapeRaster(
+        frame=RasterFrame(nrows=n, ncols=n, origin=ORIGIN, cell_size=cell),
+        slope=rng.uniform(0.0, 40.0, (n, n)), aspect=rng.uniform(0.0, 360.0, (n, n)),
+        fuel=rng.integers(0, 21, (n, n)), catalog=FuelCatalog({m.id: m for m in models}))
+    burnable = land.fuel > 0
+    fuel_rank = np.searchsorted(np.unique(land.fuel[burnable]), land.fuel).ravel()
+    base = np.where(burnable, [[models[f].base_ros for f in row] for row in land.fuel], 0.0)
+    w = WeatherSample(T0, 6.0, 200.0, 30.0, 70.0)
+    for min_ros in (0.0, 2.0):
+        eng = SpreadEngine(land, SpreadParams(min_ros=min_ros))
+        assert eng._key_src.dtype == eng._key_dst.dtype == np.uint16
+        src, dst, minutes = eng.edge_costs(w)
+        (rs, cs), (rd, cd) = np.divmod(src, n), np.divmod(dst, n)
+        d = np.array([spread.OFFSETS.index(o) for o in zip((rd - rs).tolist(), (cd - cs).tolist())])
+        assert d.size > 0
+        hsrc, hdst, length = np.empty(d.size), np.empty(d.size), np.empty(d.size)
+        for k, (dr, dc) in enumerate(spread.OFFSETS):
+            on, dist = d == k, cell * math.hypot(dr, dc)
+            phi = slope_factor(land.slope, land.aspect, math.degrees(math.atan2(dc, dr)) % 360.0)
+            with np.errstate(divide="ignore"):
+                half = (dist * 0.5 / (base * phi)).ravel()
+            hsrc[on], hdst[on], length[on] = half[src[on]], half[dst[on]], dist
+        key_src, key_dst = fuel_rank[src] * 16 + d, fuel_rank[dst] * 16 + d
+        assert np.array_equal(eng._key_src, key_src) and np.array_equal(eng._key_dst, key_dst)
+        table = eng._epoch_table(w)
+        want = hsrc * table[key_src] + hdst * table[key_dst]
+        if min_ros > 0:
+            want[want > length / min_ros] = np.inf
+            assert 0 < np.isinf(want).sum() < want.size
+        assert minutes.tobytes() == want.tobytes()
+
+
+def test_engine_holds_26_bytes_per_edge():
+    """On the 128x128 study landscape the engine's arrays hold at most 26 B
+    per edge (int32 end cell and reverse position, two float64 half-costs
+    and two uint8 keys) plus 8 B per cell (indptr and the burnable mask)."""
+    eng = SpreadEngine(study_landscape(seed=0))
+    held = sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
+    m, n = eng._indices.size, 128 * 128
+    assert m > 200_000
+    assert held <= 26 * m + 8 * n, held / m
 
 
 def test_recost_holds_no_edge_length_temporaries():
