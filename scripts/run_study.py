@@ -23,32 +23,42 @@ def run(argv):
         sys.exit(rc)
 
 
+def given(args, *names):
+    """`--name value` for each of the named options that was given; the CLI
+    holds every default."""
+    flags = []
+    for name in names:
+        value = getattr(args, name)
+        if value is not None:
+            flags += [f"--{name}", str(value)]
+    return flags
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workdir", default="out/study", help="directory for all inputs and outputs")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--size", type=int, default=128, help="landscape rows and columns")
-    ap.add_argument("--top", type=int, default=10, help="ranking rows to print")
+    ap.add_argument("--seed", type=int, help="landscape and weather seed (synth's default)")
+    ap.add_argument("--workers", type=int, help="simulate's worker processes (its default)")
+    ap.add_argument("--size", type=int, help="landscape rows and columns (synth's default)")
+    ap.add_argument("--top", type=int, help="ranking rows to print (report's default)")
     ap.add_argument("--skip-synth", action="store_true")
     args = ap.parse_args()
 
     wd = Path(args.workdir)
     if not args.skip_synth:
-        run(["synth", "--out", str(wd), "--seed", str(args.seed), "--size", str(args.size)])
+        run(["synth", "--out", str(wd), *given(args, "seed", "size")])
     cfg = str(wd / "study.ini")
-    run(["simulate", "--config", cfg, "--out", str(wd / "run"),
-         "--workers", str(args.workers)])
+    run(["simulate", "--config", cfg, "--out", str(wd / "run"), *given(args, "workers")])
     run(["assess", "--config", cfg, "--results", str(wd / "run" / "results.csv"),
          "--out", str(wd / "report")])
     print()
-    run(["report", str(wd / "report"), "--top", str(args.top)])
+    run(["report", str(wd / "report"), *given(args, "top")])
 
     print()
     print("reference-table assessment (published per-line seasonal figures):")
     run(["assess", "--from-tables", str(wd / "table1.csv"), str(wd / "table2.csv"),
          "--out", str(wd / "report_reference")])
-    run(["report", str(wd / "report_reference"), "--top", str(args.top)])
+    run(["report", str(wd / "report_reference"), *given(args, "top")])
 
 
 if __name__ == "__main__":

@@ -36,13 +36,13 @@ from typing import Callable
 from .csvfile import Column, read_csv, read_table, write_table
 from .errors import GridFireError, InvalidInputError
 from .fixtures import (
-    SEASON_LABELS,
+    REFERENCE_BURNED_ACRES,
+    REFERENCE_DAMAGED_MILES,
     STUDY_CELL_M,
     STUDY_NROWS,
     ieee30_network,
     study_landscape,
     study_weather,
-    write_reference_tables,
 )
 from .landscape import load_catalog, load_landscape, write_catalog, write_landscape
 from .network import ignitable_lines, load_network, write_network
@@ -50,7 +50,7 @@ from .risk import CostParams, rank_lines, seasonal_average
 from .scenarios import StudyConfig, assess_results, build_matrix, read_results, run_batch, write_results
 from .spread import SpreadParams
 from .weather import (IGNITION_HOUR, STUDY_YEAR, TIMESTAMP_FORMAT, load_weather, parse_timestamp,
-                      season_starts, write_weather)
+                      season_labels, season_starts, write_weather)
 
 SECTIONS = ("paths", "study", "spread", "costs")
 RISK_COLUMNS = (
@@ -255,7 +255,8 @@ def cmd_synth(args):
     write_catalog(land.catalog, inputs["fuel_catalog"])
     write_network(net, inputs["network"])
     write_weather(wx, inputs["weather"])
-    write_reference_tables(out)
+    _write_table(out / "table1.csv", REFERENCE_BURNED_ACRES, "%.1f".__mod__)
+    _write_table(out / "table2.csv", REFERENCE_DAMAGED_MILES, "%.2f".__mod__)
     (out / "study.ini").write_text(study_ini({"study.seed": seed, "study.year": year}))
 
     n_lines = len(ignitable_lines(net))
@@ -296,21 +297,14 @@ def cmd_simulate(args):
     return 0
 
 
-def _season_labels(n):
-    if n == len(SEASON_LABELS):
-        return SEASON_LABELS
-    return tuple(f"season{i}" for i in range(n))
-
-
-def _write_table(path, records, attr):
-    labels = _season_labels(len(getattr(records[0], attr)))
+def _write_table(path, table, show_avg=repr):
+    """Write {line_id: season values} as a line_id,<season...>,avg CSV,
+    rows in line order; `show_avg` formats each row's seasonal mean."""
+    labels = season_labels(len(next(iter(table.values()))))
     columns = [Column("line_id", int), *(Column(label, float) for label in labels),
-               Column("avg", float)]
-    rows = []
-    for rec in sorted(records, key=lambda r: r.line_id):
-        vals = [float(v) for v in getattr(rec, attr)]
-        rows.append([rec.line_id, *vals, seasonal_average(vals)])
-    write_table(path, columns, rows)
+               Column("avg", float, show_avg)]
+    write_table(path, columns,
+                ([j, *vals, seasonal_average(vals)] for j, vals in sorted(table.items())))
 
 
 def _check_avg(path, line, text, vals):
@@ -377,8 +371,8 @@ def cmd_assess(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_table(out / "table_acres.csv", records, "season_acres")
-    _write_table(out / "table_miles.csv", records, "season_miles")
+    _write_table(out / "table_acres.csv", {r.line_id: r.season_acres for r in records})
+    _write_table(out / "table_miles.csv", {r.line_id: r.season_miles for r in records})
 
     risk = [(rec.line_id, rec.lbe, rec.lbl, rec.wfl, rec.metric, rank)
             for rank, rec in enumerate(records, start=1)]
@@ -421,7 +415,7 @@ def cmd_report(args):
 
     acres = _read_table(acres_path)
     n_seasons = len(next(iter(acres.values())))
-    labels = _season_labels(n_seasons)
+    labels = season_labels(n_seasons)
     col_means = [sum(v[s] for v in acres.values()) / len(acres) for s in range(n_seasons)]
 
     top_n = rows[:args.top]

@@ -7,12 +7,13 @@ and damaged-line-mile figures for the 34 lines of the 30-bus system
 (branch ids 11-16 and 36 are transformers and carry no geography). They
 feed the metric layer directly and let the loss equations be exercised
 against known aggregate values; they are not outputs of this engine.
+`synth` writes them as table1.csv and table2.csv, in the format of the
+season tables `assess` writes.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -20,9 +21,9 @@ from .errors import InvalidInputError
 from .geo import GeoPoint, PlanarPoint, unproject, polyline_length_miles
 from .landscape import LandscapeRaster, SynthSpec, synth_landscape
 from .network import Branch, Bus, GridNetwork
-from .weather import STUDY_YEAR, WeatherSeries
+from .weather import SEASON_LABELS, STUDY_YEAR, WeatherSeries
 
-# Per-line seasonal burned acres (winter, spring, summer, fall).
+# Per-line seasonal burned acres, in SEASON_LABELS order.
 REFERENCE_BURNED_ACRES = {
     1: (80.7, 1267.0, 3879.4, 2163.9),
     2: (106.8, 1497.2, 4211.6, 2360.9),
@@ -60,7 +61,7 @@ REFERENCE_BURNED_ACRES = {
     41: (997.7, 1150.8, 2369.2, 1354.8),
 }
 
-# Per-line seasonal damaged line miles (winter, spring, summer, fall).
+# Per-line seasonal damaged line miles, in SEASON_LABELS order.
 REFERENCE_DAMAGED_MILES = {
     1: (81.77, 81.77, 81.77, 81.77),
     2: (88.47, 88.47, 98.23, 88.47),
@@ -97,8 +98,6 @@ REFERENCE_DAMAGED_MILES = {
     40: (133.37, 123.90, 123.90, 123.90),
     41: (109.57, 109.57, 100.10, 100.10),
 }
-
-SEASON_LABELS = ("winter", "spring", "summer", "fall")
 
 # IEEE 30-bus branch list in the standard ordering. Transformer branches
 # (ids 11-16 and 36) are links: no geographic route, never ignitable.
@@ -261,20 +260,3 @@ def study_weather(year: int = STUDY_YEAR, seed: int = 0) -> WeatherSeries:
 
     return WeatherSeries.from_columns(start, wind, wdir, temp, rh)
 
-
-def write_reference_tables(directory: str | Path) -> tuple[Path, Path]:
-    """Write the two reference tables as CSVs; returns their paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    header = "line_id," + ",".join(SEASON_LABELS) + ",avg"
-    t1 = directory / "table1.csv"
-    t2 = directory / "table2.csv"
-    for path, table, fmt in ((t1, REFERENCE_BURNED_ACRES, "%.1f"),
-                             (t2, REFERENCE_DAMAGED_MILES, "%.2f")):
-        rows = [header]
-        for j in sorted(table):
-            vals = table[j]
-            avg = fmt % (sum(vals) / len(vals))
-            rows.append(f"{j}," + ",".join(repr(v) for v in vals) + f",{avg}")
-        path.write_text("\n".join(rows) + "\n")
-    return t1, t2

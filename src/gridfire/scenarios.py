@@ -245,7 +245,8 @@ def run_batch(
 
     Specs sharing a start time run as one group in hour lockstep; with
     more than one worker, each group is cut into at most `workers`
-    contiguous slices. Weather coverage and out-of-raster routes are
+    contiguous slices, and the pool holds no more processes than there
+    are slices. Weather coverage and out-of-raster routes are
     checked before any simulation; an out-of-raster ignition raises
     OutOfBoundsError naming its line when its group starts. Per-scenario
     domain failures become zeroed results with warnings.
@@ -281,7 +282,8 @@ def run_batch(
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         _CTX = ctx
         try:
-            with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+            fork = multiprocessing.get_context("fork")
+            with fork.Pool(processes=min(workers, len(tasks))) as pool:
                 outs = pool.map(_worker, task_specs, chunksize=1)
         finally:
             _CTX = None

@@ -162,8 +162,16 @@ def slope_factor(
     Travel with any downslope component gets factor 1 (no slowdown).
     Takes scalars or numpy arrays (per-cell slope and aspect layers).
     """
-    align = np.cos(np.radians(travel_dir_deg) - np.radians(aspect_deg + 180.0))
-    return 1.0 + SLOPE_GAIN * np.tan(np.radians(slope_deg)) * np.maximum(0.0, align)
+    return _slope_factor(SLOPE_GAIN * np.tan(np.radians(slope_deg)),
+                         np.radians(aspect_deg + 180.0), travel_dir_deg)
+
+
+def _slope_factor(gain, upslope_rad, travel_dir_deg: float):
+    """`slope_factor` from its two direction-free terms, SLOPE_GAIN *
+    tan(slope) and the upslope direction in radians, so a caller that
+    needs many directions computes them once."""
+    align = np.cos(np.radians(travel_dir_deg) - upslope_rad)
+    return 1.0 + gain * np.maximum(0.0, align)
 
 
 def wind_factor(
@@ -275,6 +283,9 @@ class SpreadEngine:
         base = np.zeros((nrows, ncols))
         base[burn_mask] = base_ros[inverse]
 
+        gain = SLOPE_GAIN * np.tan(np.radians(land.slope))
+        upslope = np.radians(land.aspect + 180.0)
+
         mask = np.zeros((nrows, ncols, ndirs), dtype=bool)
         for d, (dr, dc) in enumerate(OFFSETS):
             r0, r1 = max(0, -dr), nrows - max(0, dr)
@@ -313,7 +324,7 @@ class SpreadEngine:
             back += rank[dst, o]
             self._rev[fwd], self._rev[back] = back, fwd
             for dd, e, a, b in ((d, fwd, src, dst), (o, back, dst, src)):
-                phi_s = slope_factor(land.slope, land.aspect, self._theta_deg[dd])
+                phi_s = _slope_factor(gain, upslope, self._theta_deg[dd])
                 with np.errstate(divide="ignore"):
                     half = (dists[dd] * 0.5 / (base * phi_s)).ravel()
                 self._indices[e] = b

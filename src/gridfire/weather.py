@@ -1,4 +1,4 @@
-"""Hourly weather series: loading, validation, and season start instants.
+"""Hourly weather series: loading, validation, and the study's seasons.
 
 A `WeatherSeries` stores the hourly record as columns: a start instant and
 four float64 arrays (wind speed, wind direction, temperature, relative
@@ -37,6 +37,9 @@ TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%MZ"
 # The default study's weather year and its seasonal ignition hour (UTC).
 STUDY_YEAR = 2022
 IGNITION_HOUR = 12
+# The four seasons of a study year: each one's name and the month it starts.
+SEASONS = (("winter", 1), ("spring", 4), ("summer", 7), ("fall", 10))
+SEASON_LABELS = tuple(name for name, _ in SEASONS)
 _EPOCH = date(1970, 1, 1)
 # Rows of a weather file converted at a time: a few blocks per year, so
 # the per-field strings of the whole year are never alive together.
@@ -197,12 +200,18 @@ class WeatherSeries:
 
 
 def season_starts(year: int = STUDY_YEAR, hour: int = IGNITION_HOUR) -> tuple[datetime, ...]:
-    """Seasonal ignition instants: Jan 1, Apr 1, Jul 1, Oct 1 at the given hour UTC."""
+    """Seasonal ignition instants: day 1 of each SEASONS month at the given hour UTC."""
     if not 0 <= hour <= 23:
         raise InvalidInputError(f"ignition hour {hour} outside [0, 23]")
-    return tuple(
-        datetime(year, month, 1, hour, 0, tzinfo=timezone.utc) for month in (1, 4, 7, 10)
-    )
+    return tuple(datetime(year, month, 1, hour, 0, tzinfo=timezone.utc) for _, month in SEASONS)
+
+
+def season_labels(n: int) -> tuple[str, ...]:
+    """Names of n seasons: SEASON_LABELS for the four of SEASONS, else
+    season0 ... season{n-1}."""
+    if n == len(SEASONS):
+        return SEASON_LABELS
+    return tuple(f"season{i}" for i in range(n))
 
 
 def parse_timestamp(text: str) -> datetime:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfire import cli
+from gridfire.fixtures import REFERENCE_BURNED_ACRES, REFERENCE_DAMAGED_MILES
 from gridfire.scenarios import StudyConfig
 from gridfire.spread import wind_factor
 
@@ -93,6 +94,18 @@ def test_synth_writes_expected_files(study_dir):
     assert "table2.csv" in names
     assert {n for n in names if n.startswith("landscape/")} == {
         "landscape/slope.asc", "landscape/aspect.asc", "landscape/fuel.asc"}
+
+
+def test_synth_writes_the_reference_tables(study_dir):
+    """table1.csv and table2.csv hold the bundled figures exactly, in the
+    format `assess --from-tables` reads, with their avg rounded."""
+    for name, table, first in (
+        ("table1.csv", REFERENCE_BURNED_ACRES, "1,80.7,1267.0,3879.4,2163.9,1847.8"),
+        ("table2.csv", REFERENCE_DAMAGED_MILES, "1,81.77,81.77,81.77,81.77,81.77"),
+    ):
+        lines = (study_dir / name).read_text().splitlines()
+        assert lines[:2] == ["line_id,winter,spring,summer,fall,avg", first]
+        assert cli._read_table(study_dir / name) == {j: list(v) for j, v in table.items()}
 
 
 def test_synth_writes_the_default_study_ini(study_dir):

@@ -1,6 +1,7 @@
 """Scenario matrix construction, ignition placement, batch running, results IO."""
 
 import math
+import multiprocessing
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -208,6 +209,40 @@ def test_run_batch_worker_determinism_small():
     seq = run_batch(specs, land, const_wx(), net, cfg, workers=1)
     par = run_batch(specs, land, const_wx(), net, cfg, workers=2)
     assert seq == par
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="run_batch runs in-process without fork")
+def test_run_batch_pool_holds_one_process_per_slice(monkeypatch):
+    """A pool larger than the batch's slices would only fork idle
+    processes. A fake pool records its size and maps in-process, so no
+    process starts however many workers are asked for."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize=1):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool)
+    land, net = batch_fixture()
+    cfg = small_study_cfg(line_ids=(5, 6), duration_hours=0.5, seasons=(T0, T0 + 3 * HOUR))
+    specs = build_matrix(net, cfg, land.frame)
+    wx = const_wx()
+    seq = run_batch(specs, land, wx, net, cfg, workers=1)
+    # Two seasons of four specs each: at most four slices per season, and
+    # a pool of at most `workers` processes.
+    assert run_batch(specs, land, wx, net, cfg, workers=5000) == seq
+    assert run_batch(specs, land, wx, net, cfg, workers=3) == seq
+    assert sizes == [8, 3]
 
 
 def test_run_batch_groups_match_per_spec_runs():
