@@ -30,12 +30,13 @@ runs on corrupted copies of that study's landscape directory (`GRID_FAULTS`):
 header counts that are not whole numbers, an origin or cell size no
 raster can have, a layer whose cell size differs from fuel.asc's, a short
 grid body, and fuel or slope cells a layer cannot hold. And it breaks
-copies of the three CSV files the program writes and reads back
-(`TABLE_FAULTS`): the synth fuel catalog, read by `simulate`, and the
-study128 run's results.csv and risk.csv, read by `assess` and `report`.
-Each gets a wrong header name, a ragged row, an unparseable number, a
-nan and a repeated key. Both trees read
-the same copies, at the same path, so each run's exit code and stderr,
+copies of the five CSV files the program writes and reads back
+(`TABLE_FAULTS`): the synth fuel catalog, read by `simulate`; the synth
+season table table1.csv, read by `assess --from-tables`; and the study128
+run's results.csv, risk.csv and table_acres.csv, read by `assess` and
+`report`. Each gets a wrong header name, a ragged row, an unparseable
+number, a nan, a repeated key and no rows (the header line only). Both
+trees read the same copies, at the same path, so each run's exit code and stderr,
 written to `bad-weather/<case>.txt`, `bad-landscape/<case>.txt` or
 `bad-tables/<case>.txt`, must match byte for byte.
 
@@ -81,12 +82,14 @@ GRID_FAULTS = {
 # that the unparseable and nan faults break, the faults). In a command,
 # {ini} is the study config, {file} the broken input, {dir} its folder and
 # {out} an output folder of the run's own.
-FAULTS = ("header", "ragged", "unparseable", "nan")
+FAULTS = ("header", "ragged", "unparseable", "nan", "repeat", "empty")
 TABLE_FAULTS = {
     "fuel_catalog.csv": ("simulate --config {ini} --out {out} --set paths.fuel_catalog={file}",
-                         3, (*FAULTS, "repeat")),
-    "results.csv": ("assess --config {ini} --results {file} --out {out}", 4, (*FAULTS, "repeat")),
-    "risk.csv": ("report {dir}", 1, (*FAULTS, "repeat")),
+                         3, FAULTS),
+    "table1.csv": ("assess --from-tables {file} {dir}/table2.csv --out {out}", 1, FAULTS),
+    "results.csv": ("assess --config {ini} --results {file} --out {out}", 4, FAULTS),
+    "risk.csv": ("report {dir}", 1, FAULTS),
+    "table_acres.csv": ("report {dir}", 1, FAULTS),
 }
 
 
@@ -210,10 +213,13 @@ def write_bad_landscapes(source: Path, out: Path) -> list[Path]:
 
 def corrupt_table(lines: list[str], fault: str, column: int) -> list[str]:
     """A CSV file's lines broken by one fault: in the header's `column`
-    name, in its middle data row, or a copy of its first data row at the end."""
+    name, in its middle data row, a copy of its first data row at the end,
+    or every data row dropped."""
     bad, row = lines.copy(), len(lines) // 2
     fields = bad[row].split(",")
-    if fault == "header":
+    if fault == "empty":
+        bad = lines[:1]
+    elif fault == "header":
         names = bad[0].split(",")
         names[column] = "value"
         bad[0] = ",".join(names)
@@ -327,8 +333,10 @@ def main(argv=None) -> int:
                 d.stem: ("simulate --config {ini} --out {out} --set paths.landscape_dir={file}", d)
                 for d in dirs},
             "bad-tables": write_bad_tables({"fuel_catalog.csv": inputs / "fuel_catalog.csv",
+                                            "table1.csv": inputs / "table1.csv",
                                             "results.csv": study / "run" / "results.csv",
-                                            "risk.csv": study / "report" / "risk.csv"},
+                                            "risk.csv": study / "report" / "risk.csv",
+                                            "table_acres.csv": study / "report" / "table_acres.csv"},
                                            work / "bad-tables-inputs"),
         }
         for label, tree in trees:

@@ -33,7 +33,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
-from .csvfile import Column, read_csv, read_table, write_table
+from .csvfile import Column, read_records, read_table, write_table
 from .errors import GridFireError, InvalidInputError
 from .fixtures import (
     REFERENCE_BURNED_ACRES,
@@ -70,6 +70,13 @@ def _finite(text):
     if not math.isfinite(value):
         raise ValueError("not a finite number")
     return value
+
+
+def _risk_row(*row):
+    """A risk.csv row's values, whose losses and metric must be finite."""
+    if not all(map(math.isfinite, row[1:5])):
+        raise ValueError("non-finite loss or metric")
+    return row
 
 
 def _listed(parse):
@@ -149,12 +156,8 @@ class Config:
 
 
 def _config_digest(cp, seed):
-    items = []
-    for s in sorted(cp.sections()):
-        for k in sorted(cp.options(s)):
-            items.append(f"{s}.{k}={cp.get(s, k)}")
-    items.append(f"effective_seed={seed}")
-    return hashlib.sha256("\n".join(items).encode()).hexdigest()
+    items = [f"{s}.{k}={cp.get(s, k)}" for s in sorted(cp.sections()) for k in sorted(cp.options(s))]
+    return hashlib.sha256("\n".join([*items, f"effective_seed={seed}"]).encode()).hexdigest()
 
 
 def load_config(path, overrides, require, seed=None):
@@ -237,6 +240,8 @@ def cmd_synth(args):
     config = _config(args, require=False)
     seed = config.study.seed
     year = config.values["study.year"]
+    if year > 9998:
+        raise ValueError(f"study.year = {year}: a synthetic weather year must end by 9999")
 
     size = args.size if args.size is not None else STUDY_NROWS
     cell = args.cell_size if args.cell_size is not None else STUDY_CELL_M
@@ -307,53 +312,53 @@ def _write_table(path, table, show_avg=repr):
                 ([j, *vals, seasonal_average(vals)] for j, vals in sorted(table.items())))
 
 
-def _check_avg(path, line, text, vals):
-    """Raise unless `text`, a table row's avg, is the mean of its season
-    values `vals` to within half a unit of its last printed decimal (0.05
-    for "2.5", 0.5 for "3"), so a rounded mean passes and a wrong one does
-    not. The bound also allows n * eps of the mean, what summing the
+def _check_avg(text, vals):
+    """Raise ValueError unless `text`, a table row's avg, is the mean of its
+    season values `vals` to within half a unit of its last printed decimal
+    (0.05 for "2.5", 0.5 for "3"), so a rounded mean passes and a wrong one
+    does not. The bound also allows n * eps of the mean, what summing the
     seasons in another order can change it by."""
     try:
         avg = Decimal(text)
     except InvalidOperation:
         avg = None
     if avg is None or not avg.is_finite():
-        raise InvalidInputError(f"{path}: row {line}: avg {text!r} is not a finite number")
+        raise ValueError(f"avg {text!r} is not a finite number")
     mean = seasonal_average(vals)
     half = Decimal(5).scaleb(avg.as_tuple().exponent - 1)
     if abs(avg - Decimal(mean)) > half + Decimal(len(vals) * sys.float_info.epsilon * mean):
-        raise InvalidInputError(
-            f"{path}: row {line}: avg {text.strip()} is not the mean {mean!r} of the seasons")
+        raise ValueError(f"avg {text.strip()} is not the mean {mean!r} of the seasons")
+
+
+def _season_rows(header):
+    """The (line_id, [season values]) row builder of a table with this header."""
+    if header[:1] != ["line_id"]:
+        raise ValueError("expected header starting with line_id,")
+    has_avg = header[-1] == "avg"
+    n_seasons = len(header) - 1 - has_avg
+    if n_seasons < 1:
+        raise ValueError("no season columns in header")
+
+    def row(fields):
+        try:
+            j = int(fields[0])
+            vals = [float(x) for x in fields[1:1 + n_seasons]]
+        except ValueError:
+            raise ValueError(f"malformed table row {','.join(fields)!r}") from None
+        if not all(0 <= v < math.inf for v in vals):
+            raise ValueError(f"values {vals} must be finite and >= 0")
+        if has_avg:
+            _check_avg(fields[-1], vals)
+        return j, vals
+
+    return row
 
 
 def _read_table(path):
     """Read a line_id,<season...>,avg CSV into {line_id: [season values]};
     when the header ends in avg, each row's avg must be its seasons' mean."""
-    header, rows = read_csv(path, InvalidInputError)
-    if header[:1] != ["line_id"]:
-        raise InvalidInputError(f"{path}: expected header starting with line_id,")
-    has_avg = header[-1] == "avg"
-    n_seasons = len(header) - 1 - has_avg
-    if n_seasons < 1:
-        raise InvalidInputError(f"{path}: no season columns in header")
-    table = {}
-    for line, fields in rows:
-        try:
-            j = int(fields[0])
-            vals = [float(x) for x in fields[1:1 + n_seasons]]
-        except ValueError:
-            raise InvalidInputError(
-                f"{path}: row {line}: malformed table row {','.join(fields)!r}") from None
-        if not all(0 <= v < math.inf for v in vals):
-            raise InvalidInputError(f"{path}: row {line}: values {vals} must be finite and >= 0")
-        if has_avg:
-            _check_avg(path, line, fields[-1], vals)
-        if j in table:
-            raise InvalidInputError(f"{path}: row {line}: line {j} repeats an earlier row")
-        table[j] = vals
-    if not table:
-        raise InvalidInputError(f"{path}: no data rows")
-    return table
+    rows = read_records(path, InvalidInputError, _season_rows, line=itemgetter(0))
+    return dict(row for _, row in rows)
 
 
 def cmd_assess(args):
@@ -389,29 +394,17 @@ def cmd_report(args):
     rdir = Path(args.report_dir)
     risk_path = rdir / "risk.csv"
     acres_path = rdir / "table_acres.csv"
-    if not risk_path.is_file():
-        raise InvalidInputError(f"missing report file: {risk_path}")
-    if not acres_path.is_file():
-        raise InvalidInputError(f"missing report file: {acres_path}")
+    for path in (risk_path, acres_path):
+        if not path.is_file():
+            raise InvalidInputError(f"missing report file: {path}")
 
     # Each line and each rank names one row; the ranks must be 1..n.
-    rows, seen = [], {}
-    for line, row in read_table(risk_path, RISK_COLUMNS, InvalidInputError):
-        if not all(map(math.isfinite, row[1:5])):
-            raise InvalidInputError(f"{risk_path}: row {line}: non-finite loss or metric")
-        for key in (("line", row[0]), ("rank", row[5])):
-            if key in seen:
-                raise InvalidInputError(f"{risk_path}: row {line}: {key[0]} {key[1]} "
-                                        f"repeats row {seen[key]}")
-            seen[key] = line
-        rows.append(row)
-    if not rows:
-        raise InvalidInputError(f"{risk_path}: no data rows")
-    for (what, value), line in seen.items():
-        if what == "rank" and not 1 <= value <= len(rows):
-            raise InvalidInputError(f"{risk_path}: row {line}: rank {value} is not in "
-                                    f"1..{len(rows)}")
-    rows.sort(key=lambda r: r[5])
+    ranked = read_table(risk_path, RISK_COLUMNS, InvalidInputError, _risk_row,
+                        line=itemgetter(0), rank=itemgetter(5))
+    for line, row in ranked:
+        if not 1 <= row[5] <= len(ranked):
+            raise InvalidInputError(f"{risk_path}: row {line}: rank {row[5]} is not in 1..{len(ranked)}")
+    rows = sorted((row for _, row in ranked), key=itemgetter(5))
 
     acres = _read_table(acres_path)
     n_seasons = len(next(iter(acres.values())))

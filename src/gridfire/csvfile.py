@@ -4,7 +4,8 @@
 shows it, and holds each row to the header's field count, so the row
 numbers in every input error and the width rule have one definition. A
 file the program writes and reads back is a tuple of `Column`s, from
-which `write_table` and `read_table` build its header and rows.
+which `write_table` and `read_table` build its header and rows, and
+`read_records`, under it and the season tables' reader, checks the rows.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
+
+from .errors import GridFireError
 
 
 Rows = Iterator[tuple[int, list[str]]]
@@ -78,18 +81,43 @@ def write_table(path: str | Path, columns: Sequence[Column], rows: Iterable[Sequ
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_table(path: str | Path, columns: Sequence[Column],
-               error: type[Exception]) -> Iterator[tuple[int, list]]:
-    """(line, values) per `read_csv` row, parsed by the columns; a header
-    other than their names or a field that does not parse raises `error`."""
+def read_records(path: str | Path, error: type[Exception], reader: Callable,
+                 **keys: Callable) -> list[tuple[int, Any]]:
+    """(line, record) per `read_csv` row. `reader(header)` checks the header
+    and gives the builder of a row's record from its fields; a ValueError
+    from either, or a GridFireError from a record, raises `error` naming
+    the file and row. So do a `keys` function's value that an earlier row
+    has (`{label} {value} repeats row M`) and a file without rows."""
     header, rows = read_csv(path, error)
-    names = [c.name for c in columns]
-    if header != names:
-        raise error(f"{path}: expected header {','.join(names)}")
-    parses = [c.parse for c in columns]
+    try:
+        build = reader(header)
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from None
+    records, seen = [], {}
     for line, fields in rows:
         try:
-            values = [parse(f) for parse, f in zip(parses, fields)]
-        except ValueError as exc:
+            record = build(fields)
+        except (ValueError, GridFireError) as exc:
             raise error(f"{path}: row {line}: {exc}") from exc
-        yield line, values
+        for label, key in keys.items():
+            first = seen.setdefault((label, key(record)), line)
+            if first != line:
+                raise error(f"{path}: row {line}: {label} {key(record)} repeats row {first}")
+        records.append((line, record))
+    if not records:
+        raise error(f"{path}: no data rows")
+    return records
+
+
+def read_table(path: str | Path, columns: Sequence[Column], error: type[Exception],
+               record: Callable = lambda *values: list(values), **keys: Callable) -> list:
+    """`read_records` of a file headed by the columns' names, each row's
+    record built by `record` from the values they parse (their list)."""
+    names = [c.name for c in columns]
+
+    def reader(header):
+        if header != names:
+            raise ValueError(f"expected header {','.join(names)}")
+        return lambda fields: record(*[c.parse(f) for c, f in zip(columns, fields)])
+
+    return read_records(path, error, reader, **keys)

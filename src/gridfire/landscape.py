@@ -134,15 +134,8 @@ _catalog_row = attrgetter(*(f.name for f in fields(FuelModel)))
 
 def load_catalog(path: str | Path) -> FuelCatalog:
     """Read a fuel catalog CSV (id,name,burnable,base_ros_m_min,...)."""
-    models: dict[int, FuelModel] = {}
-    for line, values in read_table(path, CATALOG_COLUMNS, CatalogError):
-        try:
-            model = FuelModel(*values)
-        except InvalidInputError as exc:
-            raise CatalogError(f"{path}: row {line}: {exc}") from exc
-        if model.id in models:
-            raise CatalogError(f"{path}: row {line}: duplicate fuel id {model.id}")
-        models[model.id] = model
+    models = {m.id: m for _, m in read_table(path, CATALOG_COLUMNS, CatalogError, FuelModel,
+                                             fuel=attrgetter("id"))}
     non_burnable = [m.id for m in models.values() if not m.burnable]
     if not non_burnable:
         raise CatalogError(f"{path}: catalog has no non-burnable entry")

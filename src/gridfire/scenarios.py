@@ -38,7 +38,7 @@ from .spread import (
     burned_area_acres,
     check_coverage,
 )
-from .weather import WeatherSeries, season_starts
+from .weather import TIMESTAMP_FORMAT, WeatherSeries, season_starts
 
 PLACEMENTS = ("even", "seeded-random")
 
@@ -172,17 +172,8 @@ def build_matrix(n: GridNetwork, cfg: StudyConfig, frame: RasterFrame) -> list[I
     specs = []
     for b in lines:
         cells = place_ignitions(b, cfg.ignitions_per_line, cfg.placement, cfg.seed, frame)
-        for start in cfg.seasons:
-            for idx, cell in enumerate(cells, start=1):
-                specs.append(
-                    IgnitionSpec(
-                        line_id=b.id,
-                        ignition_index=idx,
-                        cell=cell,
-                        start=start,
-                        duration_hours=cfg.duration_hours,
-                    )
-                )
+        specs.extend(IgnitionSpec(b.id, idx, cell, start, cfg.duration_hours)
+                     for start in cfg.seasons for idx, cell in enumerate(cells, start=1))
     return specs
 
 
@@ -267,7 +258,10 @@ def run_batch(
         try:
             check_coverage(wx, start, hours)
         except CoverageError as exc:
-            raise CoverageError(f"study.duration_hours = {hours:g}: {exc}") from None
+            key = (f"study.duration_hours = {hours:g}" if wx.start <= start < wx.end else
+                   f"study.seasons start {start.strftime(TIMESTAMP_FORMAT)} "
+                   "(by default from study.year and study.ignition_hour)")
+            raise CoverageError(f"{key}: {exc}") from None
 
     ctx = _BatchContext(
         engine=SpreadEngine(land, cfg.spread),
@@ -302,22 +296,10 @@ def write_results(results: Sequence[ScenarioResult], path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> list[ScenarioResult]:
-    """The rows of a results.csv, each a scenario that no earlier row has."""
-    out = []
-    seen: dict[tuple[int, int, int], int] = {}
-    for i, values in read_table(path, RESULT_COLUMNS, InvalidInputError):
-        try:
-            r = ScenarioResult(*values)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}: row {i}: {exc}") from None
-        key = (r.line_id, r.season_index, r.ignition_index)
-        if key in seen:
-            raise InvalidInputError(f"{path}: row {i}: scenario {key} repeats row {seen[key]}")
-        seen[key] = i
-        out.append(r)
-    if not out:
-        raise InvalidInputError(f"{path}: results file holds no scenario rows")
-    return out
+    """The rows of a results.csv, each a scenario that no other row has."""
+    key = attrgetter("line_id", "season_index", "ignition_index")
+    return [r for _, r in read_table(path, RESULT_COLUMNS, InvalidInputError, ScenarioResult,
+                                     scenario=key)]
 
 
 def season_tables(

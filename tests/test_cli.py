@@ -513,6 +513,38 @@ def test_weather_ending_after_year_9999_is_exit_2(study_dir, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("override, named", [
+    pytest.param("study.year=2021",
+                 "study.seasons start 2021-01-01T12:00Z (by default from study.year and "
+                 "study.ignition_hour): instant 2021-01-01T12:00:00+00:00 outside series coverage",
+                 id="season-start"),
+    pytest.param("study.duration_hours=9000",
+                 "study.duration_hours = 9000: a 9000 h fire from 2022-01-01T12:00:00+00:00 "
+                 "outlasts the 8760 h weather series", id="duration"),
+])
+def test_uncovered_fire_names_the_key_that_leaves_the_weather(study_dir, tmp_path, capsys,
+                                                              override, named):
+    """A season that starts outside the weather names its start and
+    study.seasons, which study.year sets by default; a fire that starts
+    inside it but outlasts it names study.duration_hours."""
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path / "run"),
+              *SMALL_STUDY, "--set", override])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}")
+    assert not (tmp_path / "run").exists()
+
+
+def test_synth_refuses_a_year_that_ends_after_9999(tmp_path, capsys):
+    """study.year = 9999 is a valid config year, but a whole synthetic
+    weather year from it would end in 10000: synth names the key and
+    writes nothing."""
+    rc = run(["synth", "--out", str(tmp_path / "out"), "--set", "study.year=9999"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("config error: study.year = 9999: "
+                                       "a synthetic weather year must end by 9999\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("extreme, same_as", [
     ("spread.humidity_ref_pct=1e308", "spread.humidity_ref_pct=1e6"),
     ("spread.min_ros_m_min=1e-320", "spread.min_ros_m_min=0"),

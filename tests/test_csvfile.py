@@ -76,10 +76,15 @@ def test_table_round_trip(tmp_path_factory, table):
     """read_table gives back what write_table wrote, but for the spaces
     around a fuel name, which the catalog's name column strips; writing
     what was read again gives the same bytes exactly when nothing was
-    stripped."""
+    stripped. A table of no rows reads as an error."""
     columns, rows = table
     d = tmp_path_factory.mktemp("table")
     write_table(d / "first.csv", columns, rows)
+    if not rows:
+        with pytest.raises(InvalidInputError) as exc:
+            read_table(d / "first.csv", columns, InvalidInputError)
+        assert str(exc.value) == f"{d / 'first.csv'}: no data rows"
+        return
     got = [values for _, values in read_table(d / "first.csv", columns, InvalidInputError)]
     want = [[v.strip() if isinstance(v, str) else v for v in row] for row in rows]
     assert got == want
@@ -105,3 +110,30 @@ def test_readers_refuse_a_wrong_header_alike(tmp_path, name, read, columns):
     with pytest.raises(GridFireError) as exc:
         read(path)
     assert str(exc.value) == f"{path}: expected header {','.join(c.name for c in columns)}"
+
+
+def _header(columns):
+    return ",".join(c.name for c in columns)
+
+
+@pytest.mark.parametrize("name, read, header, row, repeat", [
+    pytest.param("results.csv", read_results, _header(RESULT_COLUMNS), "6,0,1,120,26.7,5;6,1.25",
+                 "scenario (6, 0, 1)", id="results"),
+    pytest.param("risk.csv", _report, _header(RISK_COLUMNS), "6,1.0,2.0,3.0,0.5,1", "line 6",
+                 id="risk"),
+    pytest.param("fuel_catalog.csv", load_catalog, _header(CATALOG_COLUMNS), "0,rock,0,0,0,0,0",
+                 "fuel 0", id="catalog"),
+    pytest.param("table1.csv", cli._read_table, "line_id,winter,avg", "6,1.0,1.0", "line 6",
+                 id="season-table"),
+])
+def test_readers_refuse_a_repeated_key_and_an_empty_file_alike(tmp_path, name, read, header, row,
+                                                               repeat):
+    """Each table read back names a row whose key an earlier row has, and
+    a file that holds only its header, in the same words."""
+    path = tmp_path / name
+    for text, message in ((f"{header}\n{row}\n{row}\n", f"row 3: {repeat} repeats row 2"),
+                          (f"{header}\n", "no data rows")):
+        path.write_text(text)
+        with pytest.raises(GridFireError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: {message}"
