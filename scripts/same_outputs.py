@@ -43,6 +43,10 @@ written to `bad-weather/<case>.txt`, `bad-landscape/<case>.txt` or
 It compares every file these write, and each `report`'s stdout, byte for
 byte, prints one line per file, and exits 1 if any file differs or is
 missing from one tree. Outputs go to a temporary directory.
+
+For information, it also prints each tree's peak resident set size (the
+`ru_maxrss` that `os.wait4` reports) of every study `simulate` run above,
+one line per run; these figures do not change the exit code.
 """
 
 from __future__ import annotations
@@ -115,23 +119,32 @@ def runs(bench) -> list[tuple[str, int, list[str], int]]:
     return out
 
 
-def run(tree: Path, *args: str) -> subprocess.CompletedProcess:
-    """One Python command run with the tree's sources."""
+def run(tree: Path, *args: str) -> tuple[subprocess.CompletedProcess, float]:
+    """One Python command run with the tree's sources, and its peak
+    resident set size in MB."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen([sys.executable, *args], env=env, stdout=out, stderr=err, text=True)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(proc.args, proc.returncode, out.read(), err.read())
+    return done, usage.ru_maxrss / 1024.0
 
 
-def python(tree: Path, *args: str) -> str:
-    """The stdout of one Python command run with the tree's sources."""
-    done = run(tree, *args)
+def python(tree: Path, *args: str) -> tuple[str, float]:
+    """The stdout and peak RSS in MB of one Python command run with the
+    tree's sources."""
+    done, peak = run(tree, *args)
     if done.returncode != 0:
         raise SystemExit(f"{tree}: {' '.join(args)} exited {done.returncode}\n{done.stderr}")
-    return done.stdout
+    return done.stdout, peak
 
 
 def gridfire(tree: Path, *args: str) -> str:
     """The stdout of one gridfire command run with the tree's sources."""
-    return python(tree, "-m", "gridfire.cli", *args)
+    return python(tree, "-m", "gridfire.cli", *args)[0]
 
 
 def write_arrivals(ini: str, path: str, args: list[str]) -> None:
@@ -258,7 +271,7 @@ def bad_input_runs(tree: Path, out: Path, ini: Path, cases: dict[str, tuple[str,
     for case, (command, path) in cases.items():
         args = [a.format(ini=ini, file=path, dir=path.parent, out=out / f"{case}-run")
                 for a in command.split()]
-        done = run(tree, "-m", "gridfire.cli", *args)
+        done, _ = run(tree, "-m", "gridfire.cli", *args)
         (out / f"{case}.txt").write_text(f"exit {done.returncode}\n{done.stderr}")
 
 
@@ -266,15 +279,18 @@ def report(tree: Path, out: Path) -> None:
     (out / "report.txt").write_text(gridfire(tree, "report", str(out / "report")))
 
 
-def run_tree(tree: Path, work: Path, bench) -> None:
+def run_tree(tree: Path, work: Path, bench) -> dict[str, float]:
+    """Write the tree's outputs under `work`; return the peak RSS in MB of
+    each run's `simulate`, by run name."""
     sizes = sorted({size for _, size, _, _ in runs(bench)})
     for size in sizes:
         gridfire(tree, "synth", "--out", str(work / f"inputs{size}"),
                  "--seed", str(bench.STUDY_INPUT_SEED), "--size", str(size))
+    peaks = {}
     for name, size, args, workers in runs(bench):
         ini, out = str(work / f"inputs{size}" / "study.ini"), work / name
-        gridfire(tree, "simulate", "--config", ini, "--out", str(out / "run"),
-                 "--workers", str(workers), *args)
+        _, peaks[name] = python(tree, "-m", "gridfire.cli", "simulate", "--config", ini,
+                                "--out", str(out / "run"), "--workers", str(workers), *args)
         python(tree, str(Path(__file__).resolve()), "--arrivals", ini,
                str(out / "run" / "arrivals.sha256"), *args)
         gridfire(tree, "assess", "--config", ini, "--results", str(out / "run" / "results.csv"),
@@ -284,6 +300,7 @@ def run_tree(tree: Path, work: Path, bench) -> None:
     gridfire(tree, "assess", "--from-tables", str(study / "table1.csv"),
              str(study / "table2.csv"), "--out", str(out / "report"))
     report(tree, out)
+    return peaks
 
 
 def compare(parent: Path, change: Path) -> int:
@@ -318,10 +335,10 @@ def main(argv=None) -> int:
     trees = (("parent", args.parent.resolve()), ("change", ROOT))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for label, tree in trees:
-            run_tree(tree, work / label, bench)
+        peaks = {label: run_tree(tree, work / label, bench) for label, tree in trees}
         inputs = work / "parent" / f"inputs{min(size for _, size, _, _ in runs(bench))}"
-        block = int(python(ROOT, "-c", "from gridfire.weather import _BLOCK_ROWS as b; print(b)"))
+        block, _ = python(ROOT, "-c", "from gridfire.weather import _BLOCK_ROWS as b; print(b)")
+        block = int(block)
         files = write_bad_weather(inputs / "weather.csv", work / "bad-weather", block)
         dirs = write_bad_landscapes(inputs / "landscape", work / "bad-landscape")
         study = work / "parent" / "study128"
@@ -343,6 +360,9 @@ def main(argv=None) -> int:
             for kind, cases in bad.items():
                 bad_input_runs(tree, work / label / kind, inputs / "study.ini", cases)
         differ = compare(work / "parent", work / "change")
+    for name in peaks["parent"]:
+        print(f"simulate peak RSS {name}: parent {peaks['parent'][name]:.1f} MB, "
+              f"change {peaks['change'][name]:.1f} MB")
     print(f"{differ} file(s) differ" if differ else "all outputs byte-identical")
     return 1 if differ else 0
 

@@ -331,13 +331,17 @@ def _check_avg(text, vals):
 
 
 def _season_rows(header):
-    """The (line_id, [season values]) row builder of a table with this header."""
+    """The (line_id, [season values]) row builder of a table headed
+    line_id, then `season_labels(n)` for its n seasons, then optionally avg."""
     if header[:1] != ["line_id"]:
         raise ValueError("expected header starting with line_id,")
     has_avg = header[-1] == "avg"
     n_seasons = len(header) - 1 - has_avg
     if n_seasons < 1:
         raise ValueError("no season columns in header")
+    names = ",".join(["line_id", *season_labels(n_seasons)])
+    if ",".join(header[:1 + n_seasons]) != names:
+        raise ValueError(f"expected header {names}[,avg]")
 
     def row(fields):
         try:

@@ -16,7 +16,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 from .asciigrid import NODATA, read_ascii_grid, write_ascii_grid
 from .csvfile import Column, read_table, write_table
@@ -335,9 +334,24 @@ def _smooth_field(nrows: int, ncols: int, scale_cells: float, seed: int, stream:
     raw = rng.standard_normal((nrows, ncols))
     k = max(1, int(round(scale_cells)))
     for axis in (0, 1):
-        raw = uniform_filter1d(raw, size=k, axis=axis, mode="nearest")
+        raw = _running_mean(raw, k, axis)
     peak = np.max(np.abs(raw))
     return raw / peak if peak > 0 else raw
+
+
+def _running_mean(a: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """The mean of the k values around each value of `a` along `axis`, the
+    end values repeated past the ends: scipy.ndimage.uniform_filter1d(a,
+    k, axis, mode="nearest"), bit for bit. Like scipy it sums the first
+    window in order, then adds each step's entering value less its leaving
+    one to that running sum, in sequence, and divides each sum by k."""
+    a = np.moveaxis(a, axis, -1)
+    lo, length = k // 2, a.shape[-1]
+    line = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(lo, k - lo - 1)], mode="edge")
+    steps = np.empty(a.shape)
+    steps[..., 0] = np.add.accumulate(line[..., :k], axis=-1)[..., -1]
+    np.subtract(line[..., k:], line[..., :length - 1], out=steps[..., 1:])
+    return np.moveaxis(np.add.accumulate(steps, axis=-1) / k, -1, axis)
 
 
 def _patch_mosaic(spec: SynthSpec) -> np.ndarray:

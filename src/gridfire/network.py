@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .errors import GeometryError, InvalidInputError, TopologyError
 from .geo import GeoPoint, GridIndex, RasterFrame, polyline_length_miles, traverse_cells
@@ -111,6 +110,19 @@ def line_cells(b: Branch, frame: RasterFrame) -> list[GridIndex]:
     return list(seen)
 
 
+def _dilate(mask: np.ndarray, buf: int) -> np.ndarray:
+    """The rows within `buf` of a True row of `mask`, per column, cells
+    past its edges False: the window sums of its prefix sums along axis 0.
+    Applied along both axes, as `_dilate(_dilate(m, b).T, b).T`, it is the
+    Chebyshev dilation scipy.ndimage.maximum_filter(m, 2 * b + 1,
+    mode="constant") gives."""
+    n = mask.shape[0]
+    run = np.zeros((n + 1, *mask.shape[1:]), dtype=np.int32)
+    np.cumsum(mask, axis=0, out=run[1:])
+    i = np.arange(n)
+    return run[np.minimum(i + buf + 1, n)] > run[np.maximum(i - buf, 0)]
+
+
 class Corridors:
     """Every line's corridor on one raster, built once per study: the flat
     indices (row * ncols + col) of the cells within `buffer_cells`
@@ -122,15 +134,19 @@ class Corridors:
             raise InvalidInputError(f"buffer_cells must be >= 0, got {buffer_cells}")
         self.ids = np.array([b.id for b in lines], dtype=np.int64)
         self.miles = {b.id: b.length_miles for b in lines}
-        # A wider buffer holds no more of the grid, so the dilation's window
-        # stays at most about twice the grid's side.
-        size = 2 * min(buffer_cells, max(frame.nrows, frame.ncols)) + 1
+        # A wider buffer holds no more of the grid.
+        buf = min(buffer_cells, max(frame.nrows, frame.ncols))
         parts = []
         for b in lines:
-            mask = np.zeros((frame.nrows, frame.ncols), dtype=bool)
-            for c in line_cells(b, frame):
-                mask[c.row, c.col] = True
-            parts.append(np.flatnonzero(maximum_filter(mask, size=size, mode="constant")))
+            rows, cols = np.array([(c.row, c.col) for c in line_cells(b, frame)]).T
+            # The corridor lies in the line's bounding box grown by the
+            # buffer and clipped to the grid, so only that box is dilated.
+            r0, c0 = max(rows.min() - buf, 0), max(cols.min() - buf, 0)
+            box = np.zeros((min(rows.max() + buf + 1, frame.nrows) - r0,
+                            min(cols.max() + buf + 1, frame.ncols) - c0), dtype=bool)
+            box[rows - r0, cols - c0] = True
+            r, c = np.nonzero(_dilate(_dilate(box, buf).T, buf).T)
+            parts.append((r + r0) * frame.ncols + (c + c0))
         self.cells = np.concatenate(parts or [np.empty(0, np.int64)])
         self.owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
 

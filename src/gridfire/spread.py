@@ -72,6 +72,12 @@ FIRST_HOUR_BLOCK_BYTES = 4 << 20
 # arrays are this long, so they stay cache-sized however large the window.
 RECOST_CHUNK = 1 << 14
 
+# A cell's direction word has bit d set when an edge leaves it in direction
+# d. _POPCOUNT[w] counts the set bits of a 16-bit word w.
+_POPCOUNT = np.zeros(1 << 16, dtype=np.uint8)
+for _b in range(16):
+    _POPCOUNT[1 << _b:2 << _b] = _POPCOUNT[:1 << _b] + 1
+
 
 @dataclass(frozen=True)
 class SpreadParams:
@@ -227,16 +233,21 @@ class SpreadEngine:
     RECOST_CHUNK edges, straight into the buffer the epoch's searches read,
     so an epoch holds no edge-length temporaries. The edges are held in
     CSR order, by source cell and then by direction, and each edge's
-    reverse is the edge leaving its end cell in the opposite direction;
-    the engine records where that reverse sits, so an epoch's search can
-    block the edges back into a fire's burned set.
+    reverse is the edge leaving its end cell in the opposite direction.
+    Its position follows from the end cell's direction word (`_reverse`),
+    so an epoch's search can block the edges back into a fire's burned set
+    without a per-edge table of reverses.
 
-    An edge holds 26 bytes: its end cell and its reverse's position (int32
-    each), its two half-costs (float64 each) and its two keys into the
-    (fuel, direction) table (uint8 up to 16 burnable fuels, wider beyond).
-    The min_ros floor is a limit per direction, not per edge. One engine
-    serves any number of ignitions, holds no per-scenario state and is not
-    changed after construction.
+    An edge holds 22 bytes: its end cell (int32), its two half-costs
+    (float64 each) and its two keys into the (fuel, direction) table (uint8
+    up to 16 burnable fuels, wider beyond). A cell holds 11: its CSR row
+    start (int32), whether it burns, its direction word (uint16) and one
+    slot of the tail that follows the end cells (int32). The min_ros floor
+    is a limit per direction, not per edge. One engine serves any number
+    of ignitions and holds no per-scenario state. Only the tail changes
+    after construction: `_search` writes its super-sources' end cells
+    there and reads them back within the one call, so an engine serves one
+    thread at a time (a batch runs its workers as processes).
     """
 
     def __init__(self, land: LandscapeRaster, params: SpreadParams | None = None):
@@ -245,19 +256,17 @@ class SpreadEngine:
         self._build_structure()
 
     def _build_structure(self) -> None:
-        """Build the CSR edge structure one pair of opposite directions at
-        a time.
+        """Build the CSR edge structure one direction at a time.
 
-        mask[i, d] is True where the edge from flat cell i in direction d
-        (an index into `OFFSETS`) exists. The CSR order is the mask's
-        row-major order of True entries: edges sorted by source cell, then
-        by direction, so the edge at (i, d) sits at indptr[i] + rank[i, d],
-        where rank counts the edges leaving i in the directions before d.
-        It ends at j = i + dr * ncols + dc. Every edge runs both ways, so
-        its reverse is the edge at (j, the opposite direction), at
-        indptr[j] + rank[j, opposite], so the two are found together. Both
-        directions' edges are written straight into the engine's arrays, so
-        the construction holds no edge-length temporaries beyond a pair's.
+        Bit d of the direction word of flat cell i is set where the edge
+        from i in direction d (an index into `OFFSETS`) exists. The CSR
+        order is edges sorted by source cell, then by direction, so the
+        edge at (i, d) sits at indptr[i] + rank(i, d), where rank counts the
+        set bits of i's word below bit d. It ends at j = i + dr * ncols +
+        dc. Each direction's edges are written straight into the engine's
+        arrays, so the construction holds no edge-length temporaries beyond
+        one direction's. The end cells go into a buffer of m + n slots whose
+        head is `_indices`; its n-slot tail is `_search`'s scratch.
         """
         land, params = self.land, self.params
         nrows, ncols = land.nrows, land.ncols
@@ -267,7 +276,6 @@ class SpreadEngine:
         ndirs = self._ndirs = len(OFFSETS)
         dists = np.array([land.cell_size * math.hypot(dr, dc) for dr, dc in OFFSETS])
         step = np.array([dr * ncols + dc for dr, dc in OFFSETS])
-        opposite = [OFFSETS.index((-dr, -dc)) for dr, dc in OFFSETS]
 
         burn_mask = land.burnable_mask()
         fuel_ids, inverse = np.unique(land.fuel[burn_mask], return_inverse=True)
@@ -277,6 +285,9 @@ class SpreadEngine:
         # fuel index * ndirs + direction, held in the narrowest unsigned
         # type that fits the table.
         self._table_size = len(self._fuel_models) * ndirs
+        # Per key, the word bits of the directions before the opposite one.
+        self._before_back = np.tile([(1 << OFFSETS.index((-dr, -dc))) - 1 for dr, dc in OFFSETS],
+                                    len(self._fuel_models)).astype(np.uint16)
         key = np.min_scalar_type(max(self._table_size - 1, 0))
         fuel_key = np.zeros(n, dtype=key)
         fuel_key[burn_mask.ravel()] = inverse * ndirs
@@ -286,52 +297,41 @@ class SpreadEngine:
         gain = SLOPE_GAIN * np.tan(np.radians(land.slope))
         upslope = np.radians(land.aspect + 180.0)
 
-        mask = np.zeros((nrows, ncols, ndirs), dtype=bool)
+        word = np.zeros((nrows, ncols), dtype=np.uint16)
         for d, (dr, dc) in enumerate(OFFSETS):
             r0, r1 = max(0, -dr), nrows - max(0, dr)
             c0, c1 = max(0, -dc), ncols - max(0, dc)
             if r0 >= r1 or c0 >= c1:
                 continue
-            ok = mask[r0:r1, c0:c1, d]
-            ok[...] = burn_mask[r0:r1, c0:c1] & burn_mask[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
+            ok = burn_mask[r0:r1, c0:c1] & burn_mask[r0 + dr:r1 + dr, c0 + dc:c1 + dc]
             # A knight edge physically crosses two intermediate cells; the
             # edge exists only if they can carry fire, so a gap-free
             # non-burnable barrier one cell wide cannot be jumped.
             for mr, mc in _knight_intermediates(dr, dc):
                 ok &= burn_mask[r0 + mr:r1 + mr, c0 + mc:c1 + mc]
-        mask = mask.reshape(n, ndirs)
-        rank = np.cumsum(mask, axis=1, dtype=np.uint8)
+            word[r0:r1, c0:c1] |= ok.astype(np.uint16) << d
+        self._word = word = word.ravel()
         self._indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(rank[:, -1], out=self._indptr[1:])
-        rank -= mask
+        np.cumsum(_POPCOUNT[word], out=self._indptr[1:])
 
         m = int(self._indptr[-1])
-        self._indices = np.empty(m, dtype=np.int32)
-        self._rev = np.empty(m, dtype=np.int32)
+        self._ends = np.empty(m + n, dtype=np.int32)
         self._hsrc, self._hdst = np.empty(m), np.empty(m)
         self._key_src = np.empty(m, dtype=key)
         self._key_dst = np.empty(m, dtype=key)
-        # The edges of direction d from src are the reverses of those of
-        # the opposite direction o from dst, in the same order.
-        for d, o in enumerate(opposite):
-            if o < d:
-                continue
-            src = np.flatnonzero(mask[:, d])
+        for d in range(ndirs):
+            src = np.flatnonzero(word & (1 << d))
             dst = src + step[d]
-            fwd = self._indptr[src].astype(np.intp)
-            fwd += rank[src, d]
-            back = self._indptr[dst].astype(np.intp)
-            back += rank[dst, o]
-            self._rev[fwd], self._rev[back] = back, fwd
-            for dd, e, a, b in ((d, fwd, src, dst), (o, back, dst, src)):
-                phi_s = _slope_factor(gain, upslope, self._theta_deg[dd])
-                with np.errstate(divide="ignore"):
-                    half = (dists[dd] * 0.5 / (base * phi_s)).ravel()
-                self._indices[e] = b
-                self._hsrc[e] = half[a]
-                self._hdst[e] = half[b]
-                self._key_src[e] = fuel_key[a] + dd
-                self._key_dst[e] = fuel_key[b] + dd
+            e = self._indptr[src].astype(np.intp)
+            e += _POPCOUNT[word[src] & ((1 << d) - 1)]
+            phi_s = _slope_factor(gain, upslope, self._theta_deg[d])
+            with np.errstate(divide="ignore"):
+                half = (dists[d] * 0.5 / (base * phi_s)).ravel()
+            self._ends[e] = dst
+            self._hsrc[e] = half[src]
+            self._hdst[e] = half[dst]
+            self._key_src[e] = fuel_key[src] + d
+            self._key_dst[e] = fuel_key[dst] + d
         # `_minutes` looks the keys up without numpy's per-lookup bounds
         # check (mode="clip"), so check them once here.
         if m and max(self._key_src.max(), self._key_dst.max()) >= self._table_size:
@@ -346,6 +346,21 @@ class SpreadEngine:
             self._half_bound = (dists * 0.5 / base_ros[:, None]).ravel()
         self._n_cells = n
         self._burnable = burn_mask.ravel()
+
+    @property
+    def _indices(self) -> np.ndarray:
+        """The end cell of every edge, in CSR order: the head of `_ends`."""
+        return self._ends[:self._ends.size - self._n_cells]
+
+    def _reverse(self, edge: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """The CSR positions of the reverses of the edges at positions
+        `edge`, which end at the cells `end`: the edge from j in the
+        direction o opposite an edge's sits at indptr[j] plus the number of
+        j's edges before o, and the edge's source key gives o. Every index
+        is in range, so the lookups skip numpy's bounds check (mode="clip")."""
+        before = np.take(self._before_back, np.take(self._key_src, edge), mode="clip")
+        word = np.take(self._word, end, mode="clip") & before
+        return np.take(self._indptr, end, mode="clip") + np.take(_POPCOUNT, word, mode="clip")
 
     def _epoch_table(self, w: WeatherSample) -> np.ndarray:
         """Inverse weather factor per (fuel, direction), flattened. A fuel
@@ -481,13 +496,14 @@ class SpreadEngine:
             fire.pos.append(i)
 
         # Each search runs on the cell graph plus one super-source per fire
-        # of its block. The group shares one buffer for that graph: the
-        # epoch's edge costs first, then the super-sources' edges, one per
-        # fire in the first epoch and up to one per cell later.
+        # of its block. The group shares one buffer for that graph's costs:
+        # the epoch's edge costs first, then the super-sources' edges, one
+        # per fire in the first epoch and up to one per cell later. Their
+        # end cells go into the engine's tail (`_ends`), so a block holds at
+        # most n fires.
         n, m = self._n_cells, self._indices.size
-        rows = min(max(1, FIRST_HOUR_BLOCK_BYTES // (8 * n)), len(fires))
-        values = np.empty(m + max(n, rows))
-        indices = np.concatenate([self._indices, np.empty(max(n, rows), dtype=np.int32)])
+        rows = min(max(1, FIRST_HOUR_BLOCK_BYTES // (8 * n)), len(fires), n)
+        values = np.empty(m + n)
         indptr = np.concatenate([self._indptr, np.full(rows, m, dtype=np.int32)])
         burning = list(fires.values())
         epochs = self._epochs(wx, start, max((fire.hours for fire in burning), default=0))
@@ -498,7 +514,7 @@ class SpreadEngine:
             per_block = rows if e == 0 else 1
             for b in range(0, len(waiting), per_block):
                 block = waiting[b:b + per_block]
-                dist = self._search(block, e, e1, values, indices, indptr)
+                dist = self._search(block, e, e1, values, indptr)
                 for fire, row in zip(block, dist):
                     burn = self._step(fire, e, e1, row, values[:m])
                     if burn is None:
@@ -534,39 +550,40 @@ class SpreadEngine:
             fire.frozen = np.full(n, np.inf)
         fire.frozen[newly] = dist[newly]
         if e1 < fire.hours:
-            fire.hand_over(newly, 60.0 * e, 60.0 * e1, minutes, self._indptr, self._indices)
+            fire.hand_over(newly, 60.0 * e, 60.0 * e1, minutes, self)
             if fire.edge.size:
                 return None
         burn = self._raster(fire.frozen, None)
-        fire.frozen = fire.edge = fire.left = None
+        fire.frozen = fire.edge = fire.left = fire.back = None
         return burn
 
     def _search(
-        self, block: Sequence[_Fire], e: int, e1: int, values: np.ndarray,
-        indices: np.ndarray, indptr: np.ndarray,
+        self, block: Sequence[_Fire], e: int, e1: int, values: np.ndarray, indptr: np.ndarray,
     ) -> np.ndarray:
         """The labels of the epoch of hours [e, e1) for each fire of
         `block`, one row each: a search under the epoch's costs from node
         n + i, whose out-edges, filled in here, reach the i-th fire's
-        seeds (`_Fire.seeds`) at their seed minutes. The edges back into
-        the burned sets are blocked, so only unburned cells are settled;
-        only fresh fires, which have none, share a block."""
-        n, m = self._n_cells, self._indices.size
-        size = m
+        seeds (`_Fire.seeds`) at their seed minutes. Their end cells go
+        into the engine's tail, after its own, which the search reads in
+        place. The edges back into the burned sets are blocked, so only
+        unburned cells are settled; only fresh fires, which have none,
+        share a block."""
+        n, ends = self._n_cells, self._ends
+        size = m = ends.size - n
         for i, fire in enumerate(block):
-            sources, times = fire.seeds(values[:m], self._indices, 60.0 * e, fire.t_hi(e1))
-            indices[size:size + sources.size] = sources
+            sources, times = fire.seeds(values[:m], ends, 60.0 * e, fire.t_hi(e1))
+            ends[size:size + sources.size] = sources
             values[size:size + sources.size] = times
             size += sources.size
             indptr[n + 1 + i] = size
 
         # The reverses of the open edges are the in-edges of the burned set
         # from unburned cells.
-        into_burned = self._rev[np.concatenate([fire.edge for fire in block])]
+        into_burned = np.concatenate([fire.back for fire in block])
         blocked = values[into_burned]
         values[into_burned] = np.inf
         k = len(block)
-        csr = csr_matrix((values[:size], indices[:size], indptr[:n + 1 + k]),
+        csr = csr_matrix((values[:size], ends[:size], indptr[:n + 1 + k]),
                          shape=(n + k, n + k))
         # A one-fire block passes its super-source as a scalar: the
         # per-layer tracer (perfbench/tracing.py) counts a scalar start's
@@ -589,8 +606,9 @@ class _Fire:
     burned (None before its first epoch), so its burned set is the finite
     labels. Its open edges are the CSR positions `edge` of the edges from
     a burned cell to an unburned one, each with the share `left` of it
-    still to cross when the next epoch starts. A finished fire drops all
-    three arrays."""
+    still to cross when the next epoch starts and the position `back` of
+    its reverse, found once when the edge opens. A finished fire drops
+    all four arrays."""
 
     def __init__(self, ig: IgnitionSpec, ig_idx: int):
         self.pos: list[int] = []
@@ -600,6 +618,7 @@ class _Fire:
         self.frozen: Optional[np.ndarray] = None
         self.edge = np.empty(0, dtype=np.int64)
         self.left = np.empty(0)
+        self.back = np.empty(0, dtype=np.int32)
 
     def t_hi(self, e1: int) -> float:
         """The last minute the fire burns in an epoch that ends at hour e1."""
@@ -626,24 +645,28 @@ class _Fire:
 
     def hand_over(
         self, new: np.ndarray, t_lo: float, t_end: float, minutes: np.ndarray,
-        indptr: np.ndarray, indices: np.ndarray,
+        eng: SpreadEngine,
     ) -> None:
         """Carry the open edges over the epoch boundary at minute t_end,
         given the cells `new` that burned in the epoch from t_lo to t_end
-        and its costs `minutes`: close the edges into those cells, take
-        the epoch's progress off the others, and open every edge from one
-        of them to a cell that has not burned, less the share crossed
-        since the fire entered it."""
-        frozen = self.frozen
+        and its costs `minutes` on the engine `eng`: close the edges into
+        those cells, take the epoch's progress off the others, and open
+        every edge from one of them to a cell that has not burned, less the
+        share crossed since the fire entered it."""
+        frozen, indptr, indices = self.frozen, eng._indptr, eng._indices
         first = indptr[new]
         deg = indptr[new + 1] - first
         edge = np.repeat(first - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-        opened = frozen[indices[edge]] == np.inf
-        edge, entered = edge[opened], np.repeat(frozen[new], deg)[opened]
-        still = frozen[indices[self.edge]] == np.inf
+        # Positions, not boolean masks, pick the open edges: one index array
+        # then serves `edge`, `end` and `entered`.
+        end = indices[edge]
+        opened = np.flatnonzero(np.take(frozen, end, mode="clip") == np.inf)
+        edge, end, entered = edge[opened], end[opened], np.repeat(frozen[new], deg)[opened]
+        still = np.flatnonzero(frozen[indices[self.edge]] == np.inf)
         old = self.edge[still]
         self.left = np.concatenate([self.left[still] - (t_end - t_lo) / minutes[old],
                                     1.0 - (t_end - entered) / minutes[edge]])
+        self.back = np.concatenate([self.back[still], eng._reverse(edge, end)])
         self.edge = np.concatenate([old, edge])
 
 

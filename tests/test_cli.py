@@ -7,7 +7,10 @@ session-scoped study_dir fixture.
 
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
@@ -412,6 +415,27 @@ def test_table_avg_may_be_rounded_to_its_printed_decimals(study_dir, tmp_path):
         assert (back / name).read_bytes() == (rep / name).read_bytes()
 
 
+@pytest.mark.parametrize("header, row, labels", [
+    ("line_id,summer,spring,winter,fall,avg", "6,1,2,3,4,2.5", "winter,spring,summer,fall"),
+    ("line_id,value,spring,summer,fall,avg", "6,1,2,3,4,2.5", "winter,spring,summer,fall"),
+    ("line_id,winter,spring,fall,summer", "6,1,2,3,4", "winter,spring,summer,fall"),
+    ("line_id,season1,season0,avg", "6,1,2,1.5", "season0,season1"),
+])
+def test_season_table_with_other_season_columns_is_exit_2(study_dir, tmp_path, capsys, header,
+                                                          row, labels):
+    """A season table's columns are read by name: after line_id come the
+    seasons' labels in order (winter to fall for four), then an optional
+    avg. A header that reorders or renames a season stops assess, naming
+    the file, where its figures would land in the wrong seasons."""
+    bad = tmp_path / "table1.csv"
+    bad.write_text(f"{header}\n{row}\n")
+    rc = run(["assess", "--from-tables", str(bad), str(study_dir / "table2.csv"),
+              "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    assert f"{bad}: expected header line_id,{labels}[,avg]" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("miles, named", [
     ("line_id,season0,season1,avg\n6,1,2,1.5\n", "different numbers of seasons"),
     ("line_id,winter,spring,summer,fall,avg\n7,1,2,3,4,2.5\n", "different line sets"),
@@ -758,3 +782,13 @@ def test_config_overrides_fuzz(study_dir, fuzz_out, key, value):
         assert _valid(key, value)
     elif key in INT_KEYS | FLOAT_KEYS:
         assert not _valid(key, value)
+
+
+def test_cli_import_leaves_scipy_ndimage_out():
+    """Importing the CLI loads no scipy.ndimage: the corridor dilation and
+    the synth smoothing are numpy, and each CLI call skips its import."""
+    code = "import sys, gridfire.cli; print('scipy.ndimage' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "False\n"

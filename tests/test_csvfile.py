@@ -95,7 +95,7 @@ def test_table_round_trip(tmp_path_factory, table):
 
 def _report(path):
     """`report` on the folder of a risk.csv at `path`."""
-    (path.parent / "table_acres.csv").write_text("line_id,winter,avg\n6,1.0,1.0\n")
+    (path.parent / "table_acres.csv").write_text("line_id,season0,avg\n6,1.0,1.0\n")
     cli.cmd_report(cli.build_parser().parse_args(["report", str(path.parent)]))
 
 
@@ -123,7 +123,7 @@ def _header(columns):
                  id="risk"),
     pytest.param("fuel_catalog.csv", load_catalog, _header(CATALOG_COLUMNS), "0,rock,0,0,0,0,0",
                  "fuel 0", id="catalog"),
-    pytest.param("table1.csv", cli._read_table, "line_id,winter,avg", "6,1.0,1.0", "line 6",
+    pytest.param("table1.csv", cli._read_table, "line_id,season0,avg", "6,1.0,1.0", "line 6",
                  id="season-table"),
 ])
 def test_readers_refuse_a_repeated_key_and_an_empty_file_alike(tmp_path, name, read, header, row,

@@ -24,6 +24,7 @@ from gridfire.landscape import (
     FuelCatalog,
     FuelModel,
     SynthSpec,
+    _running_mean,
     cell_acreage,
     default_catalog,
     load_catalog,
@@ -216,6 +217,20 @@ def test_gradient_slope_matches_finite_difference():
     assert expect == pytest.approx(5.710593137, abs=1e-6)
     np.testing.assert_allclose(land.slope[1:-1, 1:-1], expect, atol=1e-9)
     np.testing.assert_allclose(land.aspect[1:-1, 1:-1], 270.0, atol=1e-9)
+
+
+def test_running_mean_equals_scipy_uniform_filter1d():
+    """`_running_mean` is scipy.ndimage.uniform_filter1d with mode
+    "nearest", bit for bit: every window size 1-40 along both axes of
+    random arrays, windows longer than the line among them."""
+    from scipy.ndimage import uniform_filter1d
+
+    rng = np.random.default_rng(11)
+    for k in range(1, 41):
+        a = rng.standard_normal(tuple(rng.integers(1, 41, size=2))) * 10.0 ** rng.integers(-3, 4)
+        for axis in (0, 1):
+            want = uniform_filter1d(a, size=k, axis=axis, mode="nearest")
+            assert _running_mean(a, k, axis).tobytes() == want.tobytes(), (k, axis, a.shape)
 
 
 def test_fuel_mix_fractions_exact():

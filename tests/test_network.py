@@ -12,6 +12,7 @@ from gridfire.network import (
     Bus,
     Corridors,
     GridNetwork,
+    _dilate,
     ignitable_lines,
     line_cells,
     load_network,
@@ -305,6 +306,23 @@ def test_corridors_equal_clipped_shifts():
             np.testing.assert_array_equal(table.cells, np.concatenate(want))
             np.testing.assert_array_equal(
                 table.owner, np.repeat(np.arange(len(want)), [w.size for w in want]))
+
+
+def test_dilation_equals_scipy_maximum_filter():
+    """`_dilate` is scipy.ndimage's maximum filter with mode "constant",
+    bit for bit: along axis 0 alone and along both axes, on random masks
+    of 1-40 cells a side, at buffers 0, 3 and one wider than the grid."""
+    from scipy.ndimage import maximum_filter, maximum_filter1d
+
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        mask = rng.random(tuple(rng.integers(1, 41, size=2))) < rng.choice([0.0, 0.01, 0.05, 0.3])
+        for buf in (0, 3, 41):
+            size = 2 * buf + 1
+            want = maximum_filter1d(mask, size, axis=0, mode="constant")
+            np.testing.assert_array_equal(_dilate(mask, buf), want)
+            want = maximum_filter(mask, size, mode="constant")
+            np.testing.assert_array_equal(_dilate(_dilate(mask, buf).T, buf).T, want)
 
 
 def test_corridor_buffer_wider_than_the_grid_is_the_grid():

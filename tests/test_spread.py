@@ -397,6 +397,20 @@ def test_chunked_recost_equals_whole_edge_expression(n, min_ros):
             assert np.isfinite(out).all()
 
 
+def twenty_fuel_land():
+    """40x40 cells of 30 m, each of rock or one of twenty random burnable
+    fuels, on random slopes and aspects."""
+    rng = np.random.default_rng(5)
+    models = [FuelModel(0, "rock", False, 0.0, 0.0, 0.0, 0.0)]
+    models += [FuelModel(f, f"fuel{f}", True, rng.uniform(0.5, 20.0), rng.uniform(0.05, 0.5),
+                         rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0)) for f in range(1, 21)]
+    n = 40
+    return LandscapeRaster(
+        frame=RasterFrame(nrows=n, ncols=n, origin=ORIGIN, cell_size=30.0),
+        slope=rng.uniform(0.0, 40.0, (n, n)), aspect=rng.uniform(0.0, 360.0, (n, n)),
+        fuel=rng.integers(0, 21, (n, n)), catalog=FuelCatalog({m.id: m for m in models}))
+
+
 def test_a_catalog_past_sixteen_fuels_gets_wide_keys():
     """Twenty burnable fuels make a (fuel, direction) table of 320 entries,
     too many for uint8 keys, so the keys are uint16. With and without a
@@ -405,15 +419,9 @@ def test_a_catalog_past_sixteen_fuels_gets_wide_keys():
     endpoint is its fuel's rank among the burnable fuels present times 16
     plus the direction, its half-cost half the edge length over base_ros
     times the slope factor."""
-    rng = np.random.default_rng(5)
-    models = [FuelModel(0, "rock", False, 0.0, 0.0, 0.0, 0.0)]
-    models += [FuelModel(f, f"fuel{f}", True, rng.uniform(0.5, 20.0), rng.uniform(0.05, 0.5),
-                         rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0)) for f in range(1, 21)]
-    n, cell = 40, 30.0
-    land = LandscapeRaster(
-        frame=RasterFrame(nrows=n, ncols=n, origin=ORIGIN, cell_size=cell),
-        slope=rng.uniform(0.0, 40.0, (n, n)), aspect=rng.uniform(0.0, 360.0, (n, n)),
-        fuel=rng.integers(0, 21, (n, n)), catalog=FuelCatalog({m.id: m for m in models}))
+    land = twenty_fuel_land()
+    n, cell = land.nrows, land.cell_size
+    models = [land.catalog.lookup(f) for f in range(21)]
     burnable = land.fuel > 0
     fuel_rank = np.searchsorted(np.unique(land.fuel[burnable]), land.fuel).ravel()
     base = np.where(burnable, [[models[f].base_ros for f in row] for row in land.fuel], 0.0)
@@ -440,6 +448,19 @@ def test_a_catalog_past_sixteen_fuels_gets_wide_keys():
             want[want > length / min_ros] = np.inf
             assert 0 < np.isinf(want).sum() < want.size
         assert minutes.tobytes() == want.tobytes()
+
+
+def test_engine_holds_22_bytes_per_edge():
+    """On the 128x128 study landscape the engine's arrays hold at most 22 B
+    per edge (int32 end cell, two float64 half-costs and two uint8 keys)
+    plus 11 B per cell (indptr, the burnable mask, the uint16 direction
+    word and the int32 tail after the end cells) and 1 KiB for the tables
+    per direction and per (fuel, direction)."""
+    eng = SpreadEngine(study_landscape(seed=0))
+    held = sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
+    m, n = eng._indices.size, 128 * 128
+    assert m > 200_000
+    assert held <= 22 * m + 11 * n + 1024, held - 22 * m - 11 * n
 
 
 def test_engine_holds_26_bytes_per_edge():
@@ -482,22 +503,60 @@ def mixed_land(seed=2, n=24):
 
 
 def test_static_graph_is_symmetric():
-    """The reverse-edge table assumes every edge runs both ways."""
+    """The reverse positions assume every edge runs both ways."""
     params = SpreadParams()
     eng = SpreadEngine(mixed_land(), params)
     src, dst, _ = eng.edge_costs(WeatherSample(T0, 0.0, 0.0, 20.0, 30.0))
     assert src.size > 0
-    rev = eng._rev
+    rev = eng._reverse(np.arange(src.size), dst)
     assert np.array_equal(rev[rev], np.arange(src.size))
     assert np.array_equal(dst[rev], src)
     assert np.array_equal(src[rev], dst)
 
     # nothing burnable: no edges at all, and a fire lit there burns nothing
     bare = SpreadEngine(flat_land(n=9, fuel=0), params)
-    assert bare._rev.size == 0
+    assert bare._indices.size == 0
     b = bare.run(ignite(GridIndex(4, 4), 2.0), const_wx())
     assert b.burned_cell_count() == 0
     assert "non-burnable" in b.warning
+
+
+@pytest.mark.parametrize("land", [mixed_land, twenty_fuel_land])
+def test_reverse_positions_equal_a_search_of_the_end_cells_row(land):
+    """Each edge's reverse, as `_Fire.hand_over` finds it from the end
+    cell's direction word, is the one edge of the end cell's CSR row that
+    leads back to the source, found by looking through the row. The
+    twenty-fuel landscape has uint16 keys."""
+    eng = SpreadEngine(land())
+    indptr, indices = eng._indptr.tolist(), eng._indices.tolist()
+    src = np.repeat(np.arange(eng._n_cells), np.diff(eng._indptr)).tolist()
+    assert len(src) > 1000
+    want = [indptr[j] + indices[indptr[j]:indptr[j + 1]].index(i) for i, j in zip(src, indices)]
+    assert eng._reverse(np.arange(len(src)), eng._indices).tolist() == want
+
+
+def test_searches_read_the_engines_end_cells_in_place():
+    """No group copies the engine's end cells: every search of a group,
+    in the first epoch and later ones, gets a graph whose indices are a
+    view of them."""
+    land = mixed_land()
+    eng = SpreadEngine(land)
+    wx = WeatherSeries(tuple(WeatherSample(T0 + h * HOUR, 2.0 * h, 90.0 * h, 20.0, 30.0)
+                             for h in range(4)))
+    cells = np.argwhere(land.burnable_mask())[::40]
+    specs = [ignite(GridIndex(*map(int, rc)), 3.0, line_id=i + 1) for i, rc in enumerate(cells)]
+    searches, search = [], spread.dijkstra
+
+    def wrapped(csgraph, *args, indices, **kwargs):
+        searches.append((np.ndim(indices), np.shares_memory(csgraph.indices, eng._indices)))
+        return search(csgraph, *args, indices=indices, **kwargs)
+
+    with patch.object(spread, "dijkstra", wrapped):
+        got = dict(eng.run_group(specs, wx))
+    assert len(got) == len(specs) > 1
+    # one first-epoch block of all the fires, then one search per fire
+    assert searches[0] == (1, True) and len(searches) > 2
+    assert set(searches[1:]) == {(0, True)}
 
 
 def test_engine_construction_peak_is_near_what_it_holds():
@@ -816,16 +875,25 @@ def test_hours_with_equal_weather_are_one_epoch():
 
 def test_first_hour_block_with_more_fires_than_cells():
     """Every cell of a 3x3 grid lit at three durations makes 27 fires,
-    which hour 0 searches in one block, each from its own super-source:
-    more super-source edges than the grid has cells. Each fire burns as
-    it does alone."""
+    more than the grid has cells. FIRST_HOUR_BLOCK_BYTES would let hour 0
+    search them in one block, but the super-sources' end cells share the
+    engine's n-slot tail, so a block holds at most 9 fires. Each fire
+    burns as it does alone."""
     land = flat_land(n=3)
     eng = SpreadEngine(land)
     wx = const_wx(hours=3, ws=3.0, wdir=45.0)
     specs = [ignite(GridIndex(r, c), hours, line_id=r * 3 + c + 1)
              for hours in (0.02, 0.05, 2.0) for r in range(3) for c in range(3)]
     assert spread.FIRST_HOUR_BLOCK_BYTES // (8 * 9) > len(specs)
-    got = dict(eng.run_group(specs, wx))
+    blocks, search = [], spread.dijkstra
+
+    def counted(csgraph, *args, indices, **kwargs):
+        blocks.append(np.size(indices))
+        return search(csgraph, *args, indices=indices, **kwargs)
+
+    with patch.object(spread, "dijkstra", counted):
+        got = dict(eng.run_group(specs, wx))
+    assert blocks == [9, 9, 9]
     assert sorted(got) == list(range(len(specs)))
     for i, ig in enumerate(specs):
         np.testing.assert_array_equal(got[i].arrival, eng.run(ig, wx).arrival)
