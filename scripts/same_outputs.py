@@ -11,8 +11,11 @@ and `report` run in subprocesses with only that tree's `src` on PYTHONPATH:
 - `simulate`, `assess` and `report` on every perfbench workload (its size
   and `--set` values, read from perfbench/run.py's WORKLOADS) at
   `--seed 7`, on the study128 workload again with 3-cell corridor buffers
-  (`--set study.buffer_cells=3`), and on the full 408-scenario 128x128
-  study at `--workers 1` and `--workers 2`;
+  (`--set study.buffer_cells=3`), on the full 408-scenario 128x128
+  study at `--workers 1` and `--workers 2`, and on that study at
+  `--seed 7` on a copy of its inputs (`sparse128`) whose fuel.asc has
+  fuel 0 on every body row but each 8th, where the engine has fewer edges
+  than cells;
 - `assess --from-tables` and `report` on the reference tables that
   `synth` writes.
 
@@ -106,17 +109,36 @@ def perfbench():
     return module
 
 
-def runs(bench) -> list[tuple[str, int, list[str], int]]:
-    """(name, synth size, simulate and assess arguments, workers) per run."""
+def sizes(bench) -> list[int]:
+    """The synth sizes the runs read, smallest first."""
+    return sorted({w.size for w in bench.WORKLOADS.values()} | {128})
+
+
+def runs(bench) -> list[tuple[str, str, list[str], int]]:
+    """(name, inputs folder, simulate and assess arguments, workers) per run."""
     out = []
     for name, w in bench.WORKLOADS.items():
         sets = [a for s in w.sets for a in ("--set", s)]
-        out.append((name, w.size, ["--seed", str(SEED), *sets], 1))
+        out.append((name, f"inputs{w.size}", ["--seed", str(SEED), *sets], 1))
         if name == "study128":
-            out.append(("study128-buffer3", w.size,
+            out.append(("study128-buffer3", f"inputs{w.size}",
                         ["--seed", str(SEED), *sets, "--set", "study.buffer_cells=3"], 1))
-    out += [(f"study408-workers{k}", 128, [], k) for k in (1, 2)]
+    out += [(f"study408-workers{k}", "inputs128", [], k) for k in (1, 2)]
+    out.append(("study408-sparse-fuel", "sparse128", ["--seed", str(SEED)], 1))
     return out
+
+
+def write_sparse_fuel(source: Path, out: Path) -> None:
+    """Copy the inputs folder `source` to `out` and set every body row of
+    the copy's fuel.asc but each 8th to fuel 0."""
+    shutil.copytree(source, out)
+    path = out / "landscape" / "fuel.asc"
+    lines = path.read_text().splitlines()
+    body = next(i for i, line in enumerate(lines) if not line[:1].isalpha())
+    for i in range(body, len(lines)):
+        if (i - body) % 8:
+            lines[i] = " ".join("0" for _ in lines[i].split())
+    path.write_text("\n".join(lines) + "\n")
 
 
 def run(tree: Path, *args: str) -> tuple[subprocess.CompletedProcess, float]:
@@ -282,13 +304,13 @@ def report(tree: Path, out: Path) -> None:
 def run_tree(tree: Path, work: Path, bench) -> dict[str, float]:
     """Write the tree's outputs under `work`; return the peak RSS in MB of
     each run's `simulate`, by run name."""
-    sizes = sorted({size for _, size, _, _ in runs(bench)})
-    for size in sizes:
+    for size in sizes(bench):
         gridfire(tree, "synth", "--out", str(work / f"inputs{size}"),
                  "--seed", str(bench.STUDY_INPUT_SEED), "--size", str(size))
+    write_sparse_fuel(work / "inputs128", work / "sparse128")
     peaks = {}
-    for name, size, args, workers in runs(bench):
-        ini, out = str(work / f"inputs{size}" / "study.ini"), work / name
+    for name, inputs, args, workers in runs(bench):
+        ini, out = str(work / inputs / "study.ini"), work / name
         _, peaks[name] = python(tree, "-m", "gridfire.cli", "simulate", "--config", ini,
                                 "--out", str(out / "run"), "--workers", str(workers), *args)
         python(tree, str(Path(__file__).resolve()), "--arrivals", ini,
@@ -296,7 +318,7 @@ def run_tree(tree: Path, work: Path, bench) -> dict[str, float]:
         gridfire(tree, "assess", "--config", ini, "--results", str(out / "run" / "results.csv"),
                  "--out", str(out / "report"), *args)
         report(tree, out)
-    study, out = work / f"inputs{sizes[0]}", work / "from-tables"
+    study, out = work / f"inputs{sizes(bench)[0]}", work / "from-tables"
     gridfire(tree, "assess", "--from-tables", str(study / "table1.csv"),
              str(study / "table2.csv"), "--out", str(out / "report"))
     report(tree, out)
@@ -336,7 +358,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         peaks = {label: run_tree(tree, work / label, bench) for label, tree in trees}
-        inputs = work / "parent" / f"inputs{min(size for _, size, _, _ in runs(bench))}"
+        inputs = work / "parent" / f"inputs{sizes(bench)[0]}"
         block, _ = python(ROOT, "-c", "from gridfire.weather import _BLOCK_ROWS as b; print(b)")
         block = int(block)
         files = write_bad_weather(inputs / "weather.csv", work / "bad-weather", block)

@@ -127,7 +127,8 @@ class Corridors:
     """Every line's corridor on one raster, built once per study: the flat
     indices (row * ncols + col) of the cells within `buffer_cells`
     (Chebyshev) of its `line_cells`, clipped to the grid, concatenated in
-    `cells`, with `owner` giving each cell's line as a position in `ids`."""
+    `cells` (int32), the i-th line's (of `ids`) from `starts[i]` on. Every
+    corridor holds at least one cell, the line's own."""
 
     def __init__(self, lines: Sequence[Branch], frame: RasterFrame, buffer_cells: int = 0) -> None:
         if buffer_cells < 0:
@@ -146,14 +147,19 @@ class Corridors:
                             min(cols.max() + buf + 1, frame.ncols) - c0), dtype=bool)
             box[rows - r0, cols - c0] = True
             r, c = np.nonzero(_dilate(_dilate(box, buf).T, buf).T)
-            parts.append((r + r0) * frame.ncols + (c + c0))
-        self.cells = np.concatenate(parts or [np.empty(0, np.int64)])
-        self.owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
+            parts.append(((r + r0) * frame.ncols + (c + c0)).astype(np.int32))
+        self.cells = np.concatenate(parts or [np.empty(0, np.int32)])
+        self.starts = np.cumsum([0] + [p.size for p in parts], dtype=np.intp)[:-1]
+
+    @property
+    def owner(self) -> np.ndarray:
+        """Each corridor cell's line, as a position in `ids`."""
+        return np.repeat(np.arange(self.ids.size), np.diff(self.starts, append=self.cells.size))
 
     def affected(self, burned: np.ndarray) -> tuple[frozenset[int], float]:
         """Ids of the lines whose corridor holds a burned cell of the
         boolean raster `burned`, and the sum of their lengths in miles."""
-        hit = np.bincount(self.owner[burned.ravel()[self.cells]], minlength=len(self.ids)) > 0
+        hit = np.logical_or.reduceat(burned.ravel()[self.cells], self.starts)
         ids = frozenset(self.ids[hit].tolist())
         return ids, sum(self.miles[j] for j in ids)
 

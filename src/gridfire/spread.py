@@ -23,18 +23,19 @@ already crossed is kept and the rest is crossed at the next epoch's speed
 later never arrives earlier (the FIFO property), so epoch-by-epoch label
 setting gives the exact earliest arrival (Orda & Rom 1990), the
 minimum-travel-time reading of fire growth (Finney 2002), and constant
-weather is one static search. Each epoch runs one search per fire from a
-super-source whose out-edges reach the cells across the fire's open edges
-(those leading out of its burned set) at the minute it leaves them; a
-fresh fire's one seed is its ignition. The search never re-enters the
-burned set, and the labels it freezes are never revised, so output is
-deterministic, burn sets grow monotonically with duration, and weather
-after minute 60 * k cannot change an arrival at or before it. Scenarios
-that share a start time run in epoch lockstep on one re-cost per epoch;
-in the first epoch, with no burned set to block, a block of fires shares
-one search. A fire stops when its duration is over or no edge leads out
-of its burned set. Scenarios with the same ignition cell and duration are
-simulated once.
+weather is one static search. A fire's first epoch is a search of the
+cell graph from its ignition at minute 0. Each later epoch runs one
+search per fire from a super-source whose out-edges reach the cells
+across the fire's open edges (those leading out of its burned set) at the
+minute it leaves them. The search never re-enters the burned set, and the
+labels it freezes are never revised, so output is deterministic, burn
+sets grow monotonically with duration, and weather after minute 60 * k
+cannot change an arrival at or before it. Scenarios that share a start
+time run in epoch lockstep on one re-cost per epoch; in the first epoch,
+with no burned set to block, a block of fires shares one search from
+their ignitions. A fire stops when its duration is over or no edge leads
+out of its burned set. Scenarios with the same ignition cell and duration
+are simulated once.
 """
 
 from __future__ import annotations
@@ -245,9 +246,10 @@ class SpreadEngine:
     slot of the tail that follows the end cells (int32). The min_ros floor
     is a limit per direction, not per edge. One engine serves any number
     of ignitions and holds no per-scenario state. Only the tail changes
-    after construction: `_search` writes its super-sources' end cells
-    there and reads them back within the one call, so an engine serves one
-    thread at a time (a batch runs its workers as processes).
+    after construction: a burning fire's search (`_search`) writes its
+    super-source's end cells there and reads them back within the one
+    call, so an engine serves one thread at a time (a batch runs its
+    workers as processes).
     """
 
     def __init__(self, land: LandscapeRaster, params: SpreadParams | None = None):
@@ -452,8 +454,9 @@ class SpreadEngine:
         Each epoch (`_epochs`) is re-costed once, and every fire still
         burning advances by one search over it (`_search`) and ends it in
         one step (`_step`). The first epoch searches the fires in blocks,
-        with FIRST_HOUR_BLOCK_BYTES bounding a block's distance rows; later
-        epochs search one fire at a time. Specs with the same ignition cell
+        with FIRST_HOUR_BLOCK_BYTES bounding a block's distance rows, in one
+        search of the cell graph from their ignitions; later epochs search
+        one fire at a time. Specs with the same ignition cell
         and duration (twins) share one fire, whose raster is yielded at
         each of their positions.
 
@@ -495,26 +498,32 @@ class SpreadEngine:
                 fire = fires[idx, ig.duration_hours] = _Fire(ig, idx)
             fire.pos.append(i)
 
-        # Each search runs on the cell graph plus one super-source per fire
-        # of its block. The group shares one buffer for that graph's costs:
-        # the epoch's edge costs first, then the super-sources' edges, one
-        # per fire in the first epoch and up to one per cell later. Their
-        # end cells go into the engine's tail (`_ends`), so a block holds at
-        # most n fires.
+        # The group shares one buffer for its graphs' costs: the epoch's edge
+        # costs first, then a later search's super-source edges, up to one
+        # per cell.
         n, m = self._n_cells, self._indices.size
-        rows = min(max(1, FIRST_HOUR_BLOCK_BYTES // (8 * n)), len(fires), n)
+        rows = min(max(1, FIRST_HOUR_BLOCK_BYTES // (8 * n)), len(fires))
         values = np.empty(m + n)
-        indptr = np.concatenate([self._indptr, np.full(rows, m, dtype=np.int32)])
+        indptr = np.append(self._indptr, np.int32(m))
         burning = list(fires.values())
         epochs = self._epochs(wx, start, max((fire.hours for fire in burning), default=0))
         while burning:
             e, e1, table = next(epochs)
             self._minutes(table, values[:m])
             waiting, burning = burning, []
+            if e == 0:
+                # Built after the re-cost: scipy copies a data or index view
+                # shorter than half its base, as when there are fewer edges
+                # than cells.
+                graph = csr_matrix((values[:m], self._indices, self._indptr), shape=(n, n))
             per_block = rows if e == 0 else 1
             for b in range(0, len(waiting), per_block):
                 block = waiting[b:b + per_block]
-                dist = self._search(block, e, e1, values, indptr)
+                if e == 0:
+                    dist = dijkstra(graph, directed=True, indices=[fire.ig_idx for fire in block],
+                                    limit=max(fire.t_hi(e1) for fire in block))
+                else:
+                    dist = [self._search(block[0], e, e1, values, indptr)]
                 for fire, row in zip(block, dist):
                     burn = self._step(fire, e, e1, row, values[:m])
                     if burn is None:
@@ -558,40 +567,27 @@ class SpreadEngine:
         return burn
 
     def _search(
-        self, block: Sequence[_Fire], e: int, e1: int, values: np.ndarray, indptr: np.ndarray,
+        self, fire: _Fire, e: int, e1: int, values: np.ndarray, indptr: np.ndarray,
     ) -> np.ndarray:
-        """The labels of the epoch of hours [e, e1) for each fire of
-        `block`, one row each: a search under the epoch's costs from node
-        n + i, whose out-edges, filled in here, reach the i-th fire's
-        seeds (`_Fire.seeds`) at their seed minutes. Their end cells go
-        into the engine's tail, after its own, which the search reads in
-        place. The edges back into the burned sets are blocked, so only
-        unburned cells are settled; only fresh fires, which have none,
-        share a block."""
+        """The labels of a burning fire's epoch of hours [e, e1): a search
+        under the epoch's costs from node n, whose out-edges, filled in
+        here, reach the fire's seeds (`_Fire.seeds`) at their seed minutes.
+        Their end cells go into the engine's tail, after its own, which the
+        search reads in place. The edges back into the burned set (the
+        reverses of the open edges) are blocked, so only unburned cells are
+        settled."""
         n, ends = self._n_cells, self._ends
-        size = m = ends.size - n
-        for i, fire in enumerate(block):
-            sources, times = fire.seeds(values[:m], ends, 60.0 * e, fire.t_hi(e1))
-            ends[size:size + sources.size] = sources
-            values[size:size + sources.size] = times
-            size += sources.size
-            indptr[n + 1 + i] = size
-
-        # The reverses of the open edges are the in-edges of the burned set
-        # from unburned cells.
-        into_burned = np.concatenate([fire.back for fire in block])
-        blocked = values[into_burned]
-        values[into_burned] = np.inf
-        k = len(block)
-        csr = csr_matrix((values[:size], ends[:size], indptr[:n + 1 + k]),
-                         shape=(n + k, n + k))
-        # A one-fire block passes its super-source as a scalar: the
-        # per-layer tracer (perfbench/tracing.py) counts a scalar start's
-        # out-edges as the cells the search restarts from.
-        dist = dijkstra(csr, directed=True, indices=n if k == 1 else np.arange(n, n + k),
-                        limit=max(fire.t_hi(e1) for fire in block))
-        values[into_burned] = blocked
-        return dist.reshape(k, -1)
+        m = ends.size - n
+        sources, times = fire.seeds(values[:m], ends, 60.0 * e, fire.t_hi(e1))
+        size = indptr[n + 1] = m + sources.size
+        ends[m:size] = sources
+        values[m:size] = times
+        blocked = values[fire.back]
+        values[fire.back] = np.inf
+        csr = csr_matrix((values[:size], ends[:size], indptr), shape=(n + 1, n + 1))
+        dist = dijkstra(csr, directed=True, indices=n, limit=fire.t_hi(e1))
+        values[fire.back] = blocked
+        return dist
 
     def _raster(self, arrival: np.ndarray, warning: Optional[str]) -> BurnRaster:
         arrival = arrival.reshape(self.land.nrows, self.land.ncols)
@@ -630,10 +626,7 @@ class _Fire:
         """The unburned cells that the fire on an open edge reaches by
         minute t_hi, under the costs `minutes` of the epoch starting at
         t_lo, each with the earliest such minute: the fire leaves an edge
-        of cost c at t_lo + left * c, +inf if it is impassable. A fresh
-        fire's one seed is its ignition at minute 0."""
-        if self.frozen is None:
-            return np.array([self.ig_idx]), np.zeros(1)
+        of cost c at t_lo + left * c, +inf if it is impassable."""
         with np.errstate(invalid="ignore"):  # left 0 (rounding) times inf
             leave = t_lo + self.left * minutes[self.edge]
         soon = np.flatnonzero(leave <= t_hi)

@@ -308,6 +308,18 @@ def test_corridors_equal_clipped_shifts():
                 table.owner, np.repeat(np.arange(len(want)), [w.size for w in want]))
 
 
+def test_corridors_hold_4_bytes_per_corridor_cell():
+    """The corridor table holds one int32 per corridor cell and one start
+    offset per line, whatever the buffer."""
+    net, frame = corridor_studies()[0]
+    lines = ignitable_lines(net)
+    for buffer in (0, 3, 40):
+        table = Corridors(lines, frame, buffer)
+        held = sum(a.nbytes for a in vars(table).values() if isinstance(a, np.ndarray))
+        assert table.cells.dtype == np.int32 and table.cells.size > len(lines)
+        assert held <= 4 * table.cells.size + 16 * len(lines), (buffer, held)
+
+
 def test_dilation_equals_scipy_maximum_filter():
     """`_dilate` is scipy.ndimage's maximum filter with mode "constant",
     bit for bit: along axis 0 alone and along both axes, on random masks

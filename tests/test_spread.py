@@ -559,6 +559,33 @@ def test_searches_read_the_engines_end_cells_in_place():
     assert set(searches[1:]) == {(0, True)}
 
 
+def test_first_searches_start_at_the_ignitions():
+    """A first-epoch search runs on the n x n cell graph from an array of
+    ignition cells; a later one runs on that graph plus one super-source,
+    node n, from the scalar n."""
+    land = mixed_land()
+    eng = SpreadEngine(land)
+    n = eng._n_cells
+    wx = WeatherSeries(tuple(WeatherSample(T0 + h * HOUR, 2.0 * h, 90.0 * h, 20.0, 30.0)
+                             for h in range(4)))
+    cells = np.argwhere(land.burnable_mask())[::40]
+    specs = [ignite(GridIndex(*map(int, rc)), 3.0, line_id=i + 1) for i, rc in enumerate(cells)]
+    searches, search = [], spread.dijkstra
+
+    def wrapped(csgraph, *args, indices, **kwargs):
+        searches.append((csgraph.shape, indices))
+        return search(csgraph, *args, indices=indices, **kwargs)
+
+    with patch.object(spread, "dijkstra", wrapped):
+        got = dict(eng.run_group(specs, wx))
+    assert len(got) == len(specs) > 1
+    (shape, first), later = searches[0], searches[1:]
+    assert shape == (n, n) and np.ndim(first) == 1
+    assert np.array_equal(first, [int(r) * land.ncols + int(c) for r, c in cells])
+    assert later and all(shape == (n + 1, n + 1) and np.ndim(start) == 0 and start == n
+                         for shape, start in later)
+
+
 def test_engine_construction_peak_is_near_what_it_holds():
     """Building the edge structure holds few temporaries at once: the
     constructor's traced peak is at most 1.5x what the engine keeps."""
@@ -795,6 +822,9 @@ def test_fire_stops_in_the_hour_it_burns_out():
     fuel[2, 2:18] = 3  # a strip of slow timber litter
     fuel[0, 0] = 1
     eng = SpreadEngine(custom_land(fuel))
+    # Fewer edges than cells: scipy's CSR constructor copies the views of
+    # the engine's edge arrays rather than read them in place.
+    assert eng._indices.size < eng._n_cells
     wx = WeatherSeries(tuple(
         WeatherSample(T0 + h * HOUR, 0.0, 0.0, 20.0, 30.0 + h % 2) for h in range(30)
     ))
@@ -875,25 +905,25 @@ def test_hours_with_equal_weather_are_one_epoch():
 
 def test_first_hour_block_with_more_fires_than_cells():
     """Every cell of a 3x3 grid lit at three durations makes 27 fires,
-    more than the grid has cells. FIRST_HOUR_BLOCK_BYTES would let hour 0
-    search them in one block, but the super-sources' end cells share the
-    engine's n-slot tail, so a block holds at most 9 fires. Each fire
-    burns as it does alone."""
+    more than the grid has cells. FIRST_HOUR_BLOCK_BYTES lets hour 0
+    search them in one block, and a first search starts from the
+    ignitions themselves, so one search serves all 27. Each fire burns as
+    it does alone."""
     land = flat_land(n=3)
     eng = SpreadEngine(land)
     wx = const_wx(hours=3, ws=3.0, wdir=45.0)
     specs = [ignite(GridIndex(r, c), hours, line_id=r * 3 + c + 1)
              for hours in (0.02, 0.05, 2.0) for r in range(3) for c in range(3)]
     assert spread.FIRST_HOUR_BLOCK_BYTES // (8 * 9) > len(specs)
-    blocks, search = [], spread.dijkstra
+    starts, search = [], spread.dijkstra
 
     def counted(csgraph, *args, indices, **kwargs):
-        blocks.append(np.size(indices))
+        starts.append(np.ravel(indices).tolist())
         return search(csgraph, *args, indices=indices, **kwargs)
 
     with patch.object(spread, "dijkstra", counted):
         got = dict(eng.run_group(specs, wx))
-    assert blocks == [9, 9, 9]
+    assert starts[0] == [ig.cell.row * 3 + ig.cell.col for ig in specs]
     assert sorted(got) == list(range(len(specs)))
     for i, ig in enumerate(specs):
         np.testing.assert_array_equal(got[i].arrival, eng.run(ig, wx).arrival)
