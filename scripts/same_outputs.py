@@ -38,10 +38,14 @@ copies of the five CSV files the program writes and reads back
 season table table1.csv, read by `assess --from-tables`; and the study128
 run's results.csv, risk.csv and table_acres.csv, read by `assess` and
 `report`. Each gets a wrong header name, a ragged row, an unparseable
-number, a nan, a repeated key and no rows (the header line only). Both
-trees read the same copies, at the same path, so each run's exit code and stderr,
-written to `bad-weather/<case>.txt`, `bad-landscape/<case>.txt` or
-`bad-tables/<case>.txt`, must match byte for byte.
+number, a nan, a repeated key and no rows (the header line only). And
+it runs `simulate` on broken copies of that study's network.json
+(`NETWORK_FAULTS`): invalid JSON, a fractional id, a missing bus, a
+repeated branch id, a one-point route and a route endpoint off its bus.
+Both trees read the same copies, at the same path, so each run's exit
+code and stderr, written to `bad-weather/<case>.txt`,
+`bad-landscape/<case>.txt`, `bad-tables/<case>.txt` or
+`bad-network/<case>.txt`, must match byte for byte.
 
 It compares every file these write, and each `report`'s stdout, byte for
 byte, prints one line per file, and exits 1 if any file differs or is
@@ -57,6 +61,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -97,6 +102,18 @@ TABLE_FAULTS = {
     "results.csv": ("assess --config {ini} --results {file} --out {out}", 4, FAULTS),
     "risk.csv": ("report {dir}", 1, FAULTS),
     "table_acres.csv": ("report {dir}", 1, FAULTS),
+}
+
+
+# case: how a broken copy of network.json differs from the synth one. All
+# but the first break branch 5, a line from bus 2 to bus 5.
+NETWORK_FAULTS = {
+    "invalid-json": "the file cut in half",
+    "fractional-id": "branch 5's id is 5.5",
+    "missing-bus": "branch 5 ends at bus 99, which is not in the file",
+    "repeated-branch-id": "branch 6 takes id 5",
+    "one-point-route": "line 5's route keeps only its first point",
+    "endpoint-off-bus": "line 5's route starts 0.01 degrees north of bus 2",
 }
 
 
@@ -246,6 +263,31 @@ def write_bad_landscapes(source: Path, out: Path) -> list[Path]:
     return dirs
 
 
+def write_bad_networks(source: Path, out: Path) -> list[Path]:
+    """Write the broken copies of the network file `source` into `out`,
+    one per NETWORK_FAULTS case."""
+    out.mkdir()
+    text = source.read_text()
+    files = []
+    for case in NETWORK_FAULTS:
+        doc = json.loads(text)
+        line = doc["branches"][4]
+        assert line["id"] == 5 and line["kind"] == "line", line
+        if case == "fractional-id":
+            line["id"] = 5.5
+        elif case == "missing-bus":
+            line["to"] = 99
+        elif case == "repeated-branch-id":
+            doc["branches"][5]["id"] = 5
+        elif case == "one-point-route":
+            del line["route"][1:]
+        elif case == "endpoint-off-bus":
+            line["route"][0][0] += 0.01
+        files.append(out / f"{case}.json")
+        files[-1].write_text(text[:len(text) // 2] if case == "invalid-json" else json.dumps(doc))
+    return files
+
+
 def corrupt_table(lines: list[str], fault: str, column: int) -> list[str]:
     """A CSV file's lines broken by one fault: in the header's `column`
     name, in its middle data row, a copy of its first data row at the end,
@@ -363,6 +405,7 @@ def main(argv=None) -> int:
         block = int(block)
         files = write_bad_weather(inputs / "weather.csv", work / "bad-weather", block)
         dirs = write_bad_landscapes(inputs / "landscape", work / "bad-landscape")
+        networks = write_bad_networks(inputs / "network.json", work / "bad-network")
         study = work / "parent" / "study128"
         bad = {
             "bad-weather": {
@@ -371,6 +414,9 @@ def main(argv=None) -> int:
             "bad-landscape": {
                 d.stem: ("simulate --config {ini} --out {out} --set paths.landscape_dir={file}", d)
                 for d in dirs},
+            "bad-network": {
+                f.stem: ("simulate --config {ini} --out {out} --set paths.network={file}", f)
+                for f in networks},
             "bad-tables": write_bad_tables({"fuel_catalog.csv": inputs / "fuel_catalog.csv",
                                             "table1.csv": inputs / "table1.csv",
                                             "results.csv": study / "run" / "results.csv",

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable
 
 from .csvfile import Column, read_records, read_table, write_table
-from .errors import GridFireError, InvalidInputError
+from .errors import GridFireError, InvalidInputError, OutOfBoundsError
 from .fixtures import (
     REFERENCE_BURNED_ACRES,
     REFERENCE_DAMAGED_MILES,
@@ -276,11 +276,18 @@ def cmd_simulate(args):
 
     land = load_landscape(paths["landscape_dir"], catalog=load_catalog(paths["fuel_catalog"]))
     net = load_network(paths["network"])
+    if not ignitable_lines(net):
+        raise InvalidInputError(f"{paths['network']}: no branch is a line, so no fire can start")
     wx = load_weather(paths["weather"])
 
-    specs = build_matrix(net, cfg, land.frame)
-    t0 = time.perf_counter()
-    results = run_batch(specs, land, wx, net, cfg, workers=args.workers)
+    # A route off the raster fails here, in the placement of its ignitions
+    # or in its corridor.
+    try:
+        specs = build_matrix(net, cfg, land.frame)
+        t0 = time.perf_counter()
+        results = run_batch(specs, land, wx, net, cfg, workers=args.workers)
+    except OutOfBoundsError as exc:
+        raise OutOfBoundsError(f"{paths['network']}: {exc}") from None
     elapsed = time.perf_counter() - t0
 
     out = Path(args.out)

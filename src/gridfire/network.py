@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GeometryError, InvalidInputError, TopologyError
+from .errors import GeometryError, InvalidInputError, OutOfBoundsError, TopologyError
 from .geo import GeoPoint, GridIndex, RasterFrame, polyline_length_miles, traverse_cells
 
 ROUTE_ENDPOINT_TOL_DEG = 1e-6
@@ -99,13 +99,19 @@ def ignitable_lines(n: GridNetwork) -> list[Branch]:
 
 
 def line_cells(b: Branch, frame: RasterFrame) -> list[GridIndex]:
-    """Raster cells crossed by a line's route, deduplicated in route order."""
+    """Raster cells crossed by a line's route, deduplicated in route order.
+    A route point outside the raster raises OutOfBoundsError naming the
+    line."""
     if not b.is_line:
         raise InvalidInputError(f"branch {b.id} is a {b.kind}, not a line")
     planar = [frame.to_planar(p) for p in b.route]
     seen: dict[GridIndex, None] = {}
     for p, q in zip(planar, planar[1:]):
-        for cell in traverse_cells(p, q, frame):
+        try:
+            cells = traverse_cells(p, q, frame)
+        except OutOfBoundsError as exc:
+            raise OutOfBoundsError(f"line {b.id}: {exc}") from None
+        for cell in cells:
             seen.setdefault(cell, None)
     return list(seen)
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .csvfile import Column, read_table, write_table
-from .errors import CoverageError, InvalidInputError
+from .errors import CoverageError, InvalidInputError, OutOfBoundsError
 from .geo import GridIndex, PlanarPoint, RasterFrame
 from .landscape import LandscapeRaster, cell_acreage
 from .network import Branch, Corridors, GridNetwork, ignitable_lines
@@ -124,7 +124,8 @@ def place_ignitions(
     `even` picks arc-length fractions k/(count+1); `seeded-random` draws
     `count` uniform fractions from a PRNG keyed by (seed, line id), sorted.
     Points are snapped to their containing cell; duplicate cells are kept,
-    since each ignition index is its own scenario.
+    since each ignition index is its own scenario. A point outside the
+    raster raises OutOfBoundsError naming the line.
     """
     if count < 1:
         raise InvalidInputError(f"ignition count must be >= 1, got {count}")
@@ -155,7 +156,10 @@ def place_ignitions(
         t = (target - cum[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
         p, q = pts[i], pts[i + 1]
         point = PlanarPoint(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
-        cells.append(frame.cell_of(point))
+        try:
+            cells.append(frame.cell_of(point))
+        except OutOfBoundsError as exc:
+            raise OutOfBoundsError(f"line {b.id}: {exc}") from None
     return cells
 
 

@@ -23,19 +23,19 @@ already crossed is kept and the rest is crossed at the next epoch's speed
 later never arrives earlier (the FIFO property), so epoch-by-epoch label
 setting gives the exact earliest arrival (Orda & Rom 1990), the
 minimum-travel-time reading of fire growth (Finney 2002), and constant
-weather is one static search. A fire's first epoch is a search of the
-cell graph from its ignition at minute 0. Each later epoch runs one
-search per fire from a super-source whose out-edges reach the cells
+weather is one static search. Scenarios that share a start time run in
+epoch lockstep on one graph: the cell graph, re-costed in place once per
+epoch, plus one super-source node. A fire's first epoch is a search of it
+from its ignition at minute 0; with no burned set to block, a block of
+fires shares one search from their ignitions. Each later epoch runs one
+search per fire from the super-source, whose out-edges reach the cells
 across the fire's open edges (those leading out of its burned set) at the
 minute it leaves them. The search never re-enters the burned set, and the
 labels it freezes are never revised, so output is deterministic, burn
 sets grow monotonically with duration, and weather after minute 60 * k
-cannot change an arrival at or before it. Scenarios that share a start
-time run in epoch lockstep on one re-cost per epoch; in the first epoch,
-with no burned set to block, a block of fires shares one search from
-their ignitions. A fire stops when its duration is over or no edge leads
-out of its burned set. Scenarios with the same ignition cell and duration
-are simulated once.
+cannot change an arrival at or before it. A fire stops when its duration
+is over or no edge leads out of its burned set. Scenarios with the same
+ignition cell and duration are simulated once.
 """
 
 from __future__ import annotations
@@ -246,10 +246,11 @@ class SpreadEngine:
     slot of the tail that follows the end cells (int32). The min_ros floor
     is a limit per direction, not per edge. One engine serves any number
     of ignitions and holds no per-scenario state. Only the tail changes
-    after construction: a burning fire's search (`_search`) writes its
-    super-source's end cells there and reads them back within the one
-    call, so an engine serves one thread at a time (a batch runs its
-    workers as processes).
+    after construction: a group's graph (`run_group`) reads `_ends` whole,
+    and a burning fire's search (`_search`) writes its super-source's end
+    cells into the tail and reads them back within the one call, so an
+    engine serves one thread at a time (a batch runs its workers as
+    processes).
     """
 
     def __init__(self, land: LandscapeRaster, params: SpreadParams | None = None):
@@ -451,14 +452,17 @@ class SpreadEngine:
     ) -> Iterator[tuple[int, BurnRaster]]:
         """Simulate ignitions that share one start time, in epoch lockstep.
 
-        Each epoch (`_epochs`) is re-costed once, and every fire still
-        burning advances by one search over it (`_search`) and ends it in
-        one step (`_step`). The first epoch searches the fires in blocks,
-        with FIRST_HOUR_BLOCK_BYTES bounding a block's distance rows, in one
-        search of the cell graph from their ignitions; later epochs search
-        one fire at a time. Specs with the same ignition cell
-        and duration (twins) share one fire, whose raster is yielded at
-        each of their positions.
+        The group builds one graph, which every search reads: the cell
+        graph plus a super-source, node n. Each epoch (`_epochs`) re-costs
+        its edges once, in place, and every fire still burning advances by
+        one search over it and ends the epoch in one step (`_step`). The
+        first epoch searches the fires in blocks, with
+        FIRST_HOUR_BLOCK_BYTES bounding a block's distance rows, in one
+        search from their ignitions, the super-source's row left empty;
+        later epochs search one fire at a time from the super-source
+        (`_search`). Specs with the same ignition cell and duration (twins)
+        share one fire, whose raster is yielded at each of their
+        positions.
 
         Yields (position in specs, outcome) as soon as a scenario
         finishes, even between the first epoch's blocks, so only burning
@@ -498,24 +502,24 @@ class SpreadEngine:
                 fire = fires[idx, ig.duration_hours] = _Fire(ig, idx)
             fire.pos.append(i)
 
-        # The group shares one buffer for its graphs' costs: the epoch's edge
-        # costs first, then a later search's super-source edges, up to one
-        # per cell.
+        # One graph serves every search of the group: the cell graph, whose
+        # costs each epoch re-costs in place, and node n, the super-source,
+        # whose row `_search` fills (empty in the first epoch). It spans the
+        # whole cost buffer and the engine's whole `_ends`, since scipy's
+        # CSR constructor copies a view shorter than half its base. The
+        # buffer is zeroed because `dijkstra` checks the whole data array,
+        # past the last row end too, for negative weights.
         n, m = self._n_cells, self._indices.size
         rows = min(max(1, FIRST_HOUR_BLOCK_BYTES // (8 * n)), len(fires))
-        values = np.empty(m + n)
-        indptr = np.append(self._indptr, np.int32(m))
+        graph = csr_matrix((np.zeros(m + n), self._ends, np.append(self._indptr, np.int32(m + n))),
+                           shape=(n + 1, n + 1))
+        graph.indptr[n + 1] = m
         burning = list(fires.values())
         epochs = self._epochs(wx, start, max((fire.hours for fire in burning), default=0))
         while burning:
             e, e1, table = next(epochs)
-            self._minutes(table, values[:m])
+            self._minutes(table, graph.data[:m])
             waiting, burning = burning, []
-            if e == 0:
-                # Built after the re-cost: scipy copies a data or index view
-                # shorter than half its base, as when there are fewer edges
-                # than cells.
-                graph = csr_matrix((values[:m], self._indices, self._indptr), shape=(n, n))
             per_block = rows if e == 0 else 1
             for b in range(0, len(waiting), per_block):
                 block = waiting[b:b + per_block]
@@ -523,9 +527,9 @@ class SpreadEngine:
                     dist = dijkstra(graph, directed=True, indices=[fire.ig_idx for fire in block],
                                     limit=max(fire.t_hi(e1) for fire in block))
                 else:
-                    dist = [self._search(block[0], e, e1, values, indptr)]
+                    dist = [self._search(block[0], e, e1, graph)]
                 for fire, row in zip(block, dist):
-                    burn = self._step(fire, e, e1, row, values[:m])
+                    burn = self._step(fire, e, e1, row, graph)
                     if burn is None:
                         burning.append(fire)
                     else:
@@ -546,47 +550,45 @@ class SpreadEngine:
         yield e, hours, table
 
     def _step(
-        self, fire: _Fire, e: int, e1: int, dist: np.ndarray, minutes: np.ndarray
+        self, fire: _Fire, e: int, e1: int, dist: np.ndarray, graph: csr_matrix
     ) -> Optional[BurnRaster]:
         """End a fire's epoch of hours [e, e1), given its search labels
-        `dist` and the epoch's edge costs `minutes`: freeze the labels
-        inside the epoch, each a new cell, and unless the duration is over
-        hand its open edges over. Returns None while it burns on, else its
-        raster, once it has dropped its arrays."""
+        `dist` on the group's graph: freeze the labels inside the epoch,
+        each a new cell, and unless the duration is over hand its open
+        edges over. Returns None while it burns on, else its raster, once
+        it has dropped its arrays."""
         n = self._n_cells
         newly = np.flatnonzero(dist[:n] <= fire.t_hi(e1))
         if fire.frozen is None:
             fire.frozen = np.full(n, np.inf)
         fire.frozen[newly] = dist[newly]
         if e1 < fire.hours:
-            fire.hand_over(newly, 60.0 * e, 60.0 * e1, minutes, self)
+            fire.hand_over(newly, 60.0 * e, 60.0 * e1, graph)
             if fire.edge.size:
                 return None
         burn = self._raster(fire.frozen, None)
-        fire.frozen = fire.edge = fire.left = fire.back = None
+        fire.frozen = fire.edge = fire.left = None
         return burn
 
-    def _search(
-        self, fire: _Fire, e: int, e1: int, values: np.ndarray, indptr: np.ndarray,
-    ) -> np.ndarray:
+    def _search(self, fire: _Fire, e: int, e1: int, graph: csr_matrix) -> np.ndarray:
         """The labels of a burning fire's epoch of hours [e, e1): a search
-        under the epoch's costs from node n, whose out-edges, filled in
-        here, reach the fire's seeds (`_Fire.seeds`) at their seed minutes.
-        Their end cells go into the engine's tail, after its own, which the
-        search reads in place. The edges back into the burned set (the
-        reverses of the open edges) are blocked, so only unburned cells are
-        settled."""
-        n, ends = self._n_cells, self._ends
+        of the group's graph from node n, whose row, filled in here, reaches
+        the fire's seeds (`_Fire.seeds`) at their seed minutes. Their end
+        cells go into the engine's tail, after its own, which the search
+        reads in place. The edges back into the burned set (the reverses of
+        the open edges, `_reverse`) are blocked while it runs, so only
+        unburned cells are settled."""
+        n, values, ends, indptr = self._n_cells, graph.data, graph.indices, graph.indptr
         m = ends.size - n
-        sources, times = fire.seeds(values[:m], ends, 60.0 * e, fire.t_hi(e1))
+        sources, times = fire.seeds(graph, 60.0 * e, fire.t_hi(e1))
         size = indptr[n + 1] = m + sources.size
         ends[m:size] = sources
         values[m:size] = times
-        blocked = values[fire.back]
-        values[fire.back] = np.inf
-        csr = csr_matrix((values[:size], ends[:size], indptr), shape=(n + 1, n + 1))
-        dist = dijkstra(csr, directed=True, indices=n, limit=fire.t_hi(e1))
-        values[fire.back] = blocked
+        back = self._reverse(fire.edge, ends[fire.edge])
+        blocked = values[back]
+        values[back] = np.inf
+        dist = dijkstra(graph, directed=True, indices=n, limit=fire.t_hi(e1))
+        values[back] = blocked
         return dist
 
     def _raster(self, arrival: np.ndarray, warning: Optional[str]) -> BurnRaster:
@@ -602,9 +604,9 @@ class _Fire:
     burned (None before its first epoch), so its burned set is the finite
     labels. Its open edges are the CSR positions `edge` of the edges from
     a burned cell to an unburned one, each with the share `left` of it
-    still to cross when the next epoch starts and the position `back` of
-    its reverse, found once when the edge opens. A finished fire drops
-    all four arrays."""
+    still to cross when the next epoch starts. A finished fire drops all
+    three arrays. Its methods read costs, end cells and row starts from the
+    group's graph."""
 
     def __init__(self, ig: IgnitionSpec, ig_idx: int):
         self.pos: list[int] = []
@@ -614,52 +616,46 @@ class _Fire:
         self.frozen: Optional[np.ndarray] = None
         self.edge = np.empty(0, dtype=np.int64)
         self.left = np.empty(0)
-        self.back = np.empty(0, dtype=np.int32)
 
     def t_hi(self, e1: int) -> float:
         """The last minute the fire burns in an epoch that ends at hour e1."""
         return min(60.0 * e1, self.duration_min)
 
     def seeds(
-        self, minutes: np.ndarray, indices: np.ndarray, t_lo: float, t_hi: float
+        self, graph: csr_matrix, t_lo: float, t_hi: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """The unburned cells that the fire on an open edge reaches by
-        minute t_hi, under the costs `minutes` of the epoch starting at
+        minute t_hi, under the costs of `graph` in the epoch starting at
         t_lo, each with the earliest such minute: the fire leaves an edge
         of cost c at t_lo + left * c, +inf if it is impassable."""
         with np.errstate(invalid="ignore"):  # left 0 (rounding) times inf
-            leave = t_lo + self.left * minutes[self.edge]
+            leave = t_lo + self.left * graph.data[self.edge]
         soon = np.flatnonzero(leave <= t_hi)
-        cells = indices[self.edge[soon]]
+        cells = graph.indices[self.edge[soon]]
         order = np.argsort(cells)
         cells, leave = cells[order], leave[soon[order]]
         first = np.flatnonzero(np.diff(cells, prepend=-1))
         return cells[first], np.minimum.reduceat(leave, first)
 
-    def hand_over(
-        self, new: np.ndarray, t_lo: float, t_end: float, minutes: np.ndarray,
-        eng: SpreadEngine,
-    ) -> None:
+    def hand_over(self, new: np.ndarray, t_lo: float, t_end: float, graph: csr_matrix) -> None:
         """Carry the open edges over the epoch boundary at minute t_end,
         given the cells `new` that burned in the epoch from t_lo to t_end
-        and its costs `minutes` on the engine `eng`: close the edges into
-        those cells, take the epoch's progress off the others, and open
-        every edge from one of them to a cell that has not burned, less the
-        share crossed since the fire entered it."""
-        frozen, indptr, indices = self.frozen, eng._indptr, eng._indices
+        under the costs of `graph`: close the edges into those cells, take
+        the epoch's progress off the others, and open every edge from one
+        of them to a cell that has not burned, less the share crossed since
+        the fire entered it."""
+        frozen, minutes, indices, indptr = self.frozen, graph.data, graph.indices, graph.indptr
         first = indptr[new]
         deg = indptr[new + 1] - first
         edge = np.repeat(first - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
         # Positions, not boolean masks, pick the open edges: one index array
-        # then serves `edge`, `end` and `entered`.
-        end = indices[edge]
-        opened = np.flatnonzero(np.take(frozen, end, mode="clip") == np.inf)
-        edge, end, entered = edge[opened], end[opened], np.repeat(frozen[new], deg)[opened]
+        # then serves `edge` and `entered`.
+        opened = np.flatnonzero(np.take(frozen, indices[edge], mode="clip") == np.inf)
+        edge, entered = edge[opened], np.repeat(frozen[new], deg)[opened]
         still = np.flatnonzero(frozen[indices[self.edge]] == np.inf)
         old = self.edge[still]
         self.left = np.concatenate([self.left[still] - (t_end - t_lo) / minutes[old],
                                     1.0 - (t_end - entered) / minutes[edge]])
-        self.back = np.concatenate([self.back[still], eng._reverse(edge, end)])
         self.edge = np.concatenate([old, edge])
 
 

@@ -590,6 +590,57 @@ def test_extreme_spread_values_saturate(study_dir, tmp_path, extreme, same_as):
     assert results[0] == results[1]
 
 
+def network_copy(study_dir, tmp_path, edit):
+    """A copy of the synth network.json, changed in place by `edit`."""
+    doc = json.loads((study_dir / "network.json").read_text())
+    edit(doc)
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def move_line_5_west(doc):
+    assert doc["branches"][4]["id"] == 5
+    doc["branches"][4]["route"][1][1] -= 0.05
+
+
+@pytest.mark.parametrize("flags, named", [
+    pytest.param([], "line 5: point (-942.751, 3098.086) m outside raster extent 3840.0 x 3840.0 m",
+                 id="ignition"),
+    pytest.param(["--set", "study.line_ids=6"],
+                 "line 5: segment endpoint (-2770.686, 3022.200) m outside raster extent",
+                 id="corridor"),
+])
+def test_route_off_the_raster_names_its_line_and_the_network(study_dir, tmp_path, capsys, flags,
+                                                             named):
+    """A route that leaves the raster stops simulate with the line and the
+    network file named, whether it fails placing the line's ignitions or,
+    when only line 6 is ignited, building line 5's corridor."""
+    network = network_copy(study_dir, tmp_path, move_line_5_west)
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path / "run"),
+              "--set", f"paths.network={network}", *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {network}: {named}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_network_with_no_lines_is_exit_2(study_dir, tmp_path, capsys):
+    """A network whose branches are all links has no fire to start:
+    simulate names the file and writes nothing, rather than an empty
+    results.csv that assess then refuses."""
+    def links_only(doc):
+        for b in doc["branches"]:
+            b["kind"] = "link"
+            b.pop("route", None)
+
+    network = network_copy(study_dir, tmp_path, links_only)
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path / "run"),
+              "--set", f"paths.network={network}"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {network}: no branch is a line, so no fire can start\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_bad_seed_type_is_exit_2(tmp_path, capsys):
     ini = tmp_path / "study.ini"
     ini.write_text("[study]\nseed = banana\n")

@@ -523,9 +523,9 @@ def test_static_graph_is_symmetric():
 
 @pytest.mark.parametrize("land", [mixed_land, twenty_fuel_land])
 def test_reverse_positions_equal_a_search_of_the_end_cells_row(land):
-    """Each edge's reverse, as `_Fire.hand_over` finds it from the end
-    cell's direction word, is the one edge of the end cell's CSR row that
-    leads back to the source, found by looking through the row. The
+    """Each edge's reverse, as `SpreadEngine._search` finds it from the
+    end cell's direction word, is the one edge of the end cell's CSR row
+    that leads back to the source, found by looking through the row. The
     twenty-fuel landscape has uint16 keys."""
     eng = SpreadEngine(land())
     indptr, indices = eng._indptr.tolist(), eng._indices.tolist()
@@ -560,9 +560,9 @@ def test_searches_read_the_engines_end_cells_in_place():
 
 
 def test_first_searches_start_at_the_ignitions():
-    """A first-epoch search runs on the n x n cell graph from an array of
-    ignition cells; a later one runs on that graph plus one super-source,
-    node n, from the scalar n."""
+    """Every search of a group gets the same graph: the n x n cell graph
+    plus one super-source, node n. A first-epoch search starts from an
+    array of ignition cells, a later one from the scalar n."""
     land = mixed_land()
     eng = SpreadEngine(land)
     n = eng._n_cells
@@ -573,17 +573,20 @@ def test_first_searches_start_at_the_ignitions():
     searches, search = [], spread.dijkstra
 
     def wrapped(csgraph, *args, indices, **kwargs):
-        searches.append((csgraph.shape, indices))
+        searches.append((csgraph, indices))
         return search(csgraph, *args, indices=indices, **kwargs)
 
     with patch.object(spread, "dijkstra", wrapped):
         got = dict(eng.run_group(specs, wx))
     assert len(got) == len(specs) > 1
-    (shape, first), later = searches[0], searches[1:]
-    assert shape == (n, n) and np.ndim(first) == 1
-    assert np.array_equal(first, [int(r) * land.ncols + int(c) for r, c in cells])
-    assert later and all(shape == (n + 1, n + 1) and np.ndim(start) == 0 and start == n
-                         for shape, start in later)
+    graph = searches[0][0]
+    assert graph.shape == (n + 1, n + 1)
+    assert all(g is graph for g, _ in searches)
+    first = [start for _, start in searches if np.ndim(start) == 1]
+    later = [start for _, start in searches[len(first):]]
+    assert len(first) == 1 and np.all(np.asarray(first[0]) < n)
+    assert np.array_equal(first[0], [int(r) * land.ncols + int(c) for r, c in cells])
+    assert later and all(np.ndim(start) == 0 and start == n for start in later)
 
 
 def test_engine_construction_peak_is_near_what_it_holds():
@@ -822,8 +825,9 @@ def test_fire_stops_in_the_hour_it_burns_out():
     fuel[2, 2:18] = 3  # a strip of slow timber litter
     fuel[0, 0] = 1
     eng = SpreadEngine(custom_land(fuel))
-    # Fewer edges than cells: scipy's CSR constructor copies the views of
-    # the engine's edge arrays rather than read them in place.
+    # Fewer edges than cells: scipy's CSR constructor would copy a view of
+    # the engine's end cells this short, so the group's graph spans them all
+    # and every search reads them in place.
     assert eng._indices.size < eng._n_cells
     wx = WeatherSeries(tuple(
         WeatherSample(T0 + h * HOUR, 0.0, 0.0, 20.0, 30.0 + h % 2) for h in range(30)
@@ -836,8 +840,15 @@ def test_fire_stops_in_the_hour_it_burns_out():
         recosts.append(w)
         return minutes(self, w, out)
 
-    with patch.object(SpreadEngine, "_minutes", counted):
+    shared, search = [], spread.dijkstra
+
+    def wrapped(csgraph, *args, **kwargs):
+        shared.append(np.shares_memory(csgraph.indices, eng._ends))
+        return search(csgraph, *args, **kwargs)
+
+    with patch.object(SpreadEngine, "_minutes", counted), patch.object(spread, "dijkstra", wrapped):
         got = dict(eng.run_group(specs, wx))
+    assert shared and all(shared)
     want = hourly_reference(eng, wx, specs[0])
     np.testing.assert_array_equal(got[0].status, np.isfinite(want))
     np.testing.assert_allclose(got[0].arrival[got[0].status], want[np.isfinite(want)],
