@@ -41,7 +41,9 @@ run's results.csv, risk.csv and table_acres.csv, read by `assess` and
 number, a nan, a repeated key and no rows (the header line only). And
 it runs `simulate` on broken copies of that study's network.json
 (`NETWORK_FAULTS`): invalid JSON, a fractional id, a missing bus, a
-repeated branch id, a one-point route and a route endpoint off its bus.
+repeated branch id, a one-point route, a route endpoint off its bus, a bus
+at latitude 95, an unknown branch kind, a link with a route, a boolean id
+and a route waypoint too far from the raster to project.
 Both trees read the same copies, at the same path, so each run's exit
 code and stderr, written to `bad-weather/<case>.txt`,
 `bad-landscape/<case>.txt`, `bad-tables/<case>.txt` or
@@ -105,8 +107,8 @@ TABLE_FAULTS = {
 }
 
 
-# case: how a broken copy of network.json differs from the synth one. All
-# but the first break branch 5, a line from bus 2 to bus 5.
+# case: how a broken copy of network.json differs from the synth one.
+# Branch 5 is a line from bus 2 to bus 5, branch 12 a link.
 NETWORK_FAULTS = {
     "invalid-json": "the file cut in half",
     "fractional-id": "branch 5's id is 5.5",
@@ -114,6 +116,11 @@ NETWORK_FAULTS = {
     "repeated-branch-id": "branch 6 takes id 5",
     "one-point-route": "line 5's route keeps only its first point",
     "endpoint-off-bus": "line 5's route starts 0.01 degrees north of bus 2",
+    "latitude-95": "bus 1 is at latitude 95",
+    "unknown-kind": "branch 5's kind is 'cable'",
+    "link-with-route": "link 12 carries line 5's route",
+    "boolean-id": "bus 1's id is true",
+    "far-waypoint": "line 5's waypoint is 6 degrees further north",
 }
 
 
@@ -271,8 +278,9 @@ def write_bad_networks(source: Path, out: Path) -> list[Path]:
     files = []
     for case in NETWORK_FAULTS:
         doc = json.loads(text)
-        line = doc["branches"][4]
-        assert line["id"] == 5 and line["kind"] == "line", line
+        bus, line, link = doc["buses"][0], doc["branches"][4], doc["branches"][11]
+        assert bus["id"] == 1 and line["id"] == 5 and line["kind"] == "line", (bus, line)
+        assert link["id"] == 12 and link["kind"] == "link", link
         if case == "fractional-id":
             line["id"] = 5.5
         elif case == "missing-bus":
@@ -283,6 +291,16 @@ def write_bad_networks(source: Path, out: Path) -> list[Path]:
             del line["route"][1:]
         elif case == "endpoint-off-bus":
             line["route"][0][0] += 0.01
+        elif case == "latitude-95":
+            bus["lat"] = 95.0
+        elif case == "unknown-kind":
+            line["kind"] = "cable"
+        elif case == "link-with-route":
+            link["route"] = line["route"]
+        elif case == "boolean-id":
+            bus["id"] = True
+        elif case == "far-waypoint":
+            line["route"][1][0] += 6
         files.append(out / f"{case}.json")
         files[-1].write_text(text[:len(text) // 2] if case == "invalid-json" else json.dumps(doc))
     return files

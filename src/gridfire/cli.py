@@ -280,8 +280,8 @@ def cmd_simulate(args):
         raise InvalidInputError(f"{paths['network']}: no branch is a line, so no fire can start")
     wx = load_weather(paths["weather"])
 
-    # A route off the raster fails here, in the placement of its ignitions
-    # or in its corridor.
+    # A route off the raster, or too far from it to project, fails here, in
+    # the placement of its ignitions or in its corridor.
     try:
         specs = build_matrix(net, cfg, land.frame)
         t0 = time.perf_counter()
@@ -368,7 +368,7 @@ def _season_rows(header):
 def _read_table(path):
     """Read a line_id,<season...>,avg CSV into {line_id: [season values]};
     when the header ends in avg, each row's avg must be its seasons' mean."""
-    rows = read_records(path, InvalidInputError, _season_rows, line=itemgetter(0))
+    rows = read_records(path, _season_rows, line=itemgetter(0))
     return dict(row for _, row in rows)
 
 
@@ -410,8 +410,7 @@ def cmd_report(args):
             raise InvalidInputError(f"missing report file: {path}")
 
     # Each line and each rank names one row; the ranks must be 1..n.
-    ranked = read_table(risk_path, RISK_COLUMNS, InvalidInputError, _risk_row,
-                        line=itemgetter(0), rank=itemgetter(5))
+    ranked = read_table(risk_path, RISK_COLUMNS, _risk_row, line=itemgetter(0), rank=itemgetter(5))
     for line, row in ranked:
         if not 1 <= row[5] <= len(ranked):
             raise InvalidInputError(f"{risk_path}: row {line}: rank {row[5]} is not in 1..{len(ranked)}")

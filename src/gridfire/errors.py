@@ -1,7 +1,12 @@
 """Exception hierarchy shared across the package.
 
 Every error raised on a bad input derives from GridFireError so the CLI can
-map "user problem" to one exit code and genuine bugs to another.
+map "user problem" to one exit code and genuine bugs to another. The CLI
+prints only the message, so a class exists only where some code catches
+it apart from the rest: OutOfBoundsError, which `place_ignitions`,
+`line_cells` and `cmd_simulate` re-raise naming the line or the file, and
+CoverageError, which `run_batch` re-raises naming the config key. Every
+other bad input raises InvalidInputError.
 """
 
 
@@ -10,44 +15,12 @@ class GridFireError(Exception):
 
 
 class InvalidInputError(GridFireError):
-    """An argument is outside its documented domain."""
+    """An input is outside its documented domain or breaks its format."""
 
 
 class OutOfBoundsError(GridFireError):
     """A point or segment falls outside the raster extent."""
 
 
-class MissingLayerError(GridFireError):
-    """A required landscape layer file is absent."""
-
-
-class InconsistentRasterError(GridFireError):
-    """Layer headers disagree on grid geometry."""
-
-
-class CatalogError(GridFireError):
-    """A fuel code has no entry in the fuel catalog."""
-
-
-class MalformedSeriesError(GridFireError):
-    """A weather series violates the hourly, strictly increasing layout."""
-
-
-class InvalidSampleError(GridFireError):
-    """A single weather record holds an out-of-range or unparseable value."""
-
-
 class CoverageError(GridFireError):
     """The weather series does not span a requested window."""
-
-
-class TopologyError(GridFireError):
-    """A network branch references a bus that does not exist."""
-
-
-class GeometryError(GridFireError):
-    """A branch route is degenerate or disagrees with its endpoints."""
-
-
-class DegenerateNormalizationError(GridFireError):
-    """Every line scored zero loss, so the risk metric is undefined."""

@@ -56,9 +56,9 @@ class PlanarPoint:
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class GridIndex:
-    """A raster cell address, row 0 at the south edge."""
+    """A raster cell address, row 0 at the south edge; ordered by (row, col)."""
 
     row: int
     col: int
@@ -138,7 +138,12 @@ class RasterFrame:
         return 0.0 <= p.x <= self.width_m and 0.0 <= p.y <= self.height_m
 
     def to_planar(self, g: GeoPoint) -> PlanarPoint:
-        return project(g, self.origin)
+        """`project` about the origin. A point too far from it to project
+        cannot be placed on the raster and raises OutOfBoundsError."""
+        try:
+            return project(g, self.origin)
+        except InvalidInputError as exc:
+            raise OutOfBoundsError(str(exc)) from None
 
     def cell_of(self, p: PlanarPoint) -> GridIndex:
         """Cell containing p. Points on the far north/east boundary are
@@ -163,17 +168,15 @@ def _snap(t: float) -> float:
 
 
 def traverse_cells(a: PlanarPoint, b: PlanarPoint, frame: RasterFrame) -> list[GridIndex]:
-    """All cells whose closed square the segment a-b intersects, in order.
+    """All cells whose closed square the segment a-b intersects, sorted by
+    (row, col).
 
     Walks the columns the segment overlaps and, inside each column slab,
     takes the closed row span of the segment's restriction to that slab.
     Because cells are closed squares this is a supercover: touching an edge
     or corner claims the cell, and a segment through an exact lattice corner
-    claims all four cells around it.
-
-    Cells are ordered by the projection of their centers onto the segment,
-    ties broken by (row, col), so the result reads along the travel
-    direction. Both endpoints must lie inside the raster extent.
+    claims all four cells around it. Both endpoints must lie inside the
+    raster extent.
     """
     for p in (a, b):
         if not frame.contains(p):
@@ -204,16 +207,4 @@ def traverse_cells(a: PlanarPoint, b: PlanarPoint, frame: RasterFrame) -> list[G
         r_hi = math.floor(max(va, vb))
         for r in range(max(r_lo, 0), min(r_hi, frame.nrows - 1) + 1):
             cells.add((r, c))
-
-    dx, dy = b.x - a.x, b.y - a.y
-    norm2 = dx * dx + dy * dy
-
-    def along(rc: tuple[int, int]) -> tuple[float, int, int]:
-        r, c = rc
-        if norm2 == 0.0:
-            return (0.0, r, c)
-        cx = (c + 0.5) * cs - a.x
-        cy = (r + 0.5) * cs - a.y
-        return ((cx * dx + cy * dy) / norm2, r, c)
-
-    return [GridIndex(r, c) for r, c in sorted(cells, key=along)]
+    return [GridIndex(r, c) for r, c in sorted(cells)]

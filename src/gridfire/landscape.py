@@ -19,13 +19,7 @@ import numpy as np
 
 from .asciigrid import NODATA, read_ascii_grid, write_ascii_grid
 from .csvfile import Column, read_table, write_table
-from .errors import (
-    CatalogError,
-    GridFireError,
-    InconsistentRasterError,
-    InvalidInputError,
-    MissingLayerError,
-)
+from .errors import GridFireError, InvalidInputError
 from .geo import GeoPoint, RasterFrame
 
 ACRES_PER_SQUARE_METER = 0.000247105381
@@ -80,15 +74,15 @@ class FuelCatalog:
         object.__setattr__(self, "models", MappingProxyType(dict(self.models)))
         nb = self.models.get(self.non_burnable_id)
         if nb is None:
-            raise CatalogError(f"non-burnable id {self.non_burnable_id} missing from catalog")
+            raise InvalidInputError(f"non-burnable id {self.non_burnable_id} missing from catalog")
         if nb.burnable:
-            raise CatalogError(f"designated non-burnable fuel {self.non_burnable_id} is burnable")
+            raise InvalidInputError(f"designated non-burnable fuel {self.non_burnable_id} is burnable")
 
     def lookup(self, fuel_id: int) -> FuelModel:
         try:
             return self.models[fuel_id]
         except KeyError:
-            raise CatalogError(f"fuel id {fuel_id} not in catalog") from None
+            raise InvalidInputError(f"fuel id {fuel_id} not in catalog") from None
 
     def __contains__(self, fuel_id: int) -> bool:
         return fuel_id in self.models
@@ -133,11 +127,11 @@ _catalog_row = attrgetter(*(f.name for f in fields(FuelModel)))
 
 def load_catalog(path: str | Path) -> FuelCatalog:
     """Read a fuel catalog CSV (id,name,burnable,base_ros_m_min,...)."""
-    models = {m.id: m for _, m in read_table(path, CATALOG_COLUMNS, CatalogError, FuelModel,
+    models = {m.id: m for _, m in read_table(path, CATALOG_COLUMNS, FuelModel,
                                              fuel=attrgetter("id"))}
     non_burnable = [m.id for m in models.values() if not m.burnable]
     if not non_burnable:
-        raise CatalogError(f"{path}: catalog has no non-burnable entry")
+        raise InvalidInputError(f"{path}: catalog has no non-burnable entry")
     return FuelCatalog(models=models, non_burnable_id=min(non_burnable))
 
 
@@ -165,7 +159,7 @@ class LandscapeRaster:
         for name in LAYER_FILES:
             arr = getattr(self, name)
             if arr.shape != shape:
-                raise InconsistentRasterError(
+                raise InvalidInputError(
                     f"layer {name} shape {arr.shape} does not match frame {shape}"
                 )
             frozen = np.ascontiguousarray(arr)
@@ -178,7 +172,7 @@ class LandscapeRaster:
         present = np.unique(self.fuel)
         for fid in present:
             if int(fid) not in self.catalog:
-                raise CatalogError(f"fuel id {int(fid)} not in catalog")
+                raise InvalidInputError(f"fuel id {int(fid)} not in catalog")
 
     @property
     def nrows(self) -> int:
@@ -221,13 +215,13 @@ def load_landscape(directory: str | Path, catalog: FuelCatalog | None = None) ->
     for layer, fname in LAYER_FILES.items():
         fpath = directory / fname
         if not fpath.exists():
-            raise MissingLayerError(f"missing landscape layer file {fpath}")
+            raise InvalidInputError(f"missing landscape layer file {fpath}")
         grids[layer] = read_ascii_grid(fpath)
 
     frame = grids["fuel"][0]
     for layer, (f, _, _) in grids.items():
         if f != frame:
-            raise InconsistentRasterError(
+            raise InvalidInputError(
                 f"{directory / LAYER_FILES[layer]}: {f} does not match "
                 f"{directory / LAYER_FILES['fuel']}: {frame}"
             )

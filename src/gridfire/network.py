@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GeometryError, InvalidInputError, OutOfBoundsError, TopologyError
+from .errors import GridFireError, InvalidInputError, OutOfBoundsError
 from .geo import GeoPoint, GridIndex, RasterFrame, polyline_length_miles, traverse_cells
 
 ROUTE_ENDPOINT_TOL_DEG = 1e-6
@@ -58,39 +58,39 @@ class GridNetwork:
     branches: tuple[Branch, ...]
 
     def __post_init__(self) -> None:
-        bus_ids = [b.id for b in self.buses]
-        if len(set(bus_ids)) != len(bus_ids):
-            raise TopologyError("duplicate bus ids")
-        branch_ids = [b.id for b in self.branches]
-        if len(set(branch_ids)) != len(branch_ids):
-            raise TopologyError("duplicate branch ids")
+        for kind, items in (("bus", self.buses), ("branch", self.branches)):
+            seen = set()
+            for item in items:
+                if item.id in seen:
+                    raise InvalidInputError(f"duplicate {kind} id {item.id}")
+                seen.add(item.id)
         by_id = {b.id: b for b in self.buses}
         for br in self.branches:
             for end in (br.from_bus, br.to_bus):
                 if end not in by_id:
-                    raise TopologyError(f"branch {br.id} references missing bus {end}")
+                    raise InvalidInputError(f"branch {br.id} references missing bus {end}")
             if br.is_line:
                 if len(br.route) < 2:
-                    raise GeometryError(f"line {br.id} has {len(br.route)} route points, needs 2+")
+                    raise InvalidInputError(f"line {br.id} has {len(br.route)} route points, needs 2+")
                 if br.length_miles <= 0.0:
-                    raise GeometryError(f"line {br.id} has non-positive length {br.length_miles}")
+                    raise InvalidInputError(f"line {br.id} has non-positive length {br.length_miles}")
                 for bus_id, pt in ((br.from_bus, br.route[0]), (br.to_bus, br.route[-1])):
                     loc = by_id[bus_id].location
                     if (abs(loc.lat - pt.lat) > ROUTE_ENDPOINT_TOL_DEG
                             or abs(loc.lon - pt.lon) > ROUTE_ENDPOINT_TOL_DEG):
-                        raise GeometryError(
+                        raise InvalidInputError(
                             f"line {br.id} route endpoint ({pt.lat}, {pt.lon}) does not "
                             f"coincide with bus {bus_id} at ({loc.lat}, {loc.lon})"
                         )
             else:
                 if br.route:
-                    raise GeometryError(f"link {br.id} must not carry a route")
+                    raise InvalidInputError(f"link {br.id} must not carry a route")
 
     def branch(self, branch_id: int) -> Branch:
         for b in self.branches:
             if b.id == branch_id:
                 return b
-        raise TopologyError(f"no branch {branch_id}")
+        raise InvalidInputError(f"no branch {branch_id}")
 
 
 def ignitable_lines(n: GridNetwork) -> list[Branch]:
@@ -99,21 +99,19 @@ def ignitable_lines(n: GridNetwork) -> list[Branch]:
 
 
 def line_cells(b: Branch, frame: RasterFrame) -> list[GridIndex]:
-    """Raster cells crossed by a line's route, deduplicated in route order.
-    A route point outside the raster raises OutOfBoundsError naming the
-    line."""
+    """Raster cells crossed by a line's route, each once, sorted by (row,
+    col). A route point outside the raster, or too far from its origin to
+    project, raises OutOfBoundsError naming the line."""
     if not b.is_line:
         raise InvalidInputError(f"branch {b.id} is a {b.kind}, not a line")
-    planar = [frame.to_planar(p) for p in b.route]
-    seen: dict[GridIndex, None] = {}
-    for p, q in zip(planar, planar[1:]):
-        try:
-            cells = traverse_cells(p, q, frame)
-        except OutOfBoundsError as exc:
-            raise OutOfBoundsError(f"line {b.id}: {exc}") from None
-        for cell in cells:
-            seen.setdefault(cell, None)
-    return list(seen)
+    cells: set[GridIndex] = set()
+    try:
+        planar = [frame.to_planar(p) for p in b.route]
+        for p, q in zip(planar, planar[1:]):
+            cells.update(traverse_cells(p, q, frame))
+    except OutOfBoundsError as exc:
+        raise OutOfBoundsError(f"line {b.id}: {exc}") from None
+    return sorted(cells)
 
 
 def _dilate(mask: np.ndarray, buf: int) -> np.ndarray:
@@ -157,11 +155,6 @@ class Corridors:
         self.cells = np.concatenate(parts or [np.empty(0, np.int32)])
         self.starts = np.cumsum([0] + [p.size for p in parts], dtype=np.intp)[:-1]
 
-    @property
-    def owner(self) -> np.ndarray:
-        """Each corridor cell's line, as a position in `ids`."""
-        return np.repeat(np.arange(self.ids.size), np.diff(self.starts, append=self.cells.size))
-
     def affected(self, burned: np.ndarray) -> tuple[frozenset[int], float]:
         """Ids of the lines whose corridor holds a burned cell of the
         boolean raster `burned`, and the sum of their lengths in miles."""
@@ -171,7 +164,8 @@ class Corridors:
 
 
 def load_network(path: str | Path) -> GridNetwork:
-    """Read the network JSON (buses, branches with routes) and validate it."""
+    """Read the network JSON (buses, branches with routes) and validate it.
+    Every error names the file."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -199,14 +193,17 @@ def load_network(path: str | Path) -> GridNetwork:
                     length_miles=polyline_length_miles(route) if route else 0.0,
                 )
             )
+        return GridNetwork(buses=buses, branches=tuple(branches))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed network record: {exc!r}") from exc
-    return GridNetwork(buses=buses, branches=tuple(branches))
+    except GridFireError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _whole(v) -> int:
-    """A JSON id: refuses a number that is not whole rather than truncate it."""
-    if isinstance(v, float) and not v.is_integer():
+    """A JSON id: refuses a boolean, and a number that is not whole rather
+    than truncate it."""
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
         raise ValueError(f"id {v!r} is not a whole number")
     return int(v)
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DegenerateNormalizationError, InvalidInputError
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,7 @@ def risk_metric(wfl_by_line: Mapping[int, float]) -> dict[int, float]:
             raise InvalidInputError(f"line {line} has negative loss {v}")
     top = max(wfl_by_line.values())
     if top <= 0:
-        raise DegenerateNormalizationError(
-            "every line has zero loss; the risk metric is undefined"
-        )
+        raise InvalidInputError("every line has zero loss; the risk metric is undefined")
     return {line: v / top for line, v in wfl_by_line.items()}
 
 

@@ -124,8 +124,9 @@ def place_ignitions(
     `even` picks arc-length fractions k/(count+1); `seeded-random` draws
     `count` uniform fractions from a PRNG keyed by (seed, line id), sorted.
     Points are snapped to their containing cell; duplicate cells are kept,
-    since each ignition index is its own scenario. A point outside the
-    raster raises OutOfBoundsError naming the line.
+    since each ignition index is its own scenario. A route point too far
+    from the raster's origin to project, or an ignition point outside the
+    raster, raises OutOfBoundsError naming the line.
     """
     if count < 1:
         raise InvalidInputError(f"ignition count must be >= 1, got {count}")
@@ -134,7 +135,10 @@ def place_ignitions(
     if not b.is_line:
         raise InvalidInputError(f"branch {b.id} is a {b.kind}, not a line")
 
-    pts = [frame.to_planar(p) for p in b.route]
+    try:
+        pts = [frame.to_planar(p) for p in b.route]
+    except OutOfBoundsError as exc:
+        raise OutOfBoundsError(f"line {b.id}: {exc}") from None
     seg_len = [math.hypot(q.x - p.x, q.y - p.y) for p, q in zip(pts, pts[1:])]
     cum = [0.0]
     for s in seg_len:
@@ -302,8 +306,7 @@ def write_results(results: Sequence[ScenarioResult], path: str | Path) -> None:
 def read_results(path: str | Path) -> list[ScenarioResult]:
     """The rows of a results.csv, each a scenario that no other row has."""
     key = attrgetter("line_id", "season_index", "ignition_index")
-    return [r for _, r in read_table(path, RESULT_COLUMNS, InvalidInputError, ScenarioResult,
-                                     scenario=key)]
+    return [r for _, r in read_table(path, RESULT_COLUMNS, ScenarioResult, scenario=key)]
 
 
 def season_tables(

@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .csvfile import read_csv
-from .errors import CoverageError, InvalidInputError, InvalidSampleError, MalformedSeriesError
+from .errors import CoverageError, InvalidInputError
 
 HOUR = timedelta(hours=1)
 WEATHER_HEADER = ["timestamp_utc", "wind_speed_ms", "wind_dir_from_deg", "temp_c", "rh_pct"]
@@ -58,21 +58,21 @@ class WeatherSample:
 
     def __post_init__(self) -> None:
         if self.timestamp.tzinfo is None:
-            raise InvalidSampleError(f"timestamp {self.timestamp} is naive, expected UTC")
+            raise InvalidInputError(f"timestamp {self.timestamp} is naive, expected UTC")
         for label, v in (("wind_speed", self.wind_speed),
                          ("wind_dir_from", self.wind_dir_from),
                          ("temperature", self.temperature),
                          ("rel_humidity", self.rel_humidity)):
             if not math.isfinite(v):
-                raise InvalidSampleError(f"non-finite {label} {v} at {self.timestamp}")
+                raise InvalidInputError(f"non-finite {label} {v} at {self.timestamp}")
         if self.wind_speed < 0:
-            raise InvalidSampleError(f"negative wind speed {self.wind_speed} at {self.timestamp}")
+            raise InvalidInputError(f"negative wind speed {self.wind_speed} at {self.timestamp}")
         if not 0.0 <= self.wind_dir_from < 360.0:
-            raise InvalidSampleError(
+            raise InvalidInputError(
                 f"wind direction {self.wind_dir_from} outside [0, 360) at {self.timestamp}"
             )
         if not 0.0 <= self.rel_humidity <= 100.0:
-            raise InvalidSampleError(
+            raise InvalidInputError(
                 f"relative humidity {self.rel_humidity} outside [0, 100] at {self.timestamp}"
             )
 
@@ -115,10 +115,10 @@ class WeatherSeries:
     def __init__(self, samples: Iterable[WeatherSample]) -> None:
         samples = tuple(samples)
         if not samples:
-            raise MalformedSeriesError("weather series is empty")
+            raise InvalidInputError("weather series is empty")
         for prev, cur in zip(samples, samples[1:]):
             if cur.timestamp - prev.timestamp != HOUR:
-                raise MalformedSeriesError(_step_fault(prev.timestamp, cur.timestamp))
+                raise InvalidInputError(_step_fault(prev.timestamp, cur.timestamp))
         values = np.array([[s.wind_speed for s in samples], [s.wind_dir_from for s in samples],
                            [s.temperature for s in samples], [s.rel_humidity for s in samples]],
                           dtype=np.float64)
@@ -128,11 +128,11 @@ class WeatherSeries:
     def from_columns(cls, start: datetime, wind_speed, wind_dir_from, temperature,
                      rel_humidity) -> "WeatherSeries":
         """Series of len(wind_speed) hours from `start`; raises
-        InvalidSampleError for the first hour a `WeatherSample` would reject."""
+        InvalidInputError for the first hour a `WeatherSample` would reject."""
         values = np.array([wind_speed, wind_dir_from, temperature, rel_humidity],
                           dtype=np.float64)
         if values.shape[1] == 0:
-            raise MalformedSeriesError("weather series is empty")
+            raise InvalidInputError("weather series is empty")
         series = cls.__new__(cls)
         series._set(start, values, None)
         bad = _first_invalid(values)
@@ -143,11 +143,11 @@ class WeatherSeries:
     def _set(self, start: datetime, values: np.ndarray,
              samples: tuple[WeatherSample, ...] | None) -> None:
         if start.tzinfo is None:
-            raise InvalidSampleError(f"timestamp {start} is naive, expected UTC")
+            raise InvalidInputError(f"timestamp {start} is naive, expected UTC")
         try:
             self.end = start + values.shape[1] * HOUR  # first instant after the last hour
         except OverflowError:
-            raise MalformedSeriesError(
+            raise InvalidInputError(
                 f"weather series from {start.isoformat()} ends after year 9999") from None
         values.setflags(write=False)
         self.start = start
@@ -230,13 +230,13 @@ def _walk(path: Path, block: list[tuple[int, list[str]]], prev: datetime | None)
         try:
             ts = parse_timestamp(fields[0].strip())
         except ValueError as exc:
-            raise InvalidSampleError(f"{path}: row {line}: bad timestamp: {exc}") from exc
+            raise InvalidInputError(f"{path}: row {line}: bad timestamp: {exc}") from exc
         if prev is not None and ts - prev != HOUR:
-            raise MalformedSeriesError(f"{path}: row {line}: {_step_fault(prev, ts)}")
+            raise InvalidInputError(f"{path}: row {line}: {_step_fault(prev, ts)}")
         try:
             s = WeatherSample(ts, *map(float, fields[1:]))
-        except (ValueError, InvalidSampleError) as exc:
-            raise InvalidSampleError(f"{path}: row {line}: {exc}") from exc
+        except (ValueError, InvalidInputError) as exc:
+            raise InvalidInputError(f"{path}: row {line}: {exc}") from exc
         values.append((s.wind_speed, s.wind_dir_from, s.temperature, s.rel_humidity))
         prev = ts
     return np.array(values, dtype=np.float64).reshape(-1, 4).T
@@ -273,9 +273,9 @@ def load_weather(path: str | Path) -> WeatherSeries:
     row. Every earlier block has passed, so that row is the file's first.
     """
     path = Path(path)
-    header, rows = read_csv(path, InvalidSampleError)
+    header, rows = read_csv(path)
     if header != WEATHER_HEADER:
-        raise InvalidSampleError(f"{path}: expected header {','.join(WEATHER_HEADER)}")
+        raise InvalidInputError(f"{path}: expected header {','.join(WEATHER_HEADER)}")
     start, parts, done = None, [], 0
     while True:
         prev = None if start is None else start + (done - 1) * HOUR
@@ -283,7 +283,7 @@ def load_weather(path: str | Path) -> WeatherSeries:
         try:
             for row in islice(rows, _BLOCK_ROWS):
                 block.append(row)
-        except InvalidSampleError:
+        except InvalidInputError:
             # read_csv refused a row (a ragged one): a bad row before it comes first.
             _walk(path, block, prev)
             raise
@@ -299,8 +299,8 @@ def load_weather(path: str | Path) -> WeatherSeries:
         done += len(block)
     try:
         return WeatherSeries.from_columns(start, *np.concatenate([np.empty((4, 0)), *parts], axis=1))
-    except MalformedSeriesError as exc:  # no rows, or an end past year 9999
-        raise MalformedSeriesError(f"{path}: {exc}") from None
+    except InvalidInputError as exc:  # no rows, or an end past year 9999
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def write_weather(s: WeatherSeries, path: str | Path) -> None:

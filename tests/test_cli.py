@@ -453,6 +453,20 @@ def test_from_tables_that_disagree_are_exit_2(tmp_path, capsys, miles, named):
     assert not (tmp_path / "rep").exists()
 
 
+def test_from_tables_with_zero_loss_names_both_files(tmp_path, capsys):
+    """Tables that give every line zero loss leave the risk metric
+    undefined: assess stops, naming both files."""
+    acres_path, miles_path = tmp_path / "acres.csv", tmp_path / "miles.csv"
+    for path in (acres_path, miles_path):
+        path.write_text("line_id,winter,spring,summer,fall,avg\n6,0,0,0,0,0\n7,0,0,0,0,0\n")
+    rc = run(["assess", "--from-tables", str(acres_path), str(miles_path),
+              "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {acres_path} and {miles_path}: every line has "
+                                       "zero loss; the risk metric is undefined\n")
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("row", ["1,grass,1,15.0,0.4,1.0", "1,grass,1,15.0,0.4,1.0,1.0,9"])
 def test_ragged_catalog_row_is_exit_2(study_dir, tmp_path, capsys, row):
     """A fuel catalog row with a field too few or too many stops simulate,
@@ -604,23 +618,69 @@ def move_line_5_west(doc):
     doc["branches"][4]["route"][1][1] -= 0.05
 
 
-@pytest.mark.parametrize("flags, named", [
-    pytest.param([], "line 5: point (-942.751, 3098.086) m outside raster extent 3840.0 x 3840.0 m",
+def move_line_5_far_north(doc):
+    """Line 5's waypoint 6 degrees north: too far from the raster's origin
+    to project, though each segment's own length still measures."""
+    assert doc["branches"][4]["id"] == 5
+    doc["branches"][4]["route"][1][0] += 6
+
+
+FAR = ("line 5: point (43.877179297574074, -120.08155617022582) too far from origin "
+       "(37.85, -120.1) for a local projection")
+
+
+@pytest.mark.parametrize("edit, flags, named", [
+    pytest.param(move_line_5_west, [],
+                 "line 5: point (-942.751, 3098.086) m outside raster extent 3840.0 x 3840.0 m",
                  id="ignition"),
-    pytest.param(["--set", "study.line_ids=6"],
+    pytest.param(move_line_5_west, ["--set", "study.line_ids=6"],
                  "line 5: segment endpoint (-2770.686, 3022.200) m outside raster extent",
                  id="corridor"),
+    pytest.param(move_line_5_far_north, ["--set", "study.line_ids=5"], FAR, id="far-ignition"),
+    pytest.param(move_line_5_far_north, ["--set", "study.line_ids=6"], FAR, id="far-corridor"),
 ])
-def test_route_off_the_raster_names_its_line_and_the_network(study_dir, tmp_path, capsys, flags,
-                                                             named):
-    """A route that leaves the raster stops simulate with the line and the
-    network file named, whether it fails placing the line's ignitions or,
-    when only line 6 is ignited, building line 5's corridor."""
-    network = network_copy(study_dir, tmp_path, move_line_5_west)
+def test_route_off_the_raster_names_its_line_and_the_network(study_dir, tmp_path, capsys, edit,
+                                                             flags, named):
+    """A route that leaves the raster, or has a point too far from it to
+    project, stops simulate with the line and the network file named,
+    whether it fails placing the line's ignitions or, when only line 6 is
+    ignited, building line 5's corridor."""
+    network = network_copy(study_dir, tmp_path, edit)
     rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path / "run"),
               "--set", f"paths.network={network}", *flags])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {network}: {named}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda d: d["buses"][0].update(lat=95.0), "latitude 95.0 outside [-90, 90]",
+                 id="latitude-95"),
+    pytest.param(lambda d: d["branches"][4].update(kind="cable"),
+                 "branch 5: unknown kind 'cable'", id="unknown-kind"),
+    pytest.param(lambda d: d["branches"][11].update(route=[[37.86, -120.09], [37.87, -120.08]]),
+                 "link 12 must not carry a route", id="link-with-route"),
+    pytest.param(lambda d: d["branches"][5].update(id=5), "duplicate branch id 5",
+                 id="repeated-branch-id"),
+    pytest.param(lambda d: d["branches"][4].update(to=99), "branch 5 references missing bus 99",
+                 id="missing-bus"),
+    pytest.param(lambda d: d["branches"][4].update(route=d["branches"][4]["route"][:1]),
+                 "line 5 has 1 route points, needs 2+", id="one-point-route"),
+    pytest.param(lambda d: d["branches"][4]["route"].insert(0, [37.9, -120.09]),
+                 "line 5 route endpoint (37.9, -120.09) does not coincide with bus 2 at",
+                 id="endpoint-off-bus"),
+    pytest.param(lambda d: d["buses"][0].update(id=True),
+                 "malformed network record: ValueError('id True is not a whole number')",
+                 id="boolean-id"),
+])
+def test_network_fault_names_the_file(study_dir, tmp_path, capsys, edit, named):
+    """Each fault found while building the network's buses, branches and
+    topology stops simulate with the network file named first."""
+    network = network_copy(study_dir, tmp_path, edit)
+    rc = run(["simulate", "--config", str(study_dir / "study.ini"), "--out", str(tmp_path / "run"),
+              "--set", f"paths.network={network}"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {network}: {named}")
     assert not (tmp_path / "run").exists()
 
 

@@ -202,14 +202,6 @@ def test_traverse_zero_length_on_corner():
     assert got == {(3, 3), (3, 4), (4, 3), (4, 4)}
 
 
-def test_traverse_order_follows_segment():
-    cells = _traverse_units(0.5, 0.5, 4.5, 1.2, _frame())
-    assert cells[0] == (0, 0)
-    assert cells[-1] == (1, 4)
-    cols = [c for _, c in cells]
-    assert cols == sorted(cols)
-
-
 def test_traverse_endpoint_outside_raises():
     f = _frame()
     with pytest.raises(OutOfBoundsError):
@@ -249,9 +241,7 @@ def test_traverse_matches_oracle_on_lattice(ax, ay, bx, by):
 @given(ax=coords, ay=coords, bx=coords, by=coords)
 def test_traverse_connected_under_queen_adjacency(ax, ay, bx, by):
     cells = _traverse_units(ax, ay, bx, by, _frame())
-    for (r0, c0), (r1, c1) in zip(cells, cells[1:]):
-        assert max(abs(r0 - r1), abs(c0 - c1)) <= 2  # ordered walk stays local
-    # and the set as a whole forms one queen-connected component
+    # the set forms one queen-connected component
     todo = {cells[0]}
     seen = set()
     rest = set(cells)

@@ -11,12 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridfire.asciigrid import read_ascii_grid, write_ascii_grid
-from gridfire.errors import (
-    CatalogError,
-    InconsistentRasterError,
-    InvalidInputError,
-    MissingLayerError,
-)
+from gridfire.errors import InvalidInputError
 from gridfire.geo import GeoPoint, RasterFrame
 from gridfire.landscape import (
     ACRES_PER_SQUARE_METER,
@@ -93,7 +88,7 @@ def test_default_catalog_shape():
 
 
 def test_catalog_lookup_unknown_id():
-    with pytest.raises(CatalogError, match="99"):
+    with pytest.raises(InvalidInputError, match="99"):
         default_catalog().lookup(99)
 
 
@@ -111,7 +106,7 @@ def test_catalog_round_trip(tmp_path):
 def test_catalog_rejects_bad_header(tmp_path):
     path = tmp_path / "fuels.csv"
     path.write_text("id,name,flammable\n0,rock,0\n")
-    with pytest.raises(CatalogError):
+    with pytest.raises(InvalidInputError):
         load_catalog(path)
 
 
@@ -122,7 +117,7 @@ def test_catalog_row_error_names_row(tmp_path):
         "0,rock,0,0,0,0,0\n"
         "1,grass,1,fast,0.4,1.0,1.0\n"
     )
-    with pytest.raises(CatalogError, match="row 3"):
+    with pytest.raises(InvalidInputError, match="row 3"):
         load_catalog(path)
 
 
@@ -135,7 +130,7 @@ def test_catalog_row_error_names_the_file_line(tmp_path):
         "\n"
         "1,grass,1,-15.0,0.4,1.0,1.0\n"
     )
-    with pytest.raises(CatalogError, match=r"fuels.csv: row 4: fuel 1: negative base_ros"):
+    with pytest.raises(InvalidInputError, match=r"fuels.csv: row 4: fuel 1: negative base_ros"):
         load_catalog(path)
 
 
@@ -152,7 +147,7 @@ def test_catalog_refuses_a_base_ros_that_is_not_finite(tmp_path, row, message):
         f"{row}\n"
         "2,shrub,1,8.0,0.3,1.0,1.2\n"
     )
-    with pytest.raises(CatalogError, match=re.escape(f"fuels.csv: row 2: {message}")):
+    with pytest.raises(InvalidInputError, match=re.escape(f"fuels.csv: row 2: {message}")):
         load_catalog(path)
 
 
@@ -160,7 +155,7 @@ def test_fuel_model_burnable_consistency():
     with pytest.raises(InvalidInputError):
         FuelModel(id=4, name="odd", burnable=True, base_ros=0.0,
                   wind_coeff=0.0, wind_exp=0.0, moisture_exp=0.0)
-    with pytest.raises(CatalogError):
+    with pytest.raises(InvalidInputError):
         FuelCatalog(models={1: FuelModel(1, "grass", True, 15.0, 0.4, 1.0, 1.0)},
                     non_burnable_id=0)
 
@@ -292,7 +287,7 @@ def test_load_missing_layer(tmp_path):
     d = tmp_path / "land"
     write_landscape(land, d)
     (d / "aspect.asc").unlink()
-    with pytest.raises(MissingLayerError, match="aspect.asc"):
+    with pytest.raises(InvalidInputError, match="aspect.asc"):
         load_landscape(d, catalog=land.catalog)
 
 
@@ -303,7 +298,7 @@ def test_load_inconsistent_geometry(tmp_path):
     frame, nodata, data = read_ascii_grid(d / "slope.asc")
     write_ascii_grid(d / "slope.asc", replace(frame, cell_size=frame.cell_size * 2.0),
                      nodata, data)
-    with pytest.raises(InconsistentRasterError, match="slope"):
+    with pytest.raises(InvalidInputError, match="slope"):
         load_landscape(d, catalog=land.catalog)
 
 
@@ -315,7 +310,7 @@ def test_load_unknown_fuel_id(tmp_path):
     data = data.copy()
     data[2, 2] = 99.0
     write_ascii_grid(d / "fuel.asc", frame, nodata, data)
-    with pytest.raises(CatalogError, match="99"):
+    with pytest.raises(InvalidInputError, match="99"):
         load_landscape(d, catalog=land.catalog)
 
 

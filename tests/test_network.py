@@ -4,7 +4,7 @@ corridor-hit test."""
 import numpy as np
 import pytest
 
-from gridfire.errors import GeometryError, InvalidInputError, OutOfBoundsError, TopologyError
+from gridfire.errors import InvalidInputError, OutOfBoundsError
 from gridfire.fixtures import IEEE30_TOTAL_LINE_MILES, STUDY_ORIGIN, ieee30_network
 from gridfire.geo import GeoPoint, PlanarPoint, RasterFrame, polyline_length_miles, unproject
 from gridfire.network import (
@@ -73,7 +73,7 @@ def test_links_have_no_geography():
 
 def test_dangling_bus_reference():
     a = Bus(1, GeoPoint(37.8, -120.0))
-    with pytest.raises(TopologyError) as err:
+    with pytest.raises(InvalidInputError) as err:
         GridNetwork(buses=(a,), branches=(
             Branch(id=7, kind="link", from_bus=1, to_bus=99),
         ))
@@ -84,18 +84,18 @@ def test_duplicate_branch_id():
     a = Bus(1, GeoPoint(37.8, -120.0))
     b = Bus(2, GeoPoint(37.81, -120.0))
     link = Branch(id=1, kind="link", from_bus=1, to_bus=2)
-    with pytest.raises(TopologyError):
+    with pytest.raises(InvalidInputError):
         GridNetwork(buses=(a, b), branches=(link, link))
 
 
 def test_line_needs_route():
     a = Bus(1, GeoPoint(37.80, -120.00))
     b = Bus(2, GeoPoint(37.81, -120.00))
-    with pytest.raises(GeometryError):
+    with pytest.raises(InvalidInputError):
         GridNetwork(buses=(a, b), branches=(
             Branch(id=1, kind="line", from_bus=1, to_bus=2, route=(), length_miles=1.0),
         ))
-    with pytest.raises(GeometryError):
+    with pytest.raises(InvalidInputError):
         GridNetwork(buses=(a, b), branches=(
             Branch(id=1, kind="link", from_bus=1, to_bus=2,
                    route=(a.location, b.location)),
@@ -109,7 +109,7 @@ def test_route_endpoints_must_touch_buses():
     route = (GeoPoint(37.8005, -120.00), b.location)  # starts 50-ish m off bus 1
     line = Branch(id=1, kind="line", from_bus=1, to_bus=2, route=route,
                   length_miles=polyline_length_miles(route))
-    with pytest.raises(GeometryError):
+    with pytest.raises(InvalidInputError):
         GridNetwork(buses=(a, b), branches=(line,))
 
 
@@ -132,7 +132,7 @@ def test_load_dangling_reference_from_file(tmp_path):
         '{"buses": [{"id": 1, "lat": 37.8, "lon": -120.0}],'
         ' "branches": [{"id": 3, "kind": "link", "from": 1, "to": 2}]}'
     )
-    with pytest.raises(TopologyError) as err:
+    with pytest.raises(InvalidInputError) as err:
         load_network(path)
     assert "3" in str(err.value) and "2" in str(err.value)
 
@@ -304,8 +304,7 @@ def test_corridors_equal_clipped_shifts():
             table = Corridors(lines, frame, buffer)
             want = [clipped_shift_corridor(b, frame, buffer) for b in lines]
             np.testing.assert_array_equal(table.cells, np.concatenate(want))
-            np.testing.assert_array_equal(
-                table.owner, np.repeat(np.arange(len(want)), [w.size for w in want]))
+            np.testing.assert_array_equal(table.starts, np.cumsum([0] + [w.size for w in want])[:-1])
 
 
 def test_corridors_hold_4_bytes_per_corridor_cell():
@@ -346,7 +345,7 @@ def test_corridor_buffer_wider_than_the_grid_is_the_grid():
     table = Corridors(lines, frame, 10**6)
     grid = np.arange(frame.nrows * frame.ncols)
     np.testing.assert_array_equal(table.cells, np.tile(grid, len(lines)))
-    np.testing.assert_array_equal(table.owner, np.repeat(np.arange(len(lines)), grid.size))
+    np.testing.assert_array_equal(table.starts, np.arange(len(lines)) * grid.size)
     assert table.affected(np.eye(frame.nrows, dtype=bool))[0] == frozenset(b.id for b in lines)
 
 

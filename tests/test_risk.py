@@ -2,7 +2,7 @@
 
 import pytest
 
-from gridfire.errors import DegenerateNormalizationError, InvalidInputError
+from gridfire.errors import InvalidInputError
 from gridfire.risk import (
     CostParams,
     rank_lines,
@@ -41,7 +41,7 @@ def test_risk_metric_basics():
     assert m[2] == 1.0
     assert m[1] == 0.5
     assert m[3] == 0.0
-    with pytest.raises(DegenerateNormalizationError):
+    with pytest.raises(InvalidInputError):
         risk_metric({1: 0.0, 2: 0.0})
     with pytest.raises(InvalidInputError):
         risk_metric({})

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridfire import weather
-from gridfire.errors import CoverageError, InvalidSampleError, MalformedSeriesError
+from gridfire.errors import CoverageError, InvalidInputError
 from gridfire.fixtures import study_weather
 from gridfire.weather import (
     HOUR,
@@ -35,28 +35,28 @@ def mk_series(hours, start=T0, ws=3.0):
 
 
 def test_sample_validation():
-    with pytest.raises(InvalidSampleError):
+    with pytest.raises(InvalidInputError):
         WeatherSample(datetime(2022, 1, 1, 0, 0), 3.0, 225.0, 15.0, 40.0)  # naive
-    with pytest.raises(InvalidSampleError):
+    with pytest.raises(InvalidInputError):
         WeatherSample(T0, -0.1, 225.0, 15.0, 40.0)
-    with pytest.raises(InvalidSampleError):
+    with pytest.raises(InvalidInputError):
         WeatherSample(T0, 3.0, 360.0, 15.0, 40.0)
-    with pytest.raises(InvalidSampleError):
+    with pytest.raises(InvalidInputError):
         WeatherSample(T0, 3.0, 225.0, 15.0, 101.0)
-    with pytest.raises(InvalidSampleError):
+    with pytest.raises(InvalidInputError):
         WeatherSample(T0, float("inf"), 225.0, 15.0, 40.0)
 
 
 def test_series_requires_exact_hourly_grid():
     good = mk_series(3)
     assert len(good) == 3
-    with pytest.raises(MalformedSeriesError):
+    with pytest.raises(InvalidInputError):
         WeatherSeries(())
-    with pytest.raises(MalformedSeriesError):
+    with pytest.raises(InvalidInputError):
         WeatherSeries((good.samples[0], good.samples[2]))  # gap
-    with pytest.raises(MalformedSeriesError):
+    with pytest.raises(InvalidInputError):
         WeatherSeries((good.samples[1], good.samples[0]))  # unsorted
-    with pytest.raises(MalformedSeriesError):
+    with pytest.raises(InvalidInputError):
         WeatherSeries((good.samples[0], good.samples[0]))  # duplicate
 
 
@@ -93,7 +93,7 @@ def test_weather_round_trip(tmp_path):
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "wx.csv"
     path.write_text("time,wind\n2022-01-01T00:00Z,3\n")
-    with pytest.raises(InvalidSampleError, match="header"):
+    with pytest.raises(InvalidInputError, match="header"):
         load_weather(path)
 
 
@@ -104,7 +104,7 @@ def test_load_names_bad_row(tmp_path):
         "2022-01-01T00:00Z,3.0,225.0,15.0,40.0\n"
         "2022-01-01T01:00Z,breezy,225.0,15.0,40.0\n"
     )
-    with pytest.raises(InvalidSampleError, match="row 3"):
+    with pytest.raises(InvalidInputError, match="row 3"):
         load_weather(path)
 
 
@@ -126,7 +126,7 @@ def test_load_names_impossible_timestamp_as_strptime_does(tmp_path, text):
         datetime.strptime(text, TIMESTAMP_FORMAT)
     path = tmp_path / "wx.csv"
     write_rows(path, text)
-    with pytest.raises(InvalidSampleError, match="row 2") as got:
+    with pytest.raises(InvalidInputError, match="row 2") as got:
         load_weather(path)
     assert str(want.value) in str(got.value)
 
@@ -156,9 +156,9 @@ def test_series_from_columns_equals_series_from_samples():
     assert built.at(T0 + HOUR) == by_hand.samples[1]
     with pytest.raises(ValueError):
         built.wind_speed[0] = 1.0  # columns are read-only
-    with pytest.raises(InvalidSampleError, match="wind direction 360.0 outside .* 01:00"):
+    with pytest.raises(InvalidInputError, match="wind direction 360.0 outside .* 01:00"):
         WeatherSeries.from_columns(T0, [3.0, 4.0], [225.0, 360.0], [15.0, 14.0], [40.0, 41.0])
-    with pytest.raises(MalformedSeriesError):
+    with pytest.raises(InvalidInputError):
         WeatherSeries.from_columns(T0, [], [], [], [])
 
 
@@ -185,23 +185,23 @@ def row(h, values="3.0,225.0,15.0,40.0", at=None):
 # fault -> (row text for hour h, error type, message after "row N: ")
 FAULTS = {
     "non-finite value": (lambda h: row(h, "3.0,225.0,inf,40.0"),
-                         InvalidSampleError, "non-finite temperature inf"),
+                         InvalidInputError, "non-finite temperature inf"),
     "negative wind": (lambda h: row(h, "-0.5,225.0,15.0,40.0"),
-                      InvalidSampleError, "negative wind speed -0.5"),
+                      InvalidInputError, "negative wind speed -0.5"),
     "direction 360": (lambda h: row(h, "3.0,360,15.0,40.0"),
-                      InvalidSampleError, r"wind direction 360.0 outside \[0, 360\)"),
+                      InvalidInputError, r"wind direction 360.0 outside \[0, 360\)"),
     "rh 101": (lambda h: row(h, "3.0,225.0,15.0,101"),
-               InvalidSampleError, r"relative humidity 101.0 outside \[0, 100\]"),
+               InvalidInputError, r"relative humidity 101.0 outside \[0, 100\]"),
     "unparseable value": (lambda h: row(h, "3.0,225.0,warm,40.0"),
-                          InvalidSampleError, "could not convert string to float: 'warm'"),
+                          InvalidInputError, "could not convert string to float: 'warm'"),
     "missing field": (lambda h: row(h, "3.0,225.0,15.0"),
-                      InvalidSampleError, "expected 5 fields, got 4"),
+                      InvalidInputError, "expected 5 fields, got 4"),
     "bad timestamp": (lambda h: "2022-13-01T00:00Z,3.0,225.0,15.0,40.0",
-                      InvalidSampleError, "bad timestamp"),
-    "gap": (lambda h: row(h, at=h + 1), MalformedSeriesError, "gap of 2:00:00 before"),
-    "repeated hour": (lambda h: row(h, at=h - 1), MalformedSeriesError,
+                      InvalidInputError, "bad timestamp"),
+    "gap": (lambda h: row(h, at=h + 1), InvalidInputError, "gap of 2:00:00 before"),
+    "repeated hour": (lambda h: row(h, at=h - 1), InvalidInputError,
                       "timestamps not strictly increasing at"),
-    "out-of-order hour": (lambda h: row(h, at=h - 2), MalformedSeriesError,
+    "out-of-order hour": (lambda h: row(h, at=h - 2), InvalidInputError,
                           "timestamps not strictly increasing at"),
 }
 
@@ -236,7 +236,7 @@ def test_load_names_the_first_of_several_bad_rows(tmp_path, monkeypatch, block):
     path = tmp_path / "wx.csv"
     for named in (7, 12, 22, 32):
         path.write_text(",".join(WEATHER_HEADER) + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises((InvalidSampleError, MalformedSeriesError), match=f"row {named}:"):
+        with pytest.raises(InvalidInputError, match=f"row {named}:"):
             load_weather(path)
         rows[named - 2] = row(named - 2)
     path.write_text(",".join(WEATHER_HEADER) + "\n" + "\n".join(rows) + "\n")
@@ -292,7 +292,7 @@ def test_load_checks_a_bad_rows_timestamp_before_its_values(tmp_path):
     rows[2] = row(2, "-1.0,225.0,15.0,40.0", at=5)
     path = tmp_path / "wx.csv"
     path.write_text(",".join(WEATHER_HEADER) + "\n" + "\n".join(rows) + "\n")
-    with pytest.raises(MalformedSeriesError, match="row 4: gap"):
+    with pytest.raises(InvalidInputError, match="row 4: gap"):
         load_weather(path)
 
 
@@ -301,14 +301,14 @@ def test_load_names_a_rows_field_count_before_its_timestamp(tmp_path):
     rows[2] = "2022-13-01T00:00Z,3.0,225.0,15.0"
     path = tmp_path / "wx.csv"
     path.write_text(",".join(WEATHER_HEADER) + "\n" + "\n".join(rows) + "\n")
-    with pytest.raises(InvalidSampleError, match="row 4: expected 5 fields, got 4"):
+    with pytest.raises(InvalidInputError, match="row 4: expected 5 fields, got 4"):
         load_weather(path)
 
 
 def test_load_rejects_an_empty_year(tmp_path):
     path = tmp_path / "wx.csv"
     path.write_text(",".join(WEATHER_HEADER) + "\n")
-    with pytest.raises(MalformedSeriesError, match="empty"):
+    with pytest.raises(InvalidInputError, match="empty"):
         load_weather(path)
 
 
@@ -332,20 +332,20 @@ def reference_error(path):
     for line, r in rows[1:]:
         where = f"{path}: row {line}: "
         if len(r) != len(WEATHER_HEADER):
-            return InvalidSampleError, where + f"expected {len(WEATHER_HEADER)} fields, got {len(r)}"
+            return InvalidInputError, where + f"expected {len(WEATHER_HEADER)} fields, got {len(r)}"
         try:
             ts = datetime.strptime(r[0].strip(), TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
         except ValueError as exc:
-            return InvalidSampleError, where + f"bad timestamp: {exc}"
+            return InvalidInputError, where + f"bad timestamp: {exc}"
         if prev is not None and ts <= prev:
-            return MalformedSeriesError, where + f"timestamps not strictly increasing at {ts}"
+            return InvalidInputError, where + f"timestamps not strictly increasing at {ts}"
         if prev is not None and ts - prev != HOUR:
-            return (MalformedSeriesError,
+            return (InvalidInputError,
                     where + f"gap of {ts - prev} before {ts}, expected exactly one hour")
         try:
             WeatherSample(ts, *map(float, r[1:]))
-        except (ValueError, InvalidSampleError) as exc:
-            return InvalidSampleError, where + str(exc)
+        except (ValueError, InvalidInputError) as exc:
+            return InvalidInputError, where + str(exc)
         prev = ts
     return None
 
@@ -399,7 +399,7 @@ def test_load_reads_a_bad_file_from_disk_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(weather, "_BLOCK_ROWS", 5)
     monkeypatch.setattr(Path, "read_text", counted)
-    with pytest.raises(InvalidSampleError, match="row 47: relative humidity 101.0"):
+    with pytest.raises(InvalidInputError, match="row 47: relative humidity 101.0"):
         load_weather(path)
     assert reads == [path]
 
@@ -413,12 +413,12 @@ def test_series_must_end_by_year_9999(tmp_path):
     assert fits.end == last
     with pytest.raises(CoverageError, match=r"\[9999-12-31T00:00:00\+00:00, 9999-12-31T23:00"):
         fits.at(last)
-    with pytest.raises(MalformedSeriesError, match="from 9999-12-31T00:00:00.* after year 9999"):
+    with pytest.raises(InvalidInputError, match="from 9999-12-31T00:00:00.* after year 9999"):
         WeatherSeries.from_columns(last - 23 * HOUR, *[[3.0] * 24, [225.0] * 24,
                                                        [15.0] * 24, [40.0] * 24])
     path = tmp_path / "wx.csv"
     write_rows(path, *(f"9999-12-31T{h:02d}:00Z" for h in range(24)))
-    with pytest.raises(MalformedSeriesError, match=f"{re.escape(str(path))}: weather series from "):
+    with pytest.raises(InvalidInputError, match=f"{re.escape(str(path))}: weather series from "):
         load_weather(path)
 
 
