@@ -42,8 +42,9 @@ number, a nan, a repeated key and no rows (the header line only). And
 it runs `simulate` on broken copies of that study's network.json
 (`NETWORK_FAULTS`): invalid JSON, a fractional id, a missing bus, a
 repeated branch id, a one-point route, a route endpoint off its bus, a bus
-at latitude 95, an unknown branch kind, a link with a route, a boolean id
-and a route waypoint too far from the raster to project.
+at latitude 95, an unknown branch kind, a link with a route, a boolean id,
+a route waypoint too far from the raster to project and a route segment
+too long to project.
 Both trees read the same copies, at the same path, so each run's exit
 code and stderr, written to `bad-weather/<case>.txt`,
 `bad-landscape/<case>.txt`, `bad-tables/<case>.txt` or
@@ -121,6 +122,7 @@ NETWORK_FAULTS = {
     "link-with-route": "link 12 carries line 5's route",
     "boolean-id": "bus 1's id is true",
     "far-waypoint": "line 5's waypoint is 6 degrees further north",
+    "far-segment": "line 5's waypoint is 12 degrees further north",
 }
 
 
@@ -301,6 +303,8 @@ def write_bad_networks(source: Path, out: Path) -> list[Path]:
             bus["id"] = True
         elif case == "far-waypoint":
             line["route"][1][0] += 6
+        elif case == "far-segment":
+            line["route"][1][0] += 12
         files.append(out / f"{case}.json")
         files[-1].write_text(text[:len(text) // 2] if case == "invalid-json" else json.dumps(doc))
     return files

@@ -52,7 +52,6 @@ from .spread import SpreadParams
 from .weather import (IGNITION_HOUR, STUDY_YEAR, TIMESTAMP_FORMAT, load_weather, parse_timestamp,
                       season_labels, season_starts, write_weather)
 
-SECTIONS = ("paths", "study", "spread", "costs")
 RISK_COLUMNS = (
     Column("line_id", int),
     Column("lbe", float),
@@ -130,6 +129,7 @@ SCHEMA = (
 )
 
 KEYS = {f"{k.section}.{k.name}": k for k in SCHEMA}
+SECTIONS = tuple(dict.fromkeys(k.section for k in SCHEMA))
 
 
 def study_ini(values):
@@ -375,6 +375,7 @@ def _read_table(path):
 def cmd_assess(args):
     config = _config(args, require=not args.from_tables)
     costs = config.study.costs
+    # A fault that no single row shows is named with the files it is in.
     if args.from_tables:
         acres_path, miles_path = args.from_tables
         acres, miles = _read_table(acres_path), _read_table(miles_path)
@@ -383,7 +384,11 @@ def cmd_assess(args):
         except InvalidInputError as exc:
             raise InvalidInputError(f"{acres_path} and {miles_path}: {exc}") from None
     else:
-        records = assess_results(read_results(args.results), costs)
+        results = read_results(args.results)
+        try:
+            records = assess_results(results, costs)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{args.results}: {exc}") from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -95,15 +95,20 @@ def polyline_length_miles(points: Sequence[GeoPoint]) -> float:
     """Planar length of a polyline, in statute miles.
 
     Each segment is measured in its own projection centered on the segment
-    midpoint, which keeps the result independent of traversal direction.
+    midpoint, which keeps the result independent of traversal direction;
+    a segment too long for it to project raises InvalidInputError.
     """
     if len(points) == 0:
         raise InvalidInputError("polyline needs at least one point")
     meters = 0.0
     for p, q in zip(points, points[1:]):
         mid = GeoPoint((p.lat + q.lat) / 2.0, (p.lon + q.lon) / 2.0)
-        a = project(p, mid)
-        b = project(q, mid)
+        try:
+            a = project(p, mid)
+            b = project(q, mid)
+        except InvalidInputError:
+            raise InvalidInputError(f"segment ({p.lat}, {p.lon}) to ({q.lat}, {q.lon}) "
+                                    "too long for a local projection") from None
         meters += math.hypot(b.x - a.x, b.y - a.y)
     return meters / METERS_PER_MILE
 

@@ -183,16 +183,12 @@ def load_network(path: str | Path) -> GridNetwork:
             route = tuple(
                 GeoPoint(float(lat), float(lon)) for lat, lon in br.get("route", [])
             )
-            branches.append(
-                Branch(
-                    id=_whole(br["id"]),
-                    kind=str(br["kind"]),
-                    from_bus=_whole(br["from"]),
-                    to_bus=_whole(br["to"]),
-                    route=route,
-                    length_miles=polyline_length_miles(route) if route else 0.0,
-                )
-            )
+            bid, kind = _whole(br["id"]), str(br["kind"])
+            try:
+                length = polyline_length_miles(route) if route else 0.0
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"{kind} {bid}: {exc}") from None
+            branches.append(Branch(bid, kind, _whole(br["from"]), _whole(br["to"]), route, length))
         return GridNetwork(buses=buses, branches=tuple(branches))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"{path}: malformed network record: {exc!r}") from exc

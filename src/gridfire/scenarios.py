@@ -30,14 +30,7 @@ from .geo import GridIndex, PlanarPoint, RasterFrame
 from .landscape import LandscapeRaster, cell_acreage
 from .network import Branch, Corridors, GridNetwork, ignitable_lines
 from .risk import CostParams, LineRisk, rank_lines
-from .spread import (
-    BurnRaster,
-    IgnitionSpec,
-    SpreadEngine,
-    SpreadParams,
-    burned_area_acres,
-    check_coverage,
-)
+from .spread import BurnRaster, IgnitionSpec, SpreadEngine, SpreadParams, check_coverage
 from .weather import TIMESTAMP_FORMAT, WeatherSeries, season_starts
 
 PLACEMENTS = ("even", "seeded-random")
@@ -198,13 +191,15 @@ _CTX: Optional[_BatchContext] = None
 
 
 def _result(ctx: _BatchContext, spec: IgnitionSpec, burn: BurnRaster) -> ScenarioResult:
-    affected, miles = ctx.corridors.affected(burn.status)
+    burned = burn.status
+    count = int(np.count_nonzero(burned))
+    affected, miles = ctx.corridors.affected(burned)
     return ScenarioResult(
         line_id=spec.line_id,
         ignition_index=spec.ignition_index,
         season_index=ctx.season_index[spec.start],
-        burned_cell_count=burn.burned_cell_count(),
-        burned_acres=burned_area_acres(burn, ctx.alpha),
+        burned_cell_count=count,
+        burned_acres=count * ctx.alpha,
         affected_line_ids=affected,
         affected_miles=miles,
         warning=burn.warning,

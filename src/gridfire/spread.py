@@ -50,7 +50,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import CoverageError, InvalidInputError, OutOfBoundsError
-from .geo import GridIndex, RasterFrame
+from .geo import GridIndex
 from .landscape import FuelModel, LandscapeRaster
 from .weather import HOUR, WeatherSample, WeatherSeries
 
@@ -124,20 +124,17 @@ class IgnitionSpec:
 
 @dataclass(frozen=True)
 class BurnRaster:
-    """Outcome of one spread simulation.
+    """Outcome of one spread simulation: arrival holds minutes since
+    ignition for the cells that burned within the scenario duration and
+    +inf elsewhere, and warning says why a fire could not start."""
 
-    status is True where the cell burned within the scenario duration;
-    arrival holds minutes since ignition for burned cells and +inf
-    elsewhere, so status == isfinite(arrival) by construction.
-    """
-
-    frame: RasterFrame
-    status: np.ndarray
     arrival: np.ndarray
     warning: Optional[str] = None
 
-    def burned_cell_count(self) -> int:
-        return int(np.count_nonzero(self.status))
+    @property
+    def status(self) -> np.ndarray:
+        """True where the cell burned: isfinite(arrival)."""
+        return np.isfinite(self.arrival)
 
 
 def _knight_intermediates(dr: int, dc: int) -> tuple[tuple[int, int], ...]:
@@ -592,9 +589,7 @@ class SpreadEngine:
         return dist
 
     def _raster(self, arrival: np.ndarray, warning: Optional[str]) -> BurnRaster:
-        arrival = arrival.reshape(self.land.nrows, self.land.ncols)
-        return BurnRaster(frame=self.land.frame, status=np.isfinite(arrival),
-                          arrival=arrival, warning=warning)
+        return BurnRaster(arrival.reshape(self.land.nrows, self.land.ncols), warning)
 
 
 class _Fire:
@@ -671,18 +666,3 @@ def check_coverage(wx: WeatherSeries, start: datetime, hours: float) -> None:
             f"a {hours:g} h fire from {start.isoformat()} outlasts the {len(wx)} h "
             f"weather series [{wx.start.isoformat()}, {wx.end.isoformat()})"
         )
-
-
-def simulate_spread(
-    ig: IgnitionSpec,
-    land: LandscapeRaster,
-    wx: WeatherSeries,
-    params: SpreadParams | None = None,
-) -> BurnRaster:
-    """One-shot spread simulation (builds a throwaway engine)."""
-    return SpreadEngine(land, params).run(ig, wx)
-
-
-def burned_area_acres(b: BurnRaster, alpha: float) -> float:
-    """Burned cell count converted to acres via the per-cell ratio alpha."""
-    return b.burned_cell_count() * alpha

@@ -39,7 +39,7 @@ from gridfire.landscape import SynthSpec, synth_landscape
 from gridfire.network import Branch, Bus, GridNetwork, ignitable_lines, line_cells
 from gridfire.risk import CostParams, rank_lines, seasonal_average
 from gridfire.scenarios import StudyConfig, build_matrix, place_ignitions, run_batch
-from gridfire.spread import SpreadParams, simulate_spread
+from gridfire.spread import SpreadEngine, SpreadParams
 from gridfire.weather import HOUR, WeatherSample, WeatherSeries
 
 from test_geo import segment_cells_oracle, _traverse_units
@@ -146,7 +146,7 @@ def test_criterion_4_full_synthetic_batch():
 def test_criterion_5a_circular_growth():
     t0 = time.perf_counter()
     land = flat_land(96)
-    b = simulate_spread(ignite(GridIndex(48, 48), 1.0), land, const_wx())
+    b = SpreadEngine(land).run(ignite(GridIndex(48, 48), 1.0), const_wx())
     burned_m2 = float(b.status.sum()) * 30.0 * 30.0
     expected = math.pi * (15.0 * 60.0) ** 2
     err = abs(burned_m2 - expected) / expected
@@ -179,8 +179,8 @@ def test_criterion_5b_duration_monotonicity():
         cell = GridIndex(int(r), int(c))
         t_short = float(rng.uniform(0.1, 2.0))
         t_long = t_short + float(rng.uniform(0.5, 4.0))
-        b_short = simulate_spread(ignite(cell, t_short), land, wx)
-        b_long = simulate_spread(ignite(cell, t_long), land, wx)
+        b_short = SpreadEngine(land).run(ignite(cell, t_short), wx)
+        b_long = SpreadEngine(land).run(ignite(cell, t_long), wx)
         assert np.all(b_long.status[b_short.status]), f"config {k} shrank"
         assert np.all(b_long.arrival[b_short.status] == b_short.arrival[b_short.status])
     dt = time.perf_counter() - t0
@@ -193,14 +193,14 @@ def test_criterion_5c_zero_fuel_barrier():
     fuel = np.ones((7, 7), dtype=int)
     fuel[3, :] = 0
     land = custom_land(fuel)
-    b = simulate_spread(ignite(GridIndex(0, 3), 48.0), land, const_wx(hours=50))
+    b = SpreadEngine(land).run(ignite(GridIndex(0, 3), 48.0), const_wx(hours=50))
     assert sorted(set(np.nonzero(b.status)[0].tolist())) == [0, 1, 2]
     assert not b.status[3:, :].any()
 
     fuel_v = np.ones((7, 7), dtype=int)
     fuel_v[:, 3] = 0
     land_v = custom_land(fuel_v)
-    bv = simulate_spread(ignite(GridIndex(3, 0), 48.0), land_v, const_wx(hours=50))
+    bv = SpreadEngine(land_v).run(ignite(GridIndex(3, 0), 48.0), const_wx(hours=50))
     assert not bv.status[:, 3:].any()
     dt = time.perf_counter() - t0
     _C5_ELAPSED["c"] = dt
@@ -230,7 +230,7 @@ def test_criterion_5d_shortest_path_oracle():
         cell = GridIndex(int(r), int(c))
 
         oracle = bellman_ford_arrival(land, w, cell, SpreadParams())
-        got = simulate_spread(ignite(cell, duration), land, wx)
+        got = SpreadEngine(land).run(ignite(cell, duration), wx)
         within = oracle <= duration * 60.0
         np.testing.assert_array_equal(got.status, within)
         assert np.all(got.arrival[within] == oracle[within])

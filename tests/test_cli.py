@@ -5,6 +5,8 @@ be asserted directly. The heavyweight input synthesis happens once in the
 session-scoped study_dir fixture.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -16,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridfire import cli
@@ -213,6 +215,33 @@ def test_assess_refuses_a_nan_result_row(study_dir, small_run, tmp_path, capsys)
               "--results", str(results)])
     assert rc == 2
     assert "row 2: burned_acres nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def zero_loss(parts):
+    parts[4] = parts[6] = "0.0"  # burned_acres, affected_miles
+    return parts
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda parts: None if parts[1] == "1" else parts,
+                 "line 6 has no scenarios for season 1", id="missing-season"),
+    pytest.param(zero_loss, "every line has zero loss; the risk metric is undefined",
+                 id="zero-loss"),
+])
+def test_assess_names_the_results_file(study_dir, small_run, tmp_path, capsys, edit, named):
+    """A fault that no single results row shows, a season with no rows or
+    no loss on any line, stops assess with the results file named."""
+    sim, _ = small_run
+    header, *rows = (sim / "results.csv").read_text().splitlines()
+    kept = [edit(row.split(",")) for row in rows]
+    results = tmp_path / "results.csv"
+    results.write_text("\n".join([header, *(",".join(k) for k in kept if k)]) + "\n")
+    out = tmp_path / "rep"
+    rc = run(["assess", "--config", str(study_dir / "study.ini"), "--out", str(out),
+              "--results", str(results)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {results}: {named}\n"
     assert not out.exists()
 
 
@@ -618,11 +647,12 @@ def move_line_5_west(doc):
     doc["branches"][4]["route"][1][1] -= 0.05
 
 
-def move_line_5_far_north(doc):
-    """Line 5's waypoint 6 degrees north: too far from the raster's origin
-    to project, though each segment's own length still measures."""
+def move_line_5_far_north(doc, degrees=6):
+    """Line 5's waypoint `degrees` north. At 6, it is too far from the
+    raster's origin to project, though each segment's own length still
+    measures; at 12, its segments are too long to measure."""
     assert doc["branches"][4]["id"] == 5
-    doc["branches"][4]["route"][1][0] += 6
+    doc["branches"][4]["route"][1][0] += degrees
 
 
 FAR = ("line 5: point (43.877179297574074, -120.08155617022582) too far from origin "
@@ -672,6 +702,10 @@ def test_route_off_the_raster_names_its_line_and_the_network(study_dir, tmp_path
     pytest.param(lambda d: d["buses"][0].update(id=True),
                  "malformed network record: ValueError('id True is not a whole number')",
                  id="boolean-id"),
+    pytest.param(lambda d: move_line_5_far_north(d, 12),
+                 "line 5: segment (37.87868116465596, -120.08574059844555) to "
+                 "(49.877179297574074, -120.08155617022582) too long for a local projection",
+                 id="far-segment"),
 ])
 def test_network_fault_names_the_file(study_dir, tmp_path, capsys, edit, named):
     """Each fault found while building the network's buses, branches and
@@ -882,17 +916,23 @@ def fuzz_out(tmp_path_factory):
 
 @settings(max_examples=200, deadline=None)
 @given(key=config_keys, value=config_values)
+@example(key="costs.cbe_per_acre", value="4.2436455664565316e+304")
 def test_config_overrides_fuzz(study_dir, fuzz_out, key, value):
     """Any --set either loads or exits 2, and loads only a known key
-    with a valid value; numbers in their domain always load."""
-    rc = exit_code(["assess", "--from-tables", str(study_dir / "table1.csv"),
-                    str(study_dir / "table2.csv"), "--config", str(study_dir / "study.ini"),
-                    "--out", str(fuzz_out), "--set", f"{key}={value}"])
+    with a valid value; numbers in their domain always load, except a
+    cost so large that a line's loss overflows, which assess refuses."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = exit_code(["assess", "--from-tables", str(study_dir / "table1.csv"),
+                        str(study_dir / "table2.csv"), "--config", str(study_dir / "study.ini"),
+                        "--out", str(fuzz_out), "--set", f"{key}={value}"])
     assert rc in (0, 2)
     if rc == 0:
         assert _valid(key, value)
     elif key in INT_KEYS | FLOAT_KEYS:
-        assert not _valid(key, value)
+        overflow = ("is not finite; costs.cbe_per_acre and costs.cbl_per_mile are too large"
+                    in err.getvalue())
+        assert not _valid(key, value) or key.startswith("costs.") and overflow
 
 
 def test_cli_import_leaves_scipy_ndimage_out():

@@ -1,15 +1,20 @@
 """Loss formulas, seasonal averaging, and the normalized risk metric."""
 
+import math
+
 import pytest
 
 from gridfire.errors import InvalidInputError
-from gridfire.risk import (
-    CostParams,
-    rank_lines,
-    risk_metric,
-    seasonal_average,
-    wfl,
-)
+from gridfire.risk import CostParams, rank_lines, seasonal_average
+
+UNIT = CostParams(cbe=1.0, cbl=1.0)
+
+
+def metrics(wfl_by_line):
+    """{line: metric} of lines whose one-season loss is all acres, at $1 an acre."""
+    recs = rank_lines({j: [v] for j, v in wfl_by_line.items()},
+                      {j: [0.0] for j in wfl_by_line}, UNIT)
+    return {r.line_id: r.metric for r in recs}
 
 
 def test_cost_params_positive():
@@ -28,34 +33,42 @@ def test_seasonal_average_examples():
 
 
 def test_wfl_sum():
-    assert wfl(0.0, 0.0) == 0.0
-    assert wfl(84_724_000.0, 43_072_000.0) == 127_796_000.0
-    assert wfl(5.0, 0.0) == 5.0
+    acres = {1: [0.0], 2: [84_724_000.0], 3: [5.0]}
+    miles = {1: [0.0], 2: [43_072_000.0], 3: [0.0]}
+    wfl = {r.line_id: r.wfl for r in rank_lines(acres, miles, UNIT)}
+    assert wfl == {1: 0.0, 2: 127_796_000.0, 3: 5.0}
     with pytest.raises(InvalidInputError):
-        wfl(-1.0, 0.0)
+        rank_lines({1: [-1.0], 2: [1.0]}, {1: [0.0], 2: [0.0]}, UNIT)
 
 
 def test_risk_metric_basics():
-    assert risk_metric({6: 42.0}) == {6: 1.0}
-    m = risk_metric({1: 50.0, 2: 100.0, 3: 0.0})
-    assert m[2] == 1.0
-    assert m[1] == 0.5
-    assert m[3] == 0.0
-    with pytest.raises(InvalidInputError):
-        risk_metric({1: 0.0, 2: 0.0})
-    with pytest.raises(InvalidInputError):
-        risk_metric({})
-    with pytest.raises(InvalidInputError):
-        risk_metric({1: -5.0})
+    assert metrics({6: 42.0}) == {6: 1.0}
+    assert metrics({1: 50.0, 2: 100.0, 3: 0.0}) == {2: 1.0, 1: 0.5, 3: 0.0}
+    with pytest.raises(InvalidInputError, match="every line has zero loss"):
+        metrics({1: 0.0, 2: 0.0})
+    with pytest.raises(InvalidInputError, match="no lines to rank"):
+        metrics({})
+    with pytest.raises(InvalidInputError, match="line 1"):
+        metrics({1: -5.0})
 
 
 def test_risk_metric_scale_invariance():
     base = {1: 10.0, 2: 250.0, 3: 97.5, 4: 250.0}
-    m0 = risk_metric(base)
+    m0 = metrics(base)
     for lam in (0.1, 10.0, 1e6):
-        m = risk_metric({k: lam * v for k, v in base.items()})
+        m = metrics({k: lam * v for k, v in base.items()})
         for k in base:
             assert m[k] == pytest.approx(m0[k], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -1.0, math.nan])
+@pytest.mark.parametrize("table", ["acres", "miles"])
+def test_rank_lines_refuses_a_bad_season_value_naming_its_line(bad, table):
+    acres = {1: [1.0, 2.0], 2: [3.0, 4.0]}
+    miles = {1: [1.0, 1.0], 2: [1.0, 1.0]}
+    (acres if table == "acres" else miles)[2][1] = bad
+    with pytest.raises(InvalidInputError, match=f"^line 2: season {table} .* must be finite and >= 0$"):
+        rank_lines(acres, miles, CostParams())
 
 
 def test_rank_lines_order_and_records():

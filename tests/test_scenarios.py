@@ -26,7 +26,7 @@ from gridfire.scenarios import (
     season_tables,
     write_results,
 )
-from gridfire.spread import IgnitionSpec, SpreadEngine, burned_area_acres
+from gridfire.spread import IgnitionSpec, SpreadEngine
 from gridfire.weather import HOUR, WeatherSample, WeatherSeries
 
 T0 = datetime(2022, 7, 1, 12, 0, tzinfo=timezone.utc)
@@ -287,9 +287,11 @@ def test_run_batch_groups_match_per_spec_runs():
     want = []
     for spec in specs:
         burn = eng.run(spec, wx)
-        hit, _ = corridors.affected(burn.status)
+        burned = np.isfinite(burn.arrival)
+        hit, _ = corridors.affected(burned)
+        count = int(burned.sum())
         want.append((spec.line_id, spec.ignition_index, starts.index(spec.start),
-                     burn.burned_cell_count(), burned_area_acres(burn, cell_acreage(land)),
+                     count, count * cell_acreage(land),
                      hit, sum(net.branch(j).length_miles for j in sorted(hit)), burn.warning))
     assert want[5][3] == 0 and "non-burnable" in want[5][7]
     assert sum(w[3] > 1 for w in want) >= 16

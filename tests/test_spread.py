@@ -24,10 +24,8 @@ from gridfire.spread import (
     IgnitionSpec,
     SpreadEngine,
     SpreadParams,
-    burned_area_acres,
     directional_ros,
     moisture_factor,
-    simulate_spread,
     slope_factor,
     wind_factor,
 )
@@ -149,7 +147,7 @@ def ignite(cell, duration, line_id=1):
 
 def test_tiny_duration_burns_only_ignition_cell():
     land = flat_land(9)
-    b = simulate_spread(ignite(GridIndex(4, 4), 1e-4), land, const_wx())
+    b = SpreadEngine(land).run(ignite(GridIndex(4, 4), 1e-4), const_wx())
     assert b.arrival[4, 4] == 0.0
     assert b.status.sum() == 1
     assert b.warning is None
@@ -158,7 +156,7 @@ def test_tiny_duration_burns_only_ignition_cell():
 def test_circular_growth_zero_wind():
     land = flat_land(96)
     minutes = 60.0
-    b = simulate_spread(ignite(GridIndex(48, 48), minutes / 60.0), land, const_wx())
+    b = SpreadEngine(land).run(ignite(GridIndex(48, 48), minutes / 60.0), const_wx())
     burned_m2 = b.status.sum() * 30.0 * 30.0
     expected = math.pi * (15.0 * minutes) ** 2
     assert abs(burned_m2 - expected) / expected < 0.12
@@ -168,7 +166,7 @@ def test_zero_fuel_barrier_blocks_fire():
     fuel = np.ones((5, 5), dtype=int)
     fuel[2, :] = 0  # full non-burnable middle row
     land = custom_land(fuel)
-    b = simulate_spread(ignite(GridIndex(0, 2), 48.0), land, const_wx(hours=50))
+    b = SpreadEngine(land).run(ignite(GridIndex(0, 2), 48.0), const_wx(hours=50))
     burned_rows = sorted(set(np.nonzero(b.status)[0].tolist()))
     assert burned_rows == [0, 1]
     assert not b.status[land.fuel == 0].any()
@@ -181,14 +179,14 @@ def test_nonburnable_cells_never_burn():
         fuel_mix=((1, 0.5), (2, 0.2), (3, 0.1), (0, 0.2)), patch_cells=4.0,
     ))
     r, c = np.argwhere(land.fuel == 1)[0]
-    b = simulate_spread(ignite(GridIndex(int(r), int(c)), 8.0), land,
-                        const_wx(ws=3.0, wdir=225.0, rh=25.0))
+    b = SpreadEngine(land).run(ignite(GridIndex(int(r), int(c)), 8.0),
+                               const_wx(ws=3.0, wdir=225.0, rh=25.0))
     assert not b.status[land.fuel == 0].any()
 
 
 def test_rotational_symmetry_zero_wind():
     land = flat_land(41)
-    b = simulate_spread(ignite(GridIndex(20, 20), 0.5), land, const_wx())
+    b = SpreadEngine(land).run(ignite(GridIndex(20, 20), 0.5), const_wx())
     s = b.status
     for k in (1, 2, 3):
         np.testing.assert_array_equal(s, np.rot90(s, k))
@@ -197,8 +195,7 @@ def test_rotational_symmetry_zero_wind():
 def test_wind_bias_head_to_back_ratio():
     # wind from the south at 1 m/s: H = 1.4, ratio (1+e)/(1-e) ~ 5.66
     land = flat_land(112)
-    b = simulate_spread(ignite(GridIndex(56, 56), 1.0), land,
-                        const_wx(ws=1.0, wdir=180.0))
+    b = SpreadEngine(land).run(ignite(GridIndex(56, 56), 1.0), const_wx(ws=1.0, wdir=180.0))
     rows = np.nonzero(b.status.any(axis=1))[0]
     up = rows.max() - 56
     down = 56 - rows.min()
@@ -216,10 +213,9 @@ def test_duration_monotone_pair():
         slope_deg=8.0, aspect_deg=180.0,
     ))
     r, c = np.argwhere(land.fuel == 1)[0]
-    short = simulate_spread(ignite(GridIndex(int(r), int(c)), 0.7), land,
-                            const_wx(ws=2.0, wdir=90.0, rh=40.0))
-    long = simulate_spread(ignite(GridIndex(int(r), int(c)), 3.0), land,
-                           const_wx(ws=2.0, wdir=90.0, rh=40.0))
+    eng, wx = SpreadEngine(land), const_wx(ws=2.0, wdir=90.0, rh=40.0)
+    short = eng.run(ignite(GridIndex(int(r), int(c)), 0.7), wx)
+    long = eng.run(ignite(GridIndex(int(r), int(c)), 3.0), wx)
     assert np.all(long.status[short.status])
     assert long.status.sum() > short.status.sum()
 
@@ -228,7 +224,7 @@ def test_nonburnable_ignition_warns_and_burns_nothing():
     fuel = np.ones((6, 6), dtype=int)
     fuel[3, 3] = 0
     land = custom_land(fuel)
-    b = simulate_spread(ignite(GridIndex(3, 3), 2.0, line_id=17), land, const_wx())
+    b = SpreadEngine(land).run(ignite(GridIndex(3, 3), 2.0, line_id=17), const_wx())
     assert b.status.sum() == 0
     assert np.all(np.isinf(b.arrival))
     assert "non-burnable" in b.warning and "17" in b.warning
@@ -237,13 +233,13 @@ def test_nonburnable_ignition_warns_and_burns_nothing():
 def test_out_of_bounds_ignition():
     land = flat_land(8)
     with pytest.raises(OutOfBoundsError):
-        simulate_spread(ignite(GridIndex(8, 0), 1.0), land, const_wx())
+        SpreadEngine(land).run(ignite(GridIndex(8, 0), 1.0), const_wx())
 
 
 def test_weather_coverage_checked_up_front():
     land = flat_land(8)
     with pytest.raises(CoverageError):
-        simulate_spread(ignite(GridIndex(4, 4), 6.0), land, const_wx(hours=3))
+        SpreadEngine(land).run(ignite(GridIndex(4, 4), 6.0), const_wx(hours=3))
 
 
 def test_coverage_of_a_fire_past_year_9999_is_a_coverage_error():
@@ -291,8 +287,8 @@ def test_determinism_same_inputs():
     r, c = np.argwhere(land.fuel == 1)[0]
     ig = ignite(GridIndex(int(r), int(c)), 1.5)
     wx = const_wx(ws=4.0, wdir=300.0, rh=22.0)
-    a = simulate_spread(ig, land, wx)
-    b = simulate_spread(ig, land, wx)
+    a = SpreadEngine(land).run(ig, wx)
+    b = SpreadEngine(land).run(ig, wx)
     np.testing.assert_array_equal(a.arrival, b.arrival)
     np.testing.assert_array_equal(a.status, b.status)
 
@@ -300,21 +296,11 @@ def test_determinism_same_inputs():
 def test_burn_raster_invariants():
     land = flat_land(25)
     dur = 0.4
-    b = simulate_spread(ignite(GridIndex(12, 12), dur), land, const_wx())
+    b = SpreadEngine(land).run(ignite(GridIndex(12, 12), dur), const_wx())
     finite = np.isfinite(b.arrival)
     np.testing.assert_array_equal(b.status, b.arrival <= dur * 60.0)
     assert finite[b.status].all()
     assert b.arrival[12, 12] == 0.0
-
-
-def test_burned_area_acres():
-    land = flat_land(25)
-    b = simulate_spread(ignite(GridIndex(12, 12), 1e-4), land, const_wx())
-    alpha = 30.0 * 30.0 * 0.000247105381
-    assert burned_area_acres(b, alpha) == pytest.approx(alpha)
-    empty = simulate_spread(ignite(GridIndex(12, 12), 1e-4),
-                            custom_land(np.zeros((25, 25), dtype=int)), const_wx())
-    assert burned_area_acres(empty, alpha) == 0.0
 
 
 # ----------------------------------------------------- edge cost consistency
@@ -517,7 +503,7 @@ def test_static_graph_is_symmetric():
     bare = SpreadEngine(flat_land(n=9, fuel=0), params)
     assert bare._indices.size == 0
     b = bare.run(ignite(GridIndex(4, 4), 2.0), const_wx())
-    assert b.burned_cell_count() == 0
+    assert np.count_nonzero(b.status) == 0
     assert "non-burnable" in b.warning
 
 
@@ -649,7 +635,7 @@ def test_arrival_equals_bellman_ford(seed, duration):
 
     params = SpreadParams()
     oracle = bellman_ford_arrival(land, w, cell, params)
-    got = simulate_spread(ignite(cell, duration), land, wx, params)
+    got = SpreadEngine(land, params).run(ignite(cell, duration), wx)
 
     horizon = duration * 60.0
     within = oracle <= horizon
@@ -679,7 +665,7 @@ def test_arrival_equals_the_stencil_gauge(wind, wdir, hours):
     gauge = (x @ facets[:, :2].T / -facets[:, 2]).max(axis=1).reshape(n, n)
 
     wx = const_wx(hours=2, ws=wind, wdir=wdir)
-    got = simulate_spread(ignite(GridIndex(n // 2, n // 2), hours), flat_land(n=n), wx)
+    got = SpreadEngine(flat_land(n=n)).run(ignite(GridIndex(n // 2, n // 2), hours), wx)
     horizon = 60.0 * hours
     assert not (got.status[[0, -1]].any() or got.status[:, [0, -1]].any())
     assert np.abs(got.arrival[got.status] - gauge[got.status]).max() <= 1e-9
@@ -853,11 +839,11 @@ def test_fire_stops_in_the_hour_it_burns_out():
     np.testing.assert_array_equal(got[0].status, np.isfinite(want))
     np.testing.assert_allclose(got[0].arrival[got[0].status], want[np.isfinite(want)],
                                rtol=0, atol=1e-9)
-    assert got[0].burned_cell_count() == 16
+    assert np.count_nonzero(got[0].status) == 16
     hours = math.ceil(want[np.isfinite(want)].max() / 60.0)
     assert 2 <= hours < 24
     assert len(recosts) == hours
-    assert got[1].burned_cell_count() == 1 and got[1].arrival[0, 0] == 0.0
+    assert np.count_nonzero(got[1].status) == 1 and got[1].arrival[0, 0] == 0.0
     assert got[1].warning is None
 
 
@@ -938,7 +924,7 @@ def test_first_hour_block_with_more_fires_than_cells():
     assert sorted(got) == list(range(len(specs)))
     for i, ig in enumerate(specs):
         np.testing.assert_array_equal(got[i].arrival, eng.run(ig, wx).arrival)
-    assert len({got[i].burned_cell_count() for i in range(len(specs))}) > 1
+    assert len({np.count_nonzero(got[i].status) for i in range(len(specs))}) > 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -1000,7 +986,7 @@ def test_finished_fires_hold_no_memory():
     tracemalloc.start()
     try:
         for _, b in eng.run_group(specs, wx):
-            burned += b.burned_cell_count()
+            burned += np.count_nonzero(b.status)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
